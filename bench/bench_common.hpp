@@ -13,7 +13,6 @@
 // 0/unset = all cores) and drops BENCH_<tag>.json next to the binary's cwd.
 
 #include <cstdlib>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -92,16 +91,13 @@ inline sim::SimConfig make_sim_config() {
   // the engine split workers between the two levels). Never changes
   // results, only wall time — see docs/ARCHITECTURE.md.
   cfg.intra_threads = exp::intra_threads_from_env();
-  // Stepping engine (SF_ENGINE: cycle | active). Bit-identical results
-  // either way; active wins when the network is mostly idle.
-  cfg.engine = exp::engine_from_env();
   // Distance oracle (SF_ORACLE: auto | table | family). Bit-identical
   // results either way; family sidesteps the O(N^2) BFS table at scale.
   cfg.oracle = exp::oracle_from_env();
   return cfg;
 }
 
-/// Offered-load grid used by the Figure 6/8 sweeps.
+/// Offered-load grid used by the Figure 8 sweeps and the sweep CLI default.
 inline std::vector<double> bench_loads() {
   return {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
 }
@@ -168,54 +164,6 @@ inline void run_experiment(
             << "s" << (json.empty() ? "" : ", wrote " + json)
             << (csv.empty() ? "" : " + " + csv) << "\n"
             << std::flush;
-}
-
-/// Runs one routing curve of a latency-vs-load figure and appends rows.
-/// (Sequential compatibility path for benches that sweep hand-built
-/// objects; the load sweep itself goes through the engine.)
-inline void sweep_into_table(
-    Table& table, const std::string& series, const Topology& topo,
-    sim::RoutingAlgorithm& routing,
-    const std::function<std::unique_ptr<sim::TrafficPattern>()>& traffic,
-    const sim::SimConfig& cfg, const std::vector<double>& loads = {}) {
-  auto points = sim::load_sweep(topo, routing, traffic, cfg,
-                                loads.empty() ? bench_loads() : loads, true);
-  for (const auto& pt : points) {
-    table.add_row({series, Table::num(pt.load, 2),
-                   Table::num(pt.result.avg_latency, 1),
-                   Table::num(pt.result.avg_network_latency, 1),
-                   Table::num(pt.result.accepted_load, 3),
-                   pt.result.saturated ? "yes" : "no"});
-  }
-}
-
-inline Table latency_table() {
-  return Table({"series", "offered", "latency", "net_latency", "accepted", "saturated"});
-}
-
-/// The Figure 6 comparison as data: SF under MIN/VAL/UGAL-L/UGAL-G, DF
-/// under DF-UGAL-L, FT under ANCA, one traffic registry name shared by all
-/// (the worst-case figure passes "worstcase", which resolves to each
-/// topology's own adversarial pattern).
-inline exp::ExperimentSpec fig6_spec(const std::string& tag,
-                                     const std::string& traffic) {
-  auto topos = eval_trio_specs();
-  exp::ExperimentSpec spec;
-  spec.name = tag;
-  spec.loads = bench_loads();
-  spec.config = make_sim_config();
-  for (const char* routing : {"MIN", "VAL", "UGAL-L", "UGAL-G"}) {
-    spec.series.push_back(
-        {topos[0], routing, traffic, "SF-" + std::string(routing)});
-  }
-  spec.series.push_back({topos[1], "DF-UGAL-L", traffic, "DF-UGAL-L"});
-  spec.series.push_back({topos[2], "FT-ANCA", traffic, "FT-ANCA"});
-  return spec;
-}
-
-inline void run_fig6(const std::string& tag, const std::string& title,
-                     const std::string& traffic) {
-  run_experiment(fig6_spec(tag, traffic), title);
 }
 
 }  // namespace slimfly::bench

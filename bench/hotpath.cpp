@@ -1,10 +1,12 @@
 // Hot-path microbenchmark: a small battery of simulation points, each run
-// under BOTH stepping engines (cycle and active), reporting the stepping
-// loop's work rate — simulated Mcycles/s and flit-hops/s (one flit-hop per
-// crossbar grant) — plus how many cycles the active engine actually stepped
-// versus fast-forwarded. Writes BENCH_hotpath.json for the CI perf-smoke
-// job, which uploads it as an artifact; throughput is reported, never
-// gated, matching the `sweep diff` wall-time policy.
+// under BOTH stepping modes forced (cycle and active), reporting the
+// stepping loop's work rate — simulated Mcycles/s and flit-hops/s (one
+// flit-hop per crossbar grant) — plus how many cycles the active mode
+// actually stepped versus fast-forwarded, next to the mode the Network
+// picks on its own for the cell (Network::auto_step_engine). Writes
+// BENCH_hotpath.json for the CI perf-smoke job, which uploads it as an
+// artifact; throughput is reported, never gated, matching the `sweep diff`
+// wall-time policy.
 //
 // Battery cells:
 //   * reference — slimfly:q=11 | UGAL-L | uniform @ 0.5, the README's
@@ -18,7 +20,7 @@
 //           [--out PATH]
 //
 // Passing any of --topo/--routing/--traffic/--load replaces the battery
-// with that single custom cell (still run under both engines).
+// with that single custom cell (still run under both modes).
 // SF_BENCH_SCALE / SF_INTRA_THREADS apply as everywhere else.
 
 #include <cstring>
@@ -43,7 +45,7 @@ int usage(const char* argv0, int code) {
                "defaults: the three-cell battery (reference / lowload / "
                "drain),\nBENCH_hotpath.json; any cell flag switches to a "
                "single custom cell.\nEvery cell runs under both stepping "
-               "engines.\n";
+               "modes, forced.\n";
   return code;
 }
 
@@ -60,6 +62,7 @@ struct Cell {
 
 struct EngineRun {
   sim::SimResult res;
+  sim::StepEngine chosen = sim::StepEngine::Auto;  ///< the automatic choice
   double wall = 0.0;
   double mcyc = 0.0;
   double fhps = 0.0;
@@ -81,6 +84,8 @@ EngineRun run_cell(const Cell& cell, sim::StepEngine engine,
   auto topo = topo::make(cell.topo);
   auto bundle = sim::make_routing_spec(cell.routing, *topo);
   auto traffic = sim::make_traffic(cell.traffic, *topo);
+  EngineRun run;
+  run.chosen = sim::Network::auto_step_engine(*traffic, cell.load);
   sim::SimConfig cfg = bench::make_sim_config();
   cfg.engine = engine;
   if (intra_override >= 0) cfg.intra_threads = intra_override;
@@ -97,7 +102,6 @@ EngineRun run_cell(const Cell& cell, sim::StepEngine engine,
   // that property under a counting allocator, for both engines).
   net.reserve_measurement_stats();
   Timer timer;
-  EngineRun run;
   run.res = net.run();
   run.wall = timer.seconds();
   if (run.wall > 0.0) {
@@ -212,7 +216,8 @@ int main(int argc, char** argv) {
       print_engine_line("engine cycle ", r.cycle);
       print_engine_line("engine active", r.active);
       std::cout << "  active/cycle speedup: "
-                << exp::json::number(r.speedup) << "x\n";
+                << exp::json::number(r.speedup) << "x, auto picks "
+                << sim::to_string(r.cycle.chosen) << "\n";
       results.push_back(std::move(r));
     }
 
@@ -258,6 +263,8 @@ int main(int argc, char** argv) {
          << "      \"load\": " << exp::json::number(r.cell.load) << ",\n"
          << "      \"active_speedup\": " << exp::json::number(r.speedup)
          << ",\n"
+         << "      \"auto_engine\": "
+         << exp::json::quote(sim::to_string(r.cycle.chosen)) << ",\n"
          << "      \"peak_rss_bytes\": " << r.peak_rss << ",\n"
          << "      \"engines\": {\n        \"cycle\": {\n";
       write_engine_json(os, r.cycle);

@@ -86,12 +86,12 @@ int usage(const char* argv0, int exit_code) {
       << "usage: " << argv0
       << " [--name TAG] [--topo SPEC]... [--routing SPEC]...\n"
          "       [--traffic NAME]... [--loads L1,L2,...] [--seed N]\n"
-         "       [--intra N] [--engine NAME] [--oracle NAME]\n"
-         "       [--scheduler NAME] [--no-truncate] [--list] [--help]\n"
+         "       [--intra N] [--oracle NAME] [--scheduler NAME]\n"
+         "       [--no-truncate] [--list] [--help]\n"
          "   or: " << argv0
       << " --config SUITE.json [--scale NAME] [--name TAG]\n"
-         "       [--seed N] [--intra N] [--engine NAME] [--oracle NAME]\n"
-         "       [--scheduler NAME] [--no-truncate]\n"
+         "       [--seed N] [--intra N] [--oracle NAME] [--scheduler NAME]\n"
+         "       [--no-truncate]\n"
          "   or: " << argv0
       << " ... --emit-config PATH   (write the suite JSON, run nothing;\n"
          "       PATH \"-\" = stdout)\n"
@@ -112,9 +112,10 @@ int usage(const char* argv0, int exit_code) {
          "--intra N: router-parallel workers inside each point (0 = auto\n"
          "  split with the across-point level; default SF_INTRA_THREADS or\n"
          "  1). Results are bit-identical for every worker count.\n"
-         "--engine NAME: stepping engine, cycle or active (default\n"
-         "  SF_ENGINE or cycle). Bit-identical results either way; active\n"
-         "  skips quiet routers and fast-forwards idle stretches.\n"
+         "Each point picks its own stepping mode: the active set (skips\n"
+         "  quiet routers, fast-forwards idle stretches) for self-clocked\n"
+         "  replay or mean injection rates <= 0.01, a full scan otherwise.\n"
+         "  Bit-identical results either way.\n"
          "--oracle NAME: distance oracle, auto, table, or family (default\n"
          "  SF_ORACLE or auto). Bit-identical results either way; family\n"
          "  answers from per-topology structure instead of the O(N^2) BFS\n"
@@ -124,8 +125,8 @@ int usage(const char* argv0, int exit_code) {
          "  stealing lets big points absorb workers freed by finished\n"
          "  points instead of stepping single-file at the tail of a grid.\n"
          "env: SF_THREADS (across-point workers, 0/unset = all cores),\n"
-         "  SF_INTRA_THREADS (as --intra), SF_ENGINE (as --engine),\n"
-         "  SF_ORACLE (as --oracle), SF_SCHEDULER (as --scheduler),\n"
+         "  SF_INTRA_THREADS (as --intra), SF_ORACLE (as --oracle),\n"
+         "  SF_SCHEDULER (as --scheduler),\n"
          "  SF_BENCH_SCALE (small|paper).\n"
          "Spec-string grammar and suite schema: docs/SPEC_GRAMMAR.md;\n"
          "paper->code map and engine internals: docs/ARCHITECTURE.md;\n"
@@ -253,7 +254,6 @@ int main(int argc, char** argv) {
   std::string config_path, scale, emit_path;
   std::optional<std::uint64_t> seed;
   std::optional<int> intra;
-  std::optional<sim::StepEngine> engine;
   std::optional<sim::OracleMode> oracle;
   std::optional<exp::SchedulerMode> scheduler;
   bool truncate = true, truncate_flag = false;
@@ -304,8 +304,6 @@ int main(int argc, char** argv) {
                                       "\" (want 0..4096; 0 = auto)");
         }
         intra = static_cast<int>(std::stoul(value));
-      } else if (!std::strcmp(argv[i], "--engine")) {
-        engine = exp::step_engine_from_string(next_arg(i), "--engine");
       } else if (!std::strcmp(argv[i], "--oracle")) {
         oracle = exp::oracle_from_string(next_arg(i), "--oracle");
       } else if (!std::strcmp(argv[i], "--scheduler")) {
@@ -345,13 +343,8 @@ int main(int argc, char** argv) {
       if (!intra && !exp::suite_sets_config_key(suite, scale, "intra_threads")) {
         spec.config.intra_threads = exp::intra_threads_from_env();
       }
-      // Engine precedence, same shape: --engine flag, then an explicit
-      // suite value, then SF_ENGINE, then the cycle default.
-      if (!engine && !exp::suite_sets_config_key(suite, scale, "engine")) {
-        spec.config.engine = exp::engine_from_env();
-      }
-      // Oracle precedence, same shape again: --oracle flag, then an
-      // explicit suite value, then SF_ORACLE, then auto.
+      // Oracle precedence, same shape: --oracle flag, then an explicit
+      // suite value, then SF_ORACLE, then auto.
       if (!oracle && !exp::suite_sets_config_key(suite, scale, "oracle")) {
         spec.config.oracle = exp::oracle_from_env();
       }
@@ -378,7 +371,6 @@ int main(int argc, char** argv) {
     }
     if (seed) spec.config.seed = *seed;
     if (intra) spec.config.intra_threads = *intra;
-    if (engine) spec.config.engine = *engine;
     if (oracle) spec.config.oracle = *oracle;
     if (spec.series.empty()) {
       std::cerr << "no compatible (topology, routing, traffic) combination\n";

@@ -293,13 +293,13 @@ def lint_file(path, rel, all_rules=False):
     if regions:
         throws = throw_ranges(stripped)
         # Receivers with fixed-capacity storage are exempt from the
-        # container-call patterns: anything declared InlinePath or
-        # FixedRing<...> in this file, plus the conventional `path`
-        # member/local (Packet::path is an InlinePath). push_back on these
-        # writes a preallocated slot — overflow throws, never allocates.
+        # container-call patterns: anything declared InlinePath in this
+        # file, plus the conventional `path` member/local (Packet::path is
+        # an InlinePath). push_back on these writes a preallocated slot —
+        # overflow throws, never allocates.
         # LazyRing<...> receivers are exempt too: their logical capacity is
-        # fixed at wire() (overflow throws, like FixedRing) and physical
-        # growth is the sanctioned pool-backed settling path — it draws
+        # fixed at wire() (overflow throws) and physical growth is the
+        # sanctioned pool-backed settling path — it draws
         # slabs from the preloaded SlabPool and stops at the high-water
         # mark, with the dynamic zero-steady-state-allocation guarantee
         # enforced by tests/hotpath_test.cpp.
@@ -308,7 +308,7 @@ def lint_file(path, rel, all_rules=False):
         # which carries an explicit waiver.
         fixed_cap = set(re.findall(r"\bInlinePath\b[&\s]*(\w+)", stripped))
         fixed_cap.update(
-            re.findall(r"\b(?:Fixed|Lazy)Ring\s*<[^;{}>]*>\s*&?\s*(\w+)",
+            re.findall(r"\bLazyRing\s*<[^;{}>]*>\s*&?\s*(\w+)",
                        stripped))
         fixed_cap.add("path")
 

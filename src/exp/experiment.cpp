@@ -133,19 +133,15 @@ sim::SimConfig apply_config_overrides(sim::SimConfig base,
                                     "positive (got " + json_num(value) + ")");
       }
       base.latency_cap = value;
-    } else if (key == "engine") {
-      // Allowed per series (unlike seed/intra_threads): the stepping engine
-      // cannot change results, point_seed skips it, and golden_mini's
-      // engine=active cell relies on the per-series form.
-      base.engine = static_cast<sim::StepEngine>(integral(key, value, 0, 1));
     } else if (key == "oracle") {
-      // Same contract as engine: every oracle is bit-identical with the
-      // dense table (tests/oracle_test.cpp), point_seed skips the key, and
-      // golden_mini's oracle=family cell relies on the per-series form.
+      // Allowed per series (unlike seed/intra_threads): every oracle is
+      // bit-identical with the dense table (tests/oracle_test.cpp),
+      // point_seed skips the key, and golden_mini's oracle=family cell
+      // relies on the per-series form.
       base.oracle = static_cast<sim::OracleMode>(integral(key, value, 0, 2));
     } else if (key == "stats_window") {
       // Pure observation (windowed counters never feed back into the
-      // simulation), so — like engine/oracle — allowed per series and
+      // simulation), so — like oracle — allowed per series and
       // skipped by point_seed.
       base.stats_window = integral(key, value, 0, 1e9);
     } else if (allow_run_keys && key == "seed") {
@@ -159,8 +155,8 @@ sim::SimConfig apply_config_overrides(sim::SimConfig base,
           context + ": unknown config key \"" + key +
           "\" (known: num_vcs, buffer_per_port, channel_latency, "
           "router_pipeline, credit_delay, alloc_iterations, output_staging, "
-          "warmup_cycles, measure_cycles, drain_cycles, latency_cap, engine, "
-          "oracle, stats_window" +
+          "warmup_cycles, measure_cycles, drain_cycles, latency_cap, oracle, "
+          "stats_window" +
           (allow_run_keys ? ", seed, intra_threads)" :
                             "; seed and intra_threads are experiment-level)"));
     }
@@ -203,11 +199,11 @@ std::uint64_t point_seed(const ExperimentSpec& spec, std::size_t series_index,
   // study runs the same topo/routing/traffic six times); an empty map keeps
   // every pre-override seed unchanged.
   for (const auto& [key, value] : s.config_overrides) {
-    // The stepping engine, distance oracle and stats window are "hashed
-    // into nothing": they cannot change results, so overriding them must
-    // not change the point's streams (golden_mini's engine=active and
-    // oracle=family cells reproduce their sibling rows exactly).
-    if (key == "engine" || key == "oracle" || key == "stats_window") continue;
+    // The distance oracle and stats window are "hashed into nothing":
+    // they cannot change results, so overriding them must not change the
+    // point's streams (golden_mini's oracle=family cell reproduces its
+    // sibling rows exactly).
+    if (key == "oracle" || key == "stats_window") continue;
     h = fnv1a("|" + key + "=" + json_num(value), h);
   }
   h = splitmix64(h ^ spec.config.seed);
@@ -220,22 +216,6 @@ std::size_t threads_from_env() {
 
 int intra_threads_from_env() {
   return static_cast<int>(parse_worker_env("SF_INTRA_THREADS", 1));
-}
-
-sim::StepEngine step_engine_from_string(const std::string& name,
-                                        const std::string& context) {
-  if (name == "cycle") return sim::StepEngine::Cycle;
-  if (name == "active") return sim::StepEngine::Active;
-  throw std::invalid_argument(context + ": unknown stepping engine \"" + name +
-                              "\" (known: cycle, active)");
-}
-
-sim::StepEngine engine_from_env() {
-  const char* env = std::getenv("SF_ENGINE");
-  if (!env) return sim::StepEngine::Cycle;
-  const std::string name(env);
-  if (name == "active") return sim::StepEngine::Active;
-  return sim::StepEngine::Cycle;  // unset/junk: the tolerant env fallback
 }
 
 sim::OracleMode oracle_from_string(const std::string& name,
@@ -296,10 +276,10 @@ void ExperimentEngine::for_indices(
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  // The pool is created on first parallel use, so single-threaded wrappers
-  // (sim::load_sweep) never spawn a worker they won't use. It is resized
-  // when the schedule narrows the across-point width (intra-point workers
-  // claiming part of the budget) so the two levels never oversubscribe.
+  // The pool is created on first parallel use, so single-threaded runs
+  // never spawn a worker they won't use. It is resized when the schedule
+  // narrows the across-point width (intra-point workers claiming part of
+  // the budget) so the two levels never oversubscribe.
   if (!pool_ || pool_width_ != width) {
     pool_.reset();
     pool_ = std::make_unique<ThreadPool>(width);
@@ -621,8 +601,7 @@ void write_json(std::ostream& os, const ExperimentSpec& spec,
      << ", \"num_vcs\": " << spec.config.num_vcs
      << ", \"buffer_per_port\": " << spec.config.buffer_per_port
      << ", \"intra_threads\": " << spec.config.intra_threads
-     << ", \"engine\": \"" << sim::to_string(spec.config.engine)
-     << "\", \"stats_window\": " << spec.config.stats_window
+     << ", \"stats_window\": " << spec.config.stats_window
      << ", \"seed\": " << spec.config.seed << "},\n";
   os << "  \"series\": [\n";
   for (std::size_t s = 0; s < spec.series.size(); ++s) {

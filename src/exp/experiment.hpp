@@ -62,11 +62,11 @@ using ConfigOverrides = std::map<std::string, double>;
 /// Applies overrides onto `base`. Keys are the SimConfig field names
 /// (num_vcs, buffer_per_port, channel_latency, router_pipeline,
 /// credit_delay, alloc_iterations, output_staging, warmup_cycles,
-/// measure_cycles, drain_cycles, latency_cap, engine, oracle); with
+/// measure_cycles, drain_cycles, latency_cap, oracle, stats_window); with
 /// `allow_run_keys` also seed and intra_threads (suite-level blocks own
-/// those; per-series blocks must not — engine and oracle are allowed per
-/// series because, like intra_threads, they cannot change results and
-/// point_seed skips them).
+/// those; per-series blocks must not — oracle and stats_window are allowed
+/// per series because they cannot change results and point_seed skips
+/// them).
 /// Unknown keys and non-integral values for integer fields throw
 /// std::invalid_argument naming the key and `context`.
 sim::SimConfig apply_config_overrides(sim::SimConfig base,
@@ -140,17 +140,6 @@ std::size_t threads_from_env();
 /// unparsable means 1 (sequential stepping), the SimConfig default.
 int intra_threads_from_env();
 
-/// Parses a stepping-engine name ("cycle" | "active"); anything else throws
-/// std::invalid_argument naming `context`.
-sim::StepEngine step_engine_from_string(const std::string& name,
-                                        const std::string& context);
-
-/// Stepping-engine policy: SF_ENGINE env var when set to a known name;
-/// unset or unparsable means StepEngine::Cycle, the SimConfig default
-/// (matching the tolerance of the other env knobs — the engine cannot
-/// change results, so junk safely falls back).
-sim::StepEngine engine_from_env();
-
 /// Parses a distance-oracle mode ("auto" | "table" | "family"); anything
 /// else throws std::invalid_argument naming `context`.
 sim::OracleMode oracle_from_string(const std::string& name,
@@ -194,8 +183,8 @@ SchedulerMode scheduler_from_string(const std::string& name,
 SchedulerMode scheduler_from_env();
 
 // ---- prepared (non-registry) form ------------------------------------------
-// The compatibility path for callers that already hold topology / routing /
-// traffic objects (sim::load_sweep). The registry path lowers onto this.
+// For callers that already hold topology / routing / traffic objects. The
+// registry path lowers onto this.
 
 struct PreparedSeries {
   const Topology* topo = nullptr;  ///< shared read-only across points
@@ -214,8 +203,7 @@ struct PreparedExperiment {
   std::vector<double> loads;
   sim::SimConfig config;
   bool truncate_at_saturation = true;
-  /// Per-point seed; nullptr keeps config.seed for every point (the legacy
-  /// load_sweep behaviour).
+  /// Per-point seed; nullptr keeps config.seed for every point.
   std::function<std::uint64_t(std::size_t series_idx, std::size_t load_idx)>
       seed_fn;
 };
@@ -247,10 +235,10 @@ class ExperimentEngine {
   /// Runs an already-prepared experiment. When points run one at a time
   /// (one engine worker, or intra-point workers claiming the whole budget)
   /// and truncate_at_saturation is set, loads past a series' first
-  /// saturated point are skipped entirely (the sequential early-stop of the
-  /// original load_sweep); an across-point parallel run skips a point once
-  /// a lower load of its series is known saturated and drops the rest after
-  /// the fact — either way the returned points are identical.
+  /// saturated point are skipped entirely (a sequential early stop); an
+  /// across-point parallel run skips a point once a lower load of its
+  /// series is known saturated and drops the rest after the fact — either
+  /// way the returned points are identical.
   std::vector<RunResult> run_prepared(const PreparedExperiment& prepared,
                                       const ProgressFn& on_point = {});
 

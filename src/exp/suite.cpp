@@ -36,18 +36,19 @@ ConfigOverrides parse_config_block(const json::Value& v,
                                    bool allow_run_keys) {
   ConfigOverrides out;
   for (const auto& [key, value] : v.as_object(context)) {
-    if (key == "engine" && value.is_string()) {
-      // String-valued config key: "cycle" | "active", stored as the
-      // StepEngine enum value (serialize_config writes the name back).
-      out[key] = static_cast<double>(step_engine_from_string(
-          value.as_string(context + "." + key), context + "." + key));
-      continue;
-    }
     if (key == "oracle" && value.is_string()) {
-      // Likewise "auto" | "table" | "family" for the distance oracle.
+      // String-valued config key: "auto" | "table" | "family", stored as
+      // the OracleMode enum value (serialize_config writes the name back).
       out[key] = static_cast<double>(oracle_from_string(
           value.as_string(context + "." + key), context + "." + key));
       continue;
+    }
+    if (!value.is_number()) {
+      // Name an unknown key (such as a string-valued one an older suite
+      // file carried) before complaining about its value's kind: 1 is in
+      // range for every known key, so only an unknown one throws here.
+      apply_config_overrides(sim::SimConfig{}, {{key, 1.0}}, allow_run_keys,
+                             context);
     }
     out[key] = value.as_number(context + "." + key);
   }
@@ -143,10 +144,7 @@ void serialize_config(std::ostream& os, const ConfigOverrides& config,
   for (const auto& [key, value] : config) {
     os << (first ? "" : ",") << "\n" << indent << "  " << json::quote(key)
        << ": ";
-    if (key == "engine") {
-      os << json::quote(
-          sim::to_string(static_cast<sim::StepEngine>(value != 0.0)));
-    } else if (key == "oracle") {
+    if (key == "oracle") {
       os << json::quote(sim::to_string(
           static_cast<sim::OracleMode>(static_cast<int>(value))));
     } else {
@@ -468,7 +466,6 @@ Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads,
                   {"latency_cap", c.latency_cap},
                   {"seed", static_cast<double>(c.seed)},
                   {"intra_threads", static_cast<double>(c.intra_threads)},
-                  {"engine", static_cast<double>(c.engine)},
                   {"oracle", static_cast<double>(c.oracle)},
                   {"stats_window", static_cast<double>(c.stats_window)}};
   for (const SeriesSpec& s : spec.series) {

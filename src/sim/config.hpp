@@ -10,26 +10,32 @@
 
 namespace slimfly::sim {
 
-/// Stepping engine selection. Both engines produce bit-identical results —
-/// the knob only trades wall-clock time (like intra_threads), so it is
-/// excluded from exp::point_seed hashing and allowed per-series in suites.
+/// Stepping mode of a Network. Both modes produce bit-identical results;
+/// which one is faster depends only on how busy the network is, so the
+/// Network picks it itself (Auto) from its traffic and offered load — see
+/// Network::step_engine() and docs/ARCHITECTURE.md §"Stepping engines".
 ///
-///   Cycle  — visit every router every cycle (the PR 5 data-oriented loop).
+///   Cycle  — visit every router every cycle (full scan).
 ///   Active — per-shard active-router sets plus a min-heap of future wake
 ///            times: quiet routers are skipped and globally-idle stretches
-///            fast-forward the cycle counter in one jump
-///            (docs/ARCHITECTURE.md §"Stepping engines").
-enum class StepEngine : std::uint8_t { Cycle = 0, Active = 1 };
+///            fast-forward the cycle counter in one jump.
+///   Auto   — Active for self-clocked traffic or a mean injection rate at
+///            or below Network::kActiveRateThreshold, Cycle otherwise.
+enum class StepEngine : std::uint8_t { Cycle = 0, Active = 1, Auto = 2 };
 
 inline const char* to_string(StepEngine engine) {
-  return engine == StepEngine::Active ? "active" : "cycle";
+  switch (engine) {
+    case StepEngine::Cycle: return "cycle";
+    case StepEngine::Active: return "active";
+    default: return "auto";
+  }
 }
 
 /// Distance-oracle selection. Every oracle returns exactly the BFS
 /// distances (certified by tests/oracle_test.cpp) and consumes the RNG
-/// stream bit-identically in sample_minimal_path, so — like StepEngine —
-/// the knob trades memory/build time only, is excluded from
-/// exp::point_seed hashing, and is allowed per-series in suites.
+/// stream bit-identically in sample_minimal_path, so the knob trades
+/// memory/build time only, is excluded from exp::point_seed hashing, and
+/// is allowed per-series in suites.
 ///
 ///   Auto   — dense DistanceTable for small networks (cheap and fastest to
 ///            query), the per-family oracle beyond the threshold where the
@@ -73,8 +79,10 @@ struct SimConfig {
   /// bit-identical for every value: the knob only trades wall-clock time.
   int intra_threads = 1;
 
-  /// Stepping engine (cycle | active). Never changes results; see StepEngine.
-  StepEngine engine = StepEngine::Cycle;
+  /// Stepping mode. Auto (the default) lets the Network choose; forcing
+  /// Cycle or Active is a test and benchmark hook that certifies both
+  /// modes. Never changes results; see StepEngine.
+  StepEngine engine = StepEngine::Auto;
 
   /// Distance-oracle backend (auto | table | family). Never changes
   /// results; see OracleMode.
@@ -84,9 +92,9 @@ struct SimConfig {
   /// windowed collection. When > 0, every window of W cycles accumulates a
   /// WindowStats row (generated/delivered/latency/dependency stalls — see
   /// stats.hpp) exposed as SimResult::windows and in BENCH JSON. Pure
-  /// observation: never changes simulation results, so — like engine and
-  /// oracle — it is excluded from exp::point_seed hashing and allowed
-  /// per-series in suites.
+  /// observation: never changes simulation results, so — like the oracle —
+  /// it is excluded from exp::point_seed hashing and allowed per-series in
+  /// suites.
   std::int64_t stats_window = 0;
 
   /// Execution-only hook the Network polls once per step(): lets an

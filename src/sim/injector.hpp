@@ -9,7 +9,7 @@
 //
 // Storage is SoA: one capacity-exact array per field instead of an array
 // of endpoint structs. The injection phase walks a router's endpoints
-// checking credits and (active engine) planned arrivals every cycle —
+// checking credits and (active mode) planned arrivals every cycle —
 // with a million endpoints those polls now stream through dense int
 // arrays instead of striding over struct padding, and each field costs
 // exactly its own width. Endpoints are numbered contiguously per router
@@ -38,11 +38,11 @@ struct EndpointRef {
   int& credits;                    ///< slots free in the injection buffer
   Rng& rng;                        ///< private stream, seeded from (seed, id)
   std::int64_t& next_seq;          ///< per-endpoint packet sequence number
-  /// Active engine only: the precomputed cycle of the next Bernoulli
+  /// Active stepping mode only: the planned cycle of the next Bernoulli
   /// arrival while the source queue is empty (kUnplanned = not planned —
-  /// backlog mode draws live per cycle; INT64_MAX = never, for load 0).
-  /// The cycle engine ignores it, so the field is pure scheduling state
-  /// and never observable in results.
+  /// the first injection pass at cycle 0 and backlog mode draw live per
+  /// cycle; INT64_MAX = never, for load 0). The full scan ignores it, so
+  /// the field is pure scheduling state and never observable in results.
   std::int64_t& next_arrival;
   // (Returning uplink credits ride the owning router's ep_credits event
   // line — see sim/router.hpp — so idle endpoints are never polled.)

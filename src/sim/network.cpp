@@ -27,7 +27,7 @@ inline int ctz64(std::uint64_t mask) {
 }
 
 // EndpointState::next_arrival sentinels (active engine only).
-constexpr std::int64_t kUnplannedArrival = -1;  // backlog mode: draw live
+constexpr std::int64_t kUnplannedArrival = -1;  // cycle 0 / backlog: draw live
 constexpr std::int64_t kNeverArrives = std::numeric_limits<std::int64_t>::max();
 
 std::size_t resolve_intra_threads(int requested, int num_routers) {
@@ -92,8 +92,7 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
     if (traffic_.is_active(e)) ++active_endpoints_;
   }
   // ---- workload layer: cache the pattern's flags and preallocate every
-  // container the steady-state loop will touch (before init_active, whose
-  // initial wake/plan pass depends on traffic_self_clocked_).
+  // container the steady-state loop will touch.
   traffic_modulated_ = traffic_.modulates_rate();
   traffic_self_clocked_ = traffic_.self_clocked();
   stats_window_ = config_.stats_window;
@@ -128,7 +127,18 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
     }
     unlocked_scratch_.reserve(traffic_.completion_fanout());
   }
-  if (config_.engine == StepEngine::Active) init_active();
+  const StepEngine mode = config_.engine == StepEngine::Auto
+                              ? auto_step_engine(traffic_, load_)
+                              : config_.engine;
+  if (mode == StepEngine::Active) init_active();
+}
+
+StepEngine Network::auto_step_engine(const TrafficPattern& traffic,
+                                     double offered_load) {
+  if (traffic.self_clocked()) return StepEngine::Active;
+  return offered_load * traffic.mean_rate_multiplier() <= kActiveRateThreshold
+             ? StepEngine::Active
+             : StepEngine::Cycle;
 }
 
 void Network::wire() {
@@ -854,7 +864,15 @@ void Network::init_active() {
   for (std::size_t s = 0; s < shards_; ++s) {
     auto [lo, hi] = shard_ranges_[s];
     const std::size_t owned = static_cast<std::size_t>(hi - lo);
+    // Every router starts busy, so cycle 0 steps the whole network: each
+    // endpoint's first injection pass draws live at cycle 0, exactly like
+    // the cycle engine, and then plans from cycle 1 (active_injection_router);
+    // self-clocked replay pops its initially-eligible sends the same way.
+    // update_busy after cycle 0 clears every router without work.
     busy_[s].assign((owned + 63) / 64, 0);
+    for (std::size_t local = 0; local < owned; ++local) {
+      busy_[s][local / 64] |= std::uint64_t{1} << (local % 64);
+    }
     woken_[s].assign((owned + 63) / 64, 0);
     active_list_[s].reserve(owned);
     // Live wakes targeting a router are bounded by the un-matured entries
@@ -883,24 +901,6 @@ void Network::init_active() {
     // allocation iteration).
     wake_outbox_[s].reserve(
         inputs * static_cast<std::size_t>(config_.alloc_iterations) * 2 + 1);
-  }
-  // Initial injector plans: the cycle engine draws each endpoint's first
-  // Bernoulli at cycle 0, so planning starts there. Self-clocked replay
-  // draws no coins — instead, wake every router with an initially-eligible
-  // message at cycle 0 (pending_eligible then keeps it busy; blocked
-  // endpoints are woken later by apply_completions).
-  for (std::size_t s = 0; s < shards_; ++s) {
-    auto [lo, hi] = shard_ranges_[s];
-    for (int r = lo; r < hi; ++r) {
-      for (int j = 0; j < topo_.endpoints_at(r); ++j) {
-        const int e = topo_.first_endpoint(r) + j;
-        if (traffic_self_clocked_) {
-          if (traffic_.pending_eligible(e)) schedule_wake(s, r, 0);
-        } else {
-          plan_arrival_from(s, r, e, 0);
-        }
-      }
-    }
   }
 }
 
@@ -1062,8 +1062,9 @@ void Network::init_active() {
     } else {
       bool generate = false;
       if (ep.next_arrival == kUnplannedArrival) {
-        // Backlog mode: the source queue is nonempty, so the router is busy
-        // and steps every cycle — draw live, exactly like the cycle engine.
+        // Cycle 0 (every router starts busy) or backlog mode (the source
+        // queue is nonempty, so the router steps every cycle): draw live,
+        // exactly like the cycle engine.
         generate = traffic_modulated_ ? modulated_hit(e, cycle_, ep.rng)
                                       : ep.rng.bernoulli(load_);
       } else if (cycle_ == ep.next_arrival) {

@@ -93,10 +93,11 @@
 //     (preallocated; merged by elementwise sums) giving the time-resolved
 //     generated/delivered/latency/dependency-stall view.
 //
-// ---- Stepping engines ------------------------------------------------------
+// ---- Stepping modes ---------------------------------------------------------
 //
-// SimConfig::engine selects how the four phases are scheduled; results are
-// bit-identical either way (golden_test + engine_test enforce it):
+// The Network schedules the four phases in one of two modes, chosen once at
+// construction (auto_step_engine); results are bit-identical either way
+// (golden_test + engine_test force each mode and enforce it):
 //
 //   cycle   Every router runs every phase every cycle (the loop above).
 //   active  Each shard keeps (a) a busy bitmask over its routers — busy iff
@@ -107,14 +108,21 @@
 //           returning credits (upstream credit_return ready — keeps UGAL's
 //           remote queue_estimate reads exact on sleeping routers),
 //           ejection-line readies, endpoint uplink credits, and injector
-//           next-arrival cycles (precomputed: the Bernoulli draws a sleeping
+//           next-arrival cycles (planned: the Bernoulli draws a sleeping
 //           endpoint would have made are batched at plan time, the
 //           destination/routing draws stay at the materialize cycle, so
-//           every stream consumes values in exactly the cycle-engine
-//           order). A step() runs the phases only over busy|woken routers;
-//           run() fast-forwards cycle_ to the earliest heap entry when
-//           every shard is idle. step() itself always advances exactly one
-//           cycle, so step-level instrumentation sees identical state.
+//           every stream consumes values in exactly the cycle-mode order).
+//           Every router starts busy, so cycle 0 steps them all: the first
+//           injection pass draws live and then plans from cycle 1. A step()
+//           runs the phases only over busy|woken routers; run()
+//           fast-forwards cycle_ to the earliest heap entry when every
+//           shard is idle. step() itself always advances exactly one cycle,
+//           so step-level instrumentation sees identical state.
+//
+// The active set pays for its bookkeeping only when most routers are idle
+// most cycles, so SimConfig::engine = Auto picks it for self-clocked replay
+// and for mean injection rates at or below kActiveRateThreshold, the full
+// scan otherwise (README's crossover table has the measurements).
 //
 // Stepping a quiet router is always a no-op, so spurious wakes are safe;
 // only a *missed* wake could break equivalence — which is why every remote
@@ -154,9 +162,24 @@ class Network {
   /// Runs warmup + measurement + drain and returns the summary.
   SimResult run();
 
+  /// Mean per-endpoint injection rate (load × the pattern's
+  /// mean_rate_multiplier()) at or below which the active set beats the
+  /// full scan: the measured crossover on slimfly q=7 and q=19 under
+  /// uniform MIN traffic (active/cycle wall 0.67–0.78× at 0.005, 0.93–1.06×
+  /// at 0.01, 1.18–1.30× at 0.02; README has the table).
+  static constexpr double kActiveRateThreshold = 0.01;
+  /// The mode StepEngine::Auto resolves to: Active for self-clocked traffic
+  /// or a mean injection rate at or below kActiveRateThreshold, else Cycle.
+  static StepEngine auto_step_engine(const TrafficPattern& traffic,
+                                     double offered_load);
+  /// The mode this Network steps in (never Auto).
+  StepEngine step_engine() const {
+    return engine_active_ ? StepEngine::Active : StepEngine::Cycle;
+  }
+
   std::int64_t cycle() const { return cycle_; }
   /// Cycles whose phases actually executed; cycle() - cycles_stepped() is
-  /// the fast-forwarded count (always 0 for the cycle engine).
+  /// the fast-forwarded count (always 0 in cycle mode).
   std::int64_t cycles_stepped() const { return cycles_stepped_; }
   /// Aggregated measurement view (per-shard accumulators merged on demand).
   const Stats& stats() const;
@@ -266,7 +289,7 @@ class Network {
   void phase_injection(std::size_t shard);
   void phase_allocation(std::size_t shard);
   void phase_transmission(std::size_t shard);
-  /// Per-router phase bodies shared by both stepping engines.
+  /// Per-router phase bodies shared by both stepping modes.
   void arrivals_router(std::size_t shard, int r);
   void transmission_router(std::size_t shard, int r);
   void injection_router(std::size_t shard, int r, bool in_measurement);
@@ -278,7 +301,7 @@ class Network {
 
   // ---- workload layer ----------------------------------------------------
   /// Creates one packet from endpoint e to dst at cycle_ — the single
-  /// generation body shared by both engines and both injection modes
+  /// generation body shared by both stepping modes and both injection modes
   /// (Bernoulli and self-clocked); `dep_stall` feeds the windowed
   /// dependency-stall counters.
   void generate_packet(std::size_t shard, int e, int dst, bool in_measurement,
@@ -299,7 +322,7 @@ class Network {
     return idx < count ? idx : count - 1;
   }
 
-  // ---- active engine (config_.engine == StepEngine::Active) -------------
+  // ---- active mode (step_engine() == StepEngine::Active) ----------------
   void init_active();
   /// Ensures `router` is stepped at cycle `at`. Own-shard events go
   /// straight into the producing shard's heap (single writer during
@@ -415,7 +438,7 @@ class Network {
   };
   std::vector<AllocScratch> alloc_scratch_;  // [shard]
 
-  // ---- active-engine state (sized once by init_active; the steady-state
+  // ---- active-mode state (sized once by init_active; the steady-state
   // loop pushes/pops within the reserved capacities and never allocates) --
   bool engine_active_ = false;
   std::int64_t cycles_stepped_ = 0;

@@ -5,19 +5,17 @@
 // "hot-path memory layout" section of docs/ARCHITECTURE.md), so the
 // std::deque-based queues were replaced by:
 //
-//  * FixedRing<T>  — capacity chosen once (at Network::wire(), from the
-//    flow-control config that already bounds the queue's occupancy);
-//    overflow throws a named error because it is always a protocol
-//    violation, never a sizing decision.
 //  * GrowRing<T>   — amortized-doubling ring for the one genuinely
 //    unbounded queue (the endpoint source queue, which must absorb offered
 //    load past saturation). Below saturation it reaches a small stable
 //    capacity and never allocates again.
-//  * LazyRing<T>   — the fleet-scale hybrid: the *logical* capacity is
-//    fixed at wire() exactly like FixedRing (overflow still throws — the
-//    flow-control bound is still the contract), but the *physical* slab
-//    starts empty and doubles toward it as occupancy demands, drawing
-//    slabs from a shared SlabPool (sim/slab.hpp). RSS then tracks what the
+//  * LazyRing<T>   — every bounded queue: the *logical* capacity is chosen
+//    once at Network::wire(), from the flow-control config that already
+//    bounds the queue's occupancy, and overflow throws a named error
+//    because it is always a protocol violation, never a sizing decision.
+//    The *physical* slab starts empty and doubles toward it as occupancy
+//    demands, drawing slabs from a shared SlabPool (sim/slab.hpp). RSS
+//    then tracks what the
 //    simulated traffic actually queues instead of the worst case the
 //    credit loop admits — the difference between a 0.05-load point paying
 //    for its occupancy and paying for its capacity. Growth settles at the
@@ -25,7 +23,7 @@
 //    steady-state loop stops touching the pool, and the pool's reserve
 //    float keeps even a late straggler's growth allocation-free.
 //
-// All keep elements contiguous-in-ring with head/size indices and
+// Both keep elements contiguous-in-ring with head/size indices and
 // conditional (branch, not modulo) wrap-around.
 
 #include <cstddef>
@@ -39,72 +37,6 @@
 #include "sim/slab.hpp"
 
 namespace slimfly::sim {
-
-/// Fixed-capacity FIFO. `reset(capacity)` (re)allocates storage exactly
-/// once; push beyond capacity throws std::logic_error naming the ring.
-template <typename T>
-class FixedRing {
- public:
-  FixedRing() = default;
-  explicit FixedRing(std::size_t capacity) { reset(capacity); }
-
-  /// Sizes the ring and clears it. The only allocating operation.
-  void reset(std::size_t capacity) {
-    slots_.assign(capacity, T{});
-    head_ = 0;
-    size_ = 0;
-  }
-
-  std::size_t capacity() const { return slots_.size(); }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  bool full() const { return size_ >= slots_.size(); }
-
-  /* SF_HOT */ void push_back(const T& value) { push_slot() = value; }
-
-  /// Claims the next tail slot and returns it for in-place assignment —
-  /// the zero-copy variant of push_back (the hot path writes a packet
-  /// straight from one ring into the next without intermediate copies).
-  /* SF_HOT */ T& push_slot() {
-    if (full()) {
-      throw std::logic_error(
-          "FixedRing: overflow at capacity " + std::to_string(slots_.size()) +
-          " (the wire()-time occupancy bound was violated)");
-    }
-    std::size_t tail = head_ + size_;
-    if (tail >= slots_.size()) tail -= slots_.size();
-    ++size_;
-    return slots_[tail];
-  }
-
-  /* SF_HOT */ const T& front() const {
-    if (empty()) throw std::logic_error("FixedRing: front on empty ring");
-    return slots_[head_];
-  }
-
-  /// Discards the front element without returning it (pairs with front()
-  /// for copy-free consumption).
-  /* SF_HOT */ void drop_front() {
-    if (empty()) throw std::logic_error("FixedRing: pop on empty ring");
-    ++head_;
-    if (head_ >= slots_.size()) head_ = 0;
-    --size_;
-  }
-
-  /* SF_HOT */ T pop_front() {
-    if (empty()) throw std::logic_error("FixedRing: pop on empty ring");
-    T value = std::move(slots_[head_]);
-    ++head_;
-    if (head_ >= slots_.size()) head_ = 0;
-    --size_;
-    return value;
-  }
-
- private:
-  std::vector<T> slots_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
 
 /// Unbounded FIFO with amortized-doubling growth. Storage is allocated on
 /// first use (so idle endpoints cost nothing) and only grows — a queue that
@@ -161,8 +93,8 @@ class GrowRing {
 };
 
 /// Fixed *logical* capacity, lazy *physical* backing (see the header
-/// comment). API-compatible with FixedRing; reset() additionally takes the
-/// SlabPool growth draws from (nullptr = private heap slabs, for tests and
+/// comment). reset() takes the logical capacity and the SlabPool growth
+/// draws from (nullptr = private heap slabs, for tests and
 /// standalone use). Restricted to trivially-copyable payloads so slabs can
 /// be raw pool memory and growth a flat copy.
 template <typename T>
@@ -201,7 +133,7 @@ class LazyRing {
     size_ = 0;
   }
 
-  /// The wire()-time occupancy bound (what FixedRing::capacity() was).
+  /// The wire()-time occupancy bound.
   std::size_t capacity() const { return logical_; }
   /// Slots physically backed right now (<= capacity(); RSS diagnostics).
   std::size_t physical_capacity() const { return physical_; }
@@ -272,8 +204,8 @@ class LazyRing {
     void* raw = pool_ ? pool_->acquire(want * sizeof(T), got_bytes)
                       : ::operator new(got_bytes);
     // Slabs are handed out round-robin, so zero them: a slot's first read
-    // after a partial write must see deterministic bytes, exactly as the
-    // FixedRing value-initialization guaranteed.
+    // after a partial write must see deterministic bytes, exactly as
+    // value-initialized storage would.
     std::memset(raw, 0, got_bytes);
     T* bigger = static_cast<T*>(raw);
     for (std::size_t i = 0; i < size_; ++i) {

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "exp/experiment.hpp"
 #include "sim/routing/dragonfly_routing.hpp"
 #include "sim/routing/fattree_routing.hpp"
 #include "sim/routing/minimal.hpp"
@@ -208,40 +207,6 @@ SimResult simulate(const Topology& topo, RoutingAlgorithm& routing,
   if (config.num_vcs < routing.max_hops()) config.num_vcs = routing.max_hops();
   Network net(topo, routing, traffic, config, load);
   return net.run();
-}
-
-std::vector<SweepPoint> load_sweep(
-    const Topology& topo, RoutingAlgorithm& routing,
-    const std::function<std::unique_ptr<TrafficPattern>()>& traffic_factory,
-    SimConfig config, const std::vector<double>& loads, bool stop_at_saturation) {
-  // Thin compatibility wrapper over the experiment engine's sequential
-  // path: one prepared series sharing the caller's routing instance, the
-  // fixed config seed at every point, and early stop at saturation.
-  exp::PreparedExperiment prepared;
-  exp::PreparedSeries series;
-  series.topo = &topo;
-  series.make_routing = [&routing] {
-    return std::shared_ptr<RoutingAlgorithm>(&routing,
-                                             [](RoutingAlgorithm*) {});
-  };
-  series.make_traffic = traffic_factory;
-  prepared.series.push_back(std::move(series));
-  prepared.loads = loads;
-  prepared.config = config;
-  prepared.truncate_at_saturation = stop_at_saturation;
-
-  exp::ExperimentEngine engine(1);
-  std::vector<SweepPoint> points;
-  for (const auto& r : engine.run_prepared(prepared)) {
-    points.push_back({r.load, r.result});
-  }
-  return points;
-}
-
-std::vector<double> default_loads(double step, double max) {
-  std::vector<double> loads;
-  for (double l = step; l <= max + 1e-9; l += step) loads.push_back(l);
-  return loads;
 }
 
 }  // namespace slimfly::sim

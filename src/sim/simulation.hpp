@@ -2,7 +2,6 @@
 // High-level simulation driver: routing factories, single-point runs and
 // offered-load sweeps (the x-axis of the paper's Figures 6 and 8).
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -88,22 +87,5 @@ RoutingBundle make_routing_spec(const std::string& spec, const Topology& topo,
 /// Runs one (topology, routing, traffic, load) point.
 SimResult simulate(const Topology& topo, RoutingAlgorithm& routing,
                    TrafficPattern& traffic, SimConfig config, double load);
-
-struct SweepPoint {
-  double load = 0.0;
-  SimResult result;
-};
-
-/// Sweeps offered load over `loads` (ascending); stops after the first
-/// saturated point when stop_at_saturation is set. The traffic pattern is
-/// rebuilt per point via the factory so state never leaks between points.
-std::vector<SweepPoint> load_sweep(
-    const Topology& topo, RoutingAlgorithm& routing,
-    const std::function<std::unique_ptr<TrafficPattern>()>& traffic_factory,
-    SimConfig config, const std::vector<double>& loads,
-    bool stop_at_saturation = true);
-
-/// Standard load grid 0.05 .. 0.95 in steps of `step`.
-std::vector<double> default_loads(double step = 0.1, double max = 0.95);
 
 }  // namespace slimfly::sim

@@ -333,6 +333,11 @@ class BurstTraffic final : public TrafficPattern {
     }
     return (s.on ? mult_ : 0.0) * base_->rate_multiplier(src, t);
   }
+  /// mult · on/(on+off): ON and OFF segment lengths have means on_ and off_.
+  double mean_rate_multiplier() const override {
+    return mult_ * static_cast<double>(on_) / static_cast<double>(on_ + off_) *
+           base_->mean_rate_multiplier();
+  }
 
  private:
   struct State {
@@ -399,6 +404,9 @@ class HotspotTraffic final : public TrafficPattern {
   bool modulates_rate() const override { return base_->modulates_rate(); }
   /* SF_HOT */ double rate_multiplier(int src, std::int64_t t) override {
     return base_->rate_multiplier(src, t);
+  }
+  double mean_rate_multiplier() const override {
+    return base_->mean_rate_multiplier();
   }
 
  private:

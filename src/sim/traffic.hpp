@@ -59,6 +59,10 @@ class TrafficPattern {
     (void)t;
     return 1.0;
   }
+  /// Long-run mean of rate_multiplier() — the factor between the configured
+  /// load and the mean per-endpoint injection rate. The Network reads it
+  /// once, at construction, to choose its stepping mode.
+  virtual double mean_rate_multiplier() const { return 1.0; }
 
   /// True when the pattern is self-clocked (dependency replay): sends come
   /// from per-endpoint message lists gated by delivery of their `after:`

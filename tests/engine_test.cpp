@@ -1,15 +1,16 @@
-// Stepping-engine equivalence: the active engine (active-set scheduling +
-// idle fast-forward) is a pure wall-time optimization — every simulation it
-// runs must be bit-identical to the cycle engine's, across routings
-// (including per-hop adaptive FT-ANCA), traffic patterns, saturation, and
-// every intra-thread worker count. Only the cycles-stepped audit counter may
-// differ, and only downward.
+// Stepping-mode equivalence and choice. The active mode (active-set
+// scheduling + idle fast-forward) is a pure wall-time optimization — every
+// simulation it runs must be bit-identical to the full scan's, across
+// routings (including per-hop adaptive FT-ANCA), traffic patterns,
+// saturation, and every intra-thread worker count. Only the cycles-stepped
+// audit counter may differ, and only downward. The tests force each mode
+// through SimConfig::engine; the last group checks which mode the Network
+// picks on its own.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
 
-#include "exp/experiment.hpp"
 #include "sf/mms.hpp"
 #include "sim/simulation.hpp"
 #include "topo/fattree.hpp"
@@ -179,53 +180,112 @@ TEST(Engine, ZeroLoadRunFastForwardsToTheEnd) {
   SimResult active = run_at(StepEngine::Active);
   expect_same_result(cycle, active, "zero load");
   EXPECT_EQ(cycle.delivered, 0);
-  EXPECT_EQ(active.cycles_stepped, 0);
+  // Cycle 0 steps every router (each endpoint's first draw happens there);
+  // after it nothing is ever planned, so the rest is one jump.
+  EXPECT_EQ(active.cycles_stepped, 1);
 }
 
-TEST(Engine, RegistryEngineOverrideBitIdentical) {
-  // The per-series "engine" config override — the golden_mini mechanism —
-  // reproduces the unoverridden trajectory, including per-point seeds
-  // (point_seed skips the engine key so both series draw the same streams).
-  exp::ExperimentSpec spec;
-  spec.name = "engines";
-  spec.loads = {0.1, 0.4};
-  spec.config = quick_config();
-  spec.series = {{"slimfly:q=5", "UGAL-L", "uniform", "SF"},
-                 {"fattree:k=4", "FT-ANCA", "uniform", "FT"}};
-  exp::ExperimentSpec overridden = spec;
-  for (auto& series : overridden.series) {
-    series.config_overrides["engine"] =
-        static_cast<double>(StepEngine::Active);
+TEST(Engine, FirstPlanInStepBitIdentical) {
+  // The active mode makes its first injector plan inside cycle 0's
+  // injection pass, not at construction. Cases where that pass matters:
+  // arrivals at cycle 0 itself (high load, no warmup), a rate-modulated
+  // stream whose first ON segment may start late, and zero load. Windowed
+  // stats pin the per-100-cycle trajectory, not just the summary.
+  sf::SlimFlyMMS sf(5);
+  struct Case {
+    std::string traffic;
+    double load;
+  };
+  for (const Case& c :
+       {Case{"uniform", 0.5},
+        Case{"burst:on=40,off=2000,mult=25,base=uniform", 0.02},
+        Case{"uniform", 0.0}}) {
+    auto run_at = [&](StepEngine engine) {
+      auto bundle = make_routing(RoutingKind::Minimal, sf);
+      auto traffic = make_traffic(c.traffic, sf);
+      SimConfig cfg = quick_config();
+      cfg.warmup_cycles = 0;
+      cfg.stats_window = 100;
+      cfg.engine = engine;
+      return simulate(sf, *bundle.algorithm, *traffic, cfg, c.load);
+    };
+    const std::string what = c.traffic + " @ " + std::to_string(c.load);
+    SimResult cycle = run_at(StepEngine::Cycle);
+    SimResult active = run_at(StepEngine::Active);
+    expect_same_result(cycle, active, what);
+    ASSERT_EQ(cycle.windows.size(), active.windows.size()) << what;
+    for (std::size_t w = 0; w < cycle.windows.size(); ++w) {
+      EXPECT_EQ(cycle.windows[w].generated, active.windows[w].generated)
+          << what << " window " << w;
+      EXPECT_EQ(cycle.windows[w].delivered, active.windows[w].delivered)
+          << what << " window " << w;
+      EXPECT_EQ(cycle.windows[w].latency_sum, active.windows[w].latency_sum)
+          << what << " window " << w;
+    }
   }
-  exp::ExperimentEngine engine(1);
-  auto want = engine.run(spec);
-  auto got = engine.run(overridden);
-  ASSERT_FALSE(want.empty());
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].seed, got[i].seed) << "point " << i;
-    expect_same_result(want[i].result, got[i].result,
-                       "override point " + std::to_string(i));
-  }
 }
 
-TEST(Engine, StepEngineFromString) {
-  EXPECT_EQ(exp::step_engine_from_string("cycle", "t"), StepEngine::Cycle);
-  EXPECT_EQ(exp::step_engine_from_string("active", "t"), StepEngine::Active);
-  EXPECT_THROW(exp::step_engine_from_string("warp", "t"),
-               std::invalid_argument);
-  EXPECT_THROW(exp::step_engine_from_string("", "t"), std::invalid_argument);
+// ---- the Network's own choice ----------------------------------------------
+
+StepEngine chosen_mode(const std::string& topo_spec,
+                       const std::string& traffic_spec, double load) {
+  auto topo = topo::make(topo_spec);
+  auto bundle = make_routing(RoutingKind::Minimal, *topo);
+  auto traffic = make_traffic(traffic_spec, *topo);
+  SimConfig cfg;  // engine = Auto, the default
+  EXPECT_EQ(cfg.engine, StepEngine::Auto);
+  Network net(*topo, *bundle.algorithm, *traffic, cfg, load);
+  EXPECT_EQ(net.step_engine(),
+            Network::auto_step_engine(*traffic, load));
+  return net.step_engine();
 }
 
-TEST(Engine, EngineFromEnv) {
-  setenv("SF_ENGINE", "active", 1);
-  EXPECT_EQ(exp::engine_from_env(), StepEngine::Active);
-  setenv("SF_ENGINE", "cycle", 1);
-  EXPECT_EQ(exp::engine_from_env(), StepEngine::Cycle);
-  setenv("SF_ENGINE", "junk", 1);
-  EXPECT_EQ(exp::engine_from_env(), StepEngine::Cycle);
-  unsetenv("SF_ENGINE");
-  EXPECT_EQ(exp::engine_from_env(), StepEngine::Cycle);
+TEST(EngineChoice, BusyUniformPicksFullScan) {
+  // fig06_uniform's lowest load, and a paper-scale point just past the
+  // crossover.
+  EXPECT_EQ(chosen_mode("slimfly:q=7", "uniform", 0.05), StepEngine::Cycle);
+  EXPECT_EQ(chosen_mode("slimfly:q=19", "uniform", 0.02), StepEngine::Cycle);
+}
+
+TEST(EngineChoice, SparseTrafficPicksActiveSet) {
+  EXPECT_EQ(chosen_mode("slimfly:q=7", "uniform", 0.005), StepEngine::Active);
+  EXPECT_EQ(chosen_mode("slimfly:q=7", "uniform",
+                        Network::kActiveRateThreshold),
+            StepEngine::Active);
+  // The burst rate is load x mult x on/(on+off): 0.02 x 25 x 40/2040 is
+  // just under the threshold, though the load alone is above it.
+  EXPECT_EQ(chosen_mode("slimfly:q=7",
+                        "burst:on=40,off=2000,mult=25,base=uniform", 0.02),
+            StepEngine::Active);
+  EXPECT_EQ(chosen_mode("slimfly:q=7",
+                        "burst:on=60,off=240,mult=5,base=uniform", 0.1),
+            StepEngine::Cycle);
+}
+
+TEST(EngineChoice, SelfClockedReplayPicksActiveSet) {
+  // Both allreduce series of the sparse_apps benchmark workload. Replay
+  // ignores the load, so even a high one keeps the active set.
+  EXPECT_EQ(chosen_mode("slimfly:q=19", "allreduce:ranks=2048,algo=ring", 0.02),
+            StepEngine::Active);
+  EXPECT_EQ(chosen_mode("slimfly:q=19", "allreduce:ranks=8192,algo=tree", 0.02),
+            StepEngine::Active);
+  EXPECT_EQ(chosen_mode("slimfly:q=5", "allreduce:ranks=64,algo=ring", 0.9),
+            StepEngine::Active);
+}
+
+TEST(EngineChoice, MeanRateMultiplier) {
+  sf::SlimFlyMMS sf(5);
+  EXPECT_EQ(make_uniform(sf.num_endpoints())->mean_rate_multiplier(), 1.0);
+  EXPECT_DOUBLE_EQ(
+      make_traffic("burst:on=60,off=240,mult=5,base=uniform", sf)
+          ->mean_rate_multiplier(),
+      5.0 * 60.0 / 300.0);
+  // Wrappers compose: hotspot over burst keeps the burst's duty cycle.
+  EXPECT_DOUBLE_EQ(
+      make_traffic("hotspot:frac=0.05,heat=8,base=burst:on=50;off=450;mult=10",
+                   sf)
+          ->mean_rate_multiplier(),
+      10.0 * 50.0 / 500.0);
 }
 
 }  // namespace

@@ -429,26 +429,5 @@ TEST(TrafficRegistry, RoundTripEveryName) {
   EXPECT_THROW(sim::make_traffic("worst-ft", df), std::invalid_argument);
 }
 
-TEST(LoadSweep, LegacySeedSemanticsPreserved) {
-  // load_sweep is now a wrapper over the engine's sequential path; it must
-  // still run every point with the caller's config seed and a fresh traffic
-  // instance, exactly like a hand-written simulate() loop.
-  sf::SlimFlyMMS topo(5);
-  auto cfg = tiny_config();
-  auto bundle = sim::make_routing(sim::RoutingKind::Minimal, topo);
-  auto points = sim::load_sweep(
-      topo, *bundle.algorithm,
-      [&] { return sim::make_uniform(topo.num_endpoints()); }, cfg,
-      {0.1, 0.3}, true);
-  ASSERT_GE(points.size(), 1u);
-  for (const auto& pt : points) {
-    auto traffic = sim::make_uniform(topo.num_endpoints());
-    auto direct = sim::simulate(topo, *bundle.algorithm, *traffic, cfg, pt.load);
-    EXPECT_EQ(pt.result.avg_latency, direct.avg_latency);
-    EXPECT_EQ(pt.result.accepted_load, direct.accepted_load);
-    EXPECT_EQ(pt.result.delivered, direct.delivered);
-  }
-}
-
 }  // namespace
 }  // namespace slimfly

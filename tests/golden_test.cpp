@@ -87,13 +87,15 @@ TEST(GoldenTrajectory, MatchesCheckedInTrajectoryExactly) {
 TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndEngineMatrix) {
   exp::ExperimentSpec spec = golden_spec();
   const std::string want = read_file(source_path(kTrajectoryPath));
-  // SF_THREADS x SF_INTRA_THREADS x SF_ENGINE x SF_ORACLE matrix,
-  // constructed directly so the test is hermetic against the environment.
-  // engine(1) with intra=2 clamps to sequential (one worker owns the whole
-  // budget) — still compared. The stepping engine is a scheduling knob and
-  // the distance oracle a memory knob: every cell reproduces the same
-  // pinned trajectory (the SF-UGAL-L-active and DLN-UGAL-L-oracle series
-  // keep their per-series overrides in every cell).
+  // SF_THREADS x SF_INTRA_THREADS x forced stepping mode x SF_ORACLE
+  // matrix, constructed directly so the test is hermetic against the
+  // environment. engine(1) with intra=2 clamps to sequential (one worker
+  // owns the whole budget) — still compared. The Network normally picks
+  // its stepping mode itself; forcing each one here keeps both certified
+  // on every series. The mode is a scheduling choice and the distance
+  // oracle a memory knob: every cell reproduces the same pinned trajectory
+  // (the DLN-UGAL-L-oracle series keeps its per-series override in every
+  // cell).
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (int intra : {1, 2}) {
       for (sim::StepEngine step_engine :
@@ -108,7 +110,7 @@ TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndEngineMatrix) {
           const std::string got = exp::golden_trajectory(run, engine.run(run));
           EXPECT_EQ(want, got)
               << "SF_THREADS=" << threads << " SF_INTRA_THREADS=" << intra
-              << " SF_ENGINE=" << sim::to_string(step_engine)
+              << " engine=" << sim::to_string(step_engine)
               << " SF_ORACLE=" << sim::to_string(oracle);
         }
       }
@@ -139,11 +141,22 @@ TEST(GoldenTrajectory, SchedulerAxisIsByteIdentical) {
 }
 
 TEST(GoldenTrajectory, DiffAgainstCheckedInBenchPasses) {
+  // The `sweep --config` + `sweep diff` path: a freshly written BENCH file
+  // (stepping mode chosen per point, so its header carries no "engine"
+  // field) against the checked-in one, whose header still records the
+  // "engine": "cycle" of the run that pinned it. Header config is never
+  // compared, so the two must diff clean.
   exp::ExperimentSpec spec = golden_spec();
   exp::ExperimentEngine engine(2);
-  exp::Trajectory now = exp::trajectory_of(spec, engine.run(spec));
-  exp::Trajectory golden =
-      exp::load_bench_file(source_path("tests/golden/BENCH_golden_mini.json"));
+  std::ostringstream fresh;
+  exp::write_json(fresh, spec, engine.run(spec), engine.threads());
+  EXPECT_EQ(fresh.str().find("\"engine\""), std::string::npos);
+  const std::string golden_path =
+      source_path("tests/golden/BENCH_golden_mini.json");
+  EXPECT_NE(read_file(golden_path).find("\"engine\": \"cycle\""),
+            std::string::npos);
+  exp::Trajectory now = exp::parse_bench_json(fresh.str(), "fresh");
+  exp::Trajectory golden = exp::load_bench_file(golden_path);
   exp::DiffReport report = exp::diff_trajectories(golden, now);
   if (!report.passed) {
     std::ostringstream os;
@@ -152,7 +165,7 @@ TEST(GoldenTrajectory, DiffAgainstCheckedInBenchPasses) {
               "BENCH_golden_mini.json:\n"
            << os.str();
   }
-  EXPECT_EQ(report.compared, 20u);  // 10 series x 2 loads, no truncation
+  EXPECT_EQ(report.compared, 18u);  // 9 series x 2 loads, no truncation
 }
 
 // The analysis/cost layers' outputs for every distinct golden_mini

@@ -30,7 +30,7 @@ struct Queue {
   return s;
 }
 
-// Fixed-capacity receivers (InlinePath, FixedRing) never allocate —
+// Fixed-capacity receivers (InlinePath) never allocate —
 // push_back on them writes a preallocated slot, so the rule exempts them.
 // A std::vector<T>& parameter references existing storage: also exempt.
 struct InlinePath {
@@ -44,7 +44,7 @@ struct InlinePath {
   (void)scratch;
 }
 
-// LazyRing receivers are exempt like FixedRing: the logical capacity is
+// LazyRing receivers are exempt like InlinePath: the logical capacity is
 // fixed at wire() and growth is the sanctioned pool-backed settling path
 // (see scripts/sf_lint.py; hotpath_test enforces the dynamic guarantee).
 template <typename T>

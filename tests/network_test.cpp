@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/experiment.hpp"
 #include "sf/mms.hpp"
 #include "sim/simulation.hpp"
 #include "topo/dragonfly.hpp"
@@ -59,12 +60,14 @@ TEST(Network, AcceptedTracksOfferedBelowSaturation) {
 }
 
 TEST(Network, LatencyIncreasesWithLoad) {
-  sf::SlimFlyMMS topo(5);
-  auto routing = make_routing(RoutingKind::Minimal, topo);
-  SimConfig cfg = quick_config();
-  auto factory = [&] { return make_uniform(topo.num_endpoints()); };
-  auto points = load_sweep(topo, *routing.algorithm, factory, cfg,
-                           {0.1, 0.5, 0.8}, false);
+  exp::ExperimentSpec spec;
+  spec.name = "monotone";
+  spec.loads = {0.1, 0.5, 0.8};
+  spec.config = quick_config();
+  spec.truncate_at_saturation = false;
+  spec.series = {{"slimfly:q=5", "MIN", "uniform", "SF-MIN"}};
+  exp::ExperimentEngine engine(1);
+  auto points = engine.run(spec);
   ASSERT_EQ(points.size(), 3u);
   EXPECT_LE(points[0].result.avg_latency, points[1].result.avg_latency);
   EXPECT_LE(points[1].result.avg_latency, points[2].result.avg_latency * 1.05);

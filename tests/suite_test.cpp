@@ -216,6 +216,18 @@ TEST(SuiteParser, StructuralErrorsAreNamed) {
       "\"series\": [{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
       "\"traffic\": \"uniform\"}]}",
       {"unknown config key \"zz\"", "buffer_per_port"});
+  // The stepping mode is the Network's own choice, not a suite key: an
+  // "engine" key (base or per series) is an unknown config key, named.
+  expect_parse_error(
+      "{\"suite\": \"x\", \"loads\": [0.1], \"config\": "
+      "{\"engine\": \"active\"}, \"series\": [{\"topology\": "
+      "\"slimfly:q=5\", \"routing\": \"MIN\", \"traffic\": \"uniform\"}]}",
+      {"unknown config key \"engine\"", "oracle"});
+  expect_parse_error(
+      "{\"suite\": \"x\", \"loads\": [0.1], \"series\": "
+      "[{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
+      "\"traffic\": \"uniform\", \"config\": {\"engine\": \"cycle\"}}]}",
+      {"unknown config key \"engine\""});
   // Per-series config blocks must not smuggle run-level keys.
   expect_parse_error(
       "{\"suite\": \"x\", \"loads\": [0.1], \"series\": "

@@ -1,9 +1,10 @@
 // Property-test harness for the workload layer (burst/hotspot modulation,
 // dependency-aware trace replay, allreduce collectives):
 //   1. Every parameterized pattern is byte-identical across the full
-//      SF_THREADS x SF_INTRA_THREADS x SF_ENGINE x SF_ORACLE matrix.
-//   2. Trace-replay ordering is independent of shard count and engine down
-//      to the windowed-stats rows.
+//      SF_THREADS x SF_INTRA_THREADS x forced stepping mode x SF_ORACLE
+//      matrix.
+//   2. Trace-replay ordering is independent of shard count and stepping
+//      mode down to the windowed-stats rows.
 //   3. Burst offered load converges to the configured mean (load x mult x
 //      duty cycle); hotspot endpoints absorb their configured share.
 //   4. Dependency stalls show up in windowed stats for replay and are
