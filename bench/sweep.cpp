@@ -23,6 +23,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "exp/diff.hpp"
@@ -86,12 +87,11 @@ int usage(const char* argv0, int exit_code) {
       << "usage: " << argv0
       << " [--name TAG] [--topo SPEC]... [--routing SPEC]...\n"
          "       [--traffic NAME]... [--loads L1,L2,...] [--seed N]\n"
-         "       [--intra N] [--oracle NAME] [--scheduler NAME]\n"
-         "       [--no-truncate] [--list] [--help]\n"
+         "       [--intra N] [--scheduler NAME] [--no-truncate] [--list]\n"
+         "       [--help]\n"
          "   or: " << argv0
       << " --config SUITE.json [--scale NAME] [--name TAG]\n"
-         "       [--seed N] [--intra N] [--oracle NAME] [--scheduler NAME]\n"
-         "       [--no-truncate]\n"
+         "       [--seed N] [--intra N] [--scheduler NAME] [--no-truncate]\n"
          "   or: " << argv0
       << " ... --emit-config PATH   (write the suite JSON, run nothing;\n"
          "       PATH \"-\" = stdout)\n"
@@ -116,17 +116,15 @@ int usage(const char* argv0, int exit_code) {
          "  quiet routers, fast-forwards idle stretches) for self-clocked\n"
          "  replay or mean injection rates <= 0.01, a full scan otherwise.\n"
          "  Bit-identical results either way.\n"
-         "--oracle NAME: distance oracle, auto, table, or family (default\n"
-         "  SF_ORACLE or auto). Bit-identical results either way; family\n"
-         "  answers from per-topology structure instead of the O(N^2) BFS\n"
-         "  table, auto picks table below 4096 routers and family above.\n"
+         "The distance oracle is picked per topology: the dense BFS table\n"
+         "  up to 4096 routers (cheapest to query), the per-family oracle\n"
+         "  beyond (no O(N^2) table). Bit-identical results either way.\n"
          "--scheduler NAME: point scheduler, static or stealing (default\n"
          "  SF_SCHEDULER or static). Bit-identical results either way;\n"
          "  stealing lets big points absorb workers freed by finished\n"
          "  points instead of stepping single-file at the tail of a grid.\n"
          "env: SF_THREADS (across-point workers, 0/unset = all cores),\n"
-         "  SF_INTRA_THREADS (as --intra), SF_ORACLE (as --oracle),\n"
-         "  SF_SCHEDULER (as --scheduler),\n"
+         "  SF_INTRA_THREADS (as --intra), SF_SCHEDULER (as --scheduler),\n"
          "  SF_BENCH_SCALE (small|paper).\n"
          "Spec-string grammar and suite schema: docs/SPEC_GRAMMAR.md;\n"
          "paper->code map and engine internals: docs/ARCHITECTURE.md;\n"
@@ -234,6 +232,56 @@ int run_diff(int argc, char** argv) {
   return report.passed ? 0 : 1;
 }
 
+// Runs a spec on the engine, prints the table + CSV, writes
+// BENCH_<spec.name>.json and .csv, and reports points/threads/wall time.
+// `threads` 0 defers to SF_THREADS / hardware (the engine's own policy);
+// `scheduler` unset defers to SF_SCHEDULER (static when that is unset).
+void run_experiment(const slimfly::exp::ExperimentSpec& spec,
+                    std::size_t threads,
+                    std::optional<slimfly::exp::SchedulerMode> scheduler) {
+  using namespace slimfly;
+  exp::ExperimentEngine engine(threads);
+  if (scheduler) engine.set_scheduler(*scheduler);
+  // Host shape + resolved worker split, so every BENCH log records how the
+  // machine was used (execution-only: results never depend on it).
+  const auto sched = engine.schedule(spec.series.size() * spec.loads.size(),
+                                     spec.config.intra_threads);
+  const bool stealing = engine.scheduler() == exp::SchedulerMode::Stealing;
+  std::cout << "[host] hardware_concurrency="
+            << std::thread::hardware_concurrency()
+            << " engine_threads=" << engine.threads()
+            << " scheduler=" << exp::to_string(engine.scheduler())
+            << " across=" << sched.first << " intra=" << sched.second
+            << (stealing ? " (stealing: intra grows as points drain)" : "")
+            << "\n"
+            << std::flush;
+  Timer timer;
+  // Progress heartbeat: paper-scale runs take hours. Saturated points may
+  // be dropped from the final table/JSON when the spec truncates at
+  // saturation, hence the marker: more "done" lines than kept points is
+  // expected in parallel runs.
+  auto results = engine.run(
+      spec, [&spec](const exp::PreparedSeries& series,
+                    const exp::RunResult& point) {
+        std::cout << "  [" << spec.name << "] " << series.label << " @ "
+                  << Table::num(point.load, 2) << " done ("
+                  << Table::num(point.wall_seconds, 1) << "s)"
+                  << (point.result.saturated ? " [saturated]" : "") << "\n"
+                  << std::flush;
+      });
+  const double wall = timer.seconds();
+  bench::print_table(spec.name, "command-line sweep",
+                     exp::to_table(spec, results));
+  const std::string json =
+      exp::write_json_file(spec, results, engine.threads());
+  const std::string csv = exp::write_csv_file(spec, results);
+  std::cout << "[" << spec.name << "] " << results.size() << " points kept on "
+            << engine.threads() << " threads in " << Table::num(wall, 2)
+            << "s" << (json.empty() ? "" : ", wrote " + json)
+            << (csv.empty() ? "" : " + " + csv) << "\n"
+            << std::flush;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -254,7 +302,6 @@ int main(int argc, char** argv) {
   std::string config_path, scale, emit_path;
   std::optional<std::uint64_t> seed;
   std::optional<int> intra;
-  std::optional<sim::OracleMode> oracle;
   std::optional<exp::SchedulerMode> scheduler;
   bool truncate = true, truncate_flag = false;
 
@@ -304,8 +351,6 @@ int main(int argc, char** argv) {
                                       "\" (want 0..4096; 0 = auto)");
         }
         intra = static_cast<int>(std::stoul(value));
-      } else if (!std::strcmp(argv[i], "--oracle")) {
-        oracle = exp::oracle_from_string(next_arg(i), "--oracle");
       } else if (!std::strcmp(argv[i], "--scheduler")) {
         scheduler = exp::scheduler_from_string(next_arg(i), "--scheduler");
       } else if (!std::strcmp(argv[i], "--no-truncate")) {
@@ -343,11 +388,6 @@ int main(int argc, char** argv) {
       if (!intra && !exp::suite_sets_config_key(suite, scale, "intra_threads")) {
         spec.config.intra_threads = exp::intra_threads_from_env();
       }
-      // Oracle precedence, same shape: --oracle flag, then an explicit
-      // suite value, then SF_ORACLE, then auto.
-      if (!oracle && !exp::suite_sets_config_key(suite, scale, "oracle")) {
-        spec.config.oracle = exp::oracle_from_env();
-      }
       // Scheduler precedence: --scheduler flag, then the suite's own hint,
       // then SF_SCHEDULER (the ExperimentEngine ctor default), then static.
       // A suite-level key like `threads`, not a config key — byte-identical
@@ -371,7 +411,6 @@ int main(int argc, char** argv) {
     }
     if (seed) spec.config.seed = *seed;
     if (intra) spec.config.intra_threads = *intra;
-    if (oracle) spec.config.oracle = *oracle;
     if (spec.series.empty()) {
       std::cerr << "no compatible (topology, routing, traffic) combination\n";
       return 1;
@@ -399,7 +438,7 @@ int main(int argc, char** argv) {
     // hint, then all hardware threads (the engine's own fallback).
     std::size_t threads = exp::threads_from_env();
     if (threads == 0) threads = threads_hint;
-    bench::run_experiment(spec, "command-line sweep", threads, scheduler);
+    run_experiment(spec, threads, scheduler);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

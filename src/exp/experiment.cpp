@@ -133,16 +133,9 @@ sim::SimConfig apply_config_overrides(sim::SimConfig base,
                                     "positive (got " + json_num(value) + ")");
       }
       base.latency_cap = value;
-    } else if (key == "oracle") {
-      // Allowed per series (unlike seed/intra_threads): every oracle is
-      // bit-identical with the dense table (tests/oracle_test.cpp),
-      // point_seed skips the key, and golden_mini's oracle=family cell
-      // relies on the per-series form.
-      base.oracle = static_cast<sim::OracleMode>(integral(key, value, 0, 2));
     } else if (key == "stats_window") {
       // Pure observation (windowed counters never feed back into the
-      // simulation), so — like oracle — allowed per series and
-      // skipped by point_seed.
+      // simulation), so allowed per series and skipped by point_seed.
       base.stats_window = integral(key, value, 0, 1e9);
     } else if (allow_run_keys && key == "seed") {
       // Doubles carry integers exactly up to 2^53 — far beyond any seed in
@@ -155,7 +148,7 @@ sim::SimConfig apply_config_overrides(sim::SimConfig base,
           context + ": unknown config key \"" + key +
           "\" (known: num_vcs, buffer_per_port, channel_latency, "
           "router_pipeline, credit_delay, alloc_iterations, output_staging, "
-          "warmup_cycles, measure_cycles, drain_cycles, latency_cap, oracle, "
+          "warmup_cycles, measure_cycles, drain_cycles, latency_cap, "
           "stats_window" +
           (allow_run_keys ? ", seed, intra_threads)" :
                             "; seed and intra_threads are experiment-level)"));
@@ -199,11 +192,9 @@ std::uint64_t point_seed(const ExperimentSpec& spec, std::size_t series_index,
   // study runs the same topo/routing/traffic six times); an empty map keeps
   // every pre-override seed unchanged.
   for (const auto& [key, value] : s.config_overrides) {
-    // The distance oracle and stats window are "hashed into nothing":
-    // they cannot change results, so overriding them must not change the
-    // point's streams (golden_mini's oracle=family cell reproduces its
-    // sibling rows exactly).
-    if (key == "oracle" || key == "stats_window") continue;
+    // The stats window is "hashed into nothing": it cannot change
+    // results, so overriding it must not change the point's streams.
+    if (key == "stats_window") continue;
     h = fnv1a("|" + key + "=" + json_num(value), h);
   }
   h = splitmix64(h ^ spec.config.seed);
@@ -216,24 +207,6 @@ std::size_t threads_from_env() {
 
 int intra_threads_from_env() {
   return static_cast<int>(parse_worker_env("SF_INTRA_THREADS", 1));
-}
-
-sim::OracleMode oracle_from_string(const std::string& name,
-                                   const std::string& context) {
-  if (name == "auto") return sim::OracleMode::Auto;
-  if (name == "table") return sim::OracleMode::Table;
-  if (name == "family") return sim::OracleMode::Family;
-  throw std::invalid_argument(context + ": unknown distance oracle \"" + name +
-                              "\" (known: auto, table, family)");
-}
-
-sim::OracleMode oracle_from_env() {
-  const char* env = std::getenv("SF_ORACLE");
-  if (!env) return sim::OracleMode::Auto;
-  const std::string name(env);
-  if (name == "table") return sim::OracleMode::Table;
-  if (name == "family") return sim::OracleMode::Family;
-  return sim::OracleMode::Auto;  // unset/junk: the tolerant env fallback
 }
 
 SchedulerMode scheduler_from_string(const std::string& name,
@@ -316,29 +289,19 @@ std::pair<std::size_t, int> ExperimentEngine::schedule(
 std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
                                              const ProgressFn& on_point) {
   // One shared, immutable Topology per distinct topology spec string, and
-  // one shared distance oracle per distinct (topology, resolved OracleMode)
-  // — a series may pick its own oracle backend via the per-series "oracle"
-  // override, but two series agreeing on both share one instance. Run
-  // points only ever read them.
+  // one shared distance oracle per distinct topology (SimConfig::oracle
+  // picks the backend for the whole experiment). Run points only ever
+  // read them.
   struct TopoEntry {
     std::string spec;
     std::unique_ptr<Topology> topo;
-  };
-  struct OracleEntry {
-    std::size_t topo_index = 0;
-    sim::OracleMode mode = sim::OracleMode::Auto;
+    bool needs_oracle = false;  ///< false when FT-ANCA alone rides it
     std::shared_ptr<const sim::DistanceOracle> oracle;
   };
   std::vector<TopoEntry> topos;
   std::unordered_map<std::string, std::size_t> topo_index;
-  std::vector<OracleEntry> oracles;
-  std::map<std::pair<std::size_t, int>, std::size_t> oracle_index;
   std::vector<std::size_t> series_topo;
-  // Oracle entry per series; npos for FT-ANCA, which needs no distances.
-  constexpr std::size_t kNoOracle = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> series_oracle;
   series_topo.reserve(spec.series.size());
-  series_oracle.reserve(spec.series.size());
   for (const auto& s : spec.series) {
     // Fail fast on unknown names and incompatible combinations using the
     // spec strings alone — before any topology or distance-table build
@@ -367,32 +330,25 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
                                   "\": traffic " + s.traffic +
                                   " cannot run on topology " + s.topology);
     }
-    // Validate per-series overrides before any expensive build, too — and
-    // capture the resolved config, whose oracle field keys the oracle cache.
-    const sim::SimConfig resolved =
-        apply_config_overrides(spec.config, s.config_overrides, false,
-                               "experiment \"" + spec.name + "\" series \"" +
-                                   s.display_label() + "\"");
+    // Validate per-series overrides before any expensive build, too.
+    apply_config_overrides(spec.config, s.config_overrides, false,
+                           "experiment \"" + spec.name + "\" series \"" +
+                               s.display_label() + "\"");
     auto [it, inserted] = topo_index.emplace(s.topology, topos.size());
-    if (inserted) topos.push_back({s.topology, nullptr});
+    if (inserted) topos.push_back({s.topology, nullptr, false, nullptr});
     series_topo.push_back(it->second);
-    if (kind == sim::RoutingKind::FatTreeAnca) {
-      series_oracle.push_back(kNoOracle);
-    } else {
-      const std::pair<std::size_t, int> key{it->second,
-                                            static_cast<int>(resolved.oracle)};
-      auto [oit, oinserted] = oracle_index.emplace(key, oracles.size());
-      if (oinserted) oracles.push_back({it->second, resolved.oracle, nullptr});
-      series_oracle.push_back(oit->second);
+    // FT-ANCA needs no distances.
+    if (kind != sim::RoutingKind::FatTreeAnca) {
+      topos[it->second].needs_oracle = true;
     }
   }
 
   for_indices(topos.size(), threads_, [&](std::size_t i) {
     topos[i].topo = topo::make(topos[i].spec);
-  });
-  for_indices(oracles.size(), threads_, [&](std::size_t i) {
-    oracles[i].oracle = sim::make_distance_oracle(
-        *topos[oracles[i].topo_index].topo, oracles[i].mode);
+    if (topos[i].needs_oracle) {
+      topos[i].oracle =
+          sim::make_distance_oracle(*topos[i].topo, spec.config.oracle);
+    }
   });
 
   PreparedExperiment prepared;
@@ -404,14 +360,14 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
   };
   for (std::size_t i = 0; i < spec.series.size(); ++i) {
     const TopoEntry& entry = topos[series_topo[i]];
-    std::shared_ptr<const sim::DistanceOracle> dist =
-        series_oracle[i] == kNoOracle ? nullptr : oracles[series_oracle[i]].oracle;
     PreparedSeries ps;
     ps.topo = entry.topo.get();
     ps.label = spec.series[i].display_label();
     ps.config_overrides = spec.series[i].config_overrides;
+    // `dist` is null only when FT-ANCA alone rides the topology;
+    // make_routing_spec ignores it for FT-ANCA either way.
     ps.make_routing = [routing = spec.series[i].routing,
-                       topo = entry.topo.get(), dist = std::move(dist)]() {
+                       topo = entry.topo.get(), dist = entry.oracle]() {
       auto bundle = sim::make_routing_spec(routing, *topo, dist);
       // The closure's `dist` copy outlives every point, so the algorithm's
       // reference into the shared oracle stays valid.

@@ -11,9 +11,8 @@
 //     deterministically from the spec and the point, never from thread
 //     identity), its RoutingAlgorithm instance, and its TrafficPattern
 //     instance.
-//   * Topology and DistanceOracle are built once per topology spec (one
-//     oracle per distinct (topology, resolved OracleMode)) and shared
-//     across points strictly read-only (const references /
+//   * Topology and DistanceOracle are built once per topology spec and
+//     shared across points strictly read-only (const references /
 //     shared_ptr<const>-style usage; sample_minimal_path is const and
 //     draws from the caller's Rng).
 // Consequently a parallel run is bit-identical to a single-threaded run of
@@ -62,11 +61,10 @@ using ConfigOverrides = std::map<std::string, double>;
 /// Applies overrides onto `base`. Keys are the SimConfig field names
 /// (num_vcs, buffer_per_port, channel_latency, router_pipeline,
 /// credit_delay, alloc_iterations, output_staging, warmup_cycles,
-/// measure_cycles, drain_cycles, latency_cap, oracle, stats_window); with
+/// measure_cycles, drain_cycles, latency_cap, stats_window); with
 /// `allow_run_keys` also seed and intra_threads (suite-level blocks own
-/// those; per-series blocks must not — oracle and stats_window are allowed
-/// per series because they cannot change results and point_seed skips
-/// them).
+/// those; per-series blocks must not — stats_window is allowed per series
+/// because it cannot change results and point_seed skips it).
 /// Unknown keys and non-integral values for integer fields throw
 /// std::invalid_argument naming the key and `context`.
 sim::SimConfig apply_config_overrides(sim::SimConfig base,
@@ -139,16 +137,6 @@ std::size_t threads_from_env();
 /// plausible digit string (0 = let the engine's scheduler decide); unset or
 /// unparsable means 1 (sequential stepping), the SimConfig default.
 int intra_threads_from_env();
-
-/// Parses a distance-oracle mode ("auto" | "table" | "family"); anything
-/// else throws std::invalid_argument naming `context`.
-sim::OracleMode oracle_from_string(const std::string& name,
-                                   const std::string& context);
-
-/// Distance-oracle policy: SF_ORACLE env var when set to a known name;
-/// unset or unparsable means OracleMode::Auto, the SimConfig default (the
-/// oracle cannot change results, so junk safely falls back).
-sim::OracleMode oracle_from_env();
 
 /// Point-scheduling policy for run_prepared. Execution-only, like
 /// SF_THREADS: both modes produce byte-identical results (same points, same
@@ -226,8 +214,9 @@ class ExperimentEngine {
   using ProgressFn = std::function<void(const PreparedSeries& series,
                                         const RunResult& point)>;
 
-  /// Expands and runs a registry-keyed spec. Topologies and distance tables
-  /// are built once per distinct topology string (in parallel), then all
+  /// Expands and runs a registry-keyed spec. Topologies and distance
+  /// oracles (SimConfig::oracle picks the backend for the whole run) are
+  /// built once per distinct topology string (in parallel), then all
   /// points run over the pool. Results are ordered by (series, load).
   std::vector<RunResult> run(const ExperimentSpec& spec,
                              const ProgressFn& on_point = {});

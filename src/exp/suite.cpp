@@ -36,13 +36,6 @@ ConfigOverrides parse_config_block(const json::Value& v,
                                    bool allow_run_keys) {
   ConfigOverrides out;
   for (const auto& [key, value] : v.as_object(context)) {
-    if (key == "oracle" && value.is_string()) {
-      // String-valued config key: "auto" | "table" | "family", stored as
-      // the OracleMode enum value (serialize_config writes the name back).
-      out[key] = static_cast<double>(oracle_from_string(
-          value.as_string(context + "." + key), context + "." + key));
-      continue;
-    }
     if (!value.is_number()) {
       // Name an unknown key (such as a string-valued one an older suite
       // file carried) before complaining about its value's kind: 1 is in
@@ -143,13 +136,7 @@ void serialize_config(std::ostream& os, const ConfigOverrides& config,
   bool first = true;
   for (const auto& [key, value] : config) {
     os << (first ? "" : ",") << "\n" << indent << "  " << json::quote(key)
-       << ": ";
-    if (key == "oracle") {
-      os << json::quote(sim::to_string(
-          static_cast<sim::OracleMode>(static_cast<int>(value))));
-    } else {
-      os << json_num(value);
-    }
+       << ": " << json_num(value);
     first = false;
   }
   os << "\n" << indent << "}";
@@ -466,7 +453,6 @@ Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads,
                   {"latency_cap", c.latency_cap},
                   {"seed", static_cast<double>(c.seed)},
                   {"intra_threads", static_cast<double>(c.intra_threads)},
-                  {"oracle", static_cast<double>(c.oracle)},
                   {"stats_window", static_cast<double>(c.stats_window)}};
   for (const SeriesSpec& s : spec.series) {
     SuiteSeries series;

@@ -33,13 +33,15 @@ inline const char* to_string(StepEngine engine) {
 
 /// Distance-oracle selection. Every oracle returns exactly the BFS
 /// distances (certified by tests/oracle_test.cpp) and consumes the RNG
-/// stream bit-identically in sample_minimal_path, so the knob trades
-/// memory/build time only, is excluded from exp::point_seed hashing, and
-/// is allowed per-series in suites.
+/// stream bit-identically in sample_minimal_path, so results never depend
+/// on it. Speed does: a table lookup is one load, a family query is
+/// arithmetic or a scan, and UGAL routing queries per candidate per packet
+/// (forcing Family on the Figure 6 grid costs about 2.6x the CPU). The
+/// program picks (Auto); forcing a backend is a test hook.
 ///
-///   Auto   — dense DistanceTable for small networks (cheap and fastest to
-///            query), the per-family oracle beyond the threshold where the
-///            O(N^2) table stops being free.
+///   Auto   — dense DistanceTable up to kDenseOracleRouterLimit (4096)
+///            routers, where O(N^2) bytes are cheap and queries fastest;
+///            the per-family oracle beyond, where the table would not fit.
 ///   Table  — always the dense O(N^2) reference table.
 ///   Family — always the per-family oracle (algebraic for slimfly,
 ///            coordinate arithmetic for torus/hypercube/flatbutterfly,
@@ -84,17 +86,17 @@ struct SimConfig {
   /// modes. Never changes results; see StepEngine.
   StepEngine engine = StepEngine::Auto;
 
-  /// Distance-oracle backend (auto | table | family). Never changes
-  /// results; see OracleMode.
+  /// Distance-oracle backend. Auto (the default) lets the program choose;
+  /// forcing Table or Family is a test hook that certifies both backends.
+  /// Never changes results; see OracleMode.
   OracleMode oracle = OracleMode::Auto;
 
   /// Windowed-stats bucket width in cycles; 0 (the default) disables
   /// windowed collection. When > 0, every window of W cycles accumulates a
   /// WindowStats row (generated/delivered/latency/dependency stalls — see
   /// stats.hpp) exposed as SimResult::windows and in BENCH JSON. Pure
-  /// observation: never changes simulation results, so — like the oracle —
-  /// it is excluded from exp::point_seed hashing and allowed per-series in
-  /// suites.
+  /// observation: never changes simulation results, so it is excluded from
+  /// exp::point_seed hashing and allowed per-series in suites.
   std::int64_t stats_window = 0;
 
   /// Execution-only hook the Network polls once per step(): lets an

@@ -87,15 +87,14 @@ TEST(GoldenTrajectory, MatchesCheckedInTrajectoryExactly) {
 TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndEngineMatrix) {
   exp::ExperimentSpec spec = golden_spec();
   const std::string want = read_file(source_path(kTrajectoryPath));
-  // SF_THREADS x SF_INTRA_THREADS x forced stepping mode x SF_ORACLE
-  // matrix, constructed directly so the test is hermetic against the
-  // environment. engine(1) with intra=2 clamps to sequential (one worker
-  // owns the whole budget) — still compared. The Network normally picks
-  // its stepping mode itself; forcing each one here keeps both certified
-  // on every series. The mode is a scheduling choice and the distance
-  // oracle a memory knob: every cell reproduces the same pinned trajectory
-  // (the DLN-UGAL-L-oracle series keeps its per-series override in every
-  // cell).
+  // SF_THREADS x SF_INTRA_THREADS x forced stepping mode x forced
+  // distance oracle matrix, constructed directly so the test is hermetic
+  // against the environment. engine(1) with intra=2 clamps to sequential
+  // (one worker owns the whole budget) — still compared. The program
+  // normally picks the stepping mode and the oracle itself; forcing each
+  // one here keeps every backend certified on every series (the family
+  // cells run DLN-UGAL-L on the compressed-BFS fallback). Every cell
+  // reproduces the same pinned trajectory.
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (int intra : {1, 2}) {
       for (sim::StepEngine step_engine :
@@ -111,7 +110,7 @@ TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndEngineMatrix) {
           EXPECT_EQ(want, got)
               << "SF_THREADS=" << threads << " SF_INTRA_THREADS=" << intra
               << " engine=" << sim::to_string(step_engine)
-              << " SF_ORACLE=" << sim::to_string(oracle);
+              << " oracle=" << sim::to_string(oracle);
         }
       }
     }
@@ -165,7 +164,7 @@ TEST(GoldenTrajectory, DiffAgainstCheckedInBenchPasses) {
               "BENCH_golden_mini.json:\n"
            << os.str();
   }
-  EXPECT_EQ(report.compared, 18u);  // 9 series x 2 loads, no truncation
+  EXPECT_EQ(report.compared, 16u);  // 8 series x 2 loads, no truncation
 }
 
 // The analysis/cost layers' outputs for every distinct golden_mini

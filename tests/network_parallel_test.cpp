@@ -231,8 +231,8 @@ TEST(NetworkParallel, SchedulePolicy) {
 }
 
 TEST(NetworkParallel, OracleModesBitIdenticalAcrossThreadMatrix) {
-  // Swapping the dense table for a per-family oracle (or the reverse) is a
-  // pure memory decision: same seeds, byte-identical SimResults, across a
+  // Swapping the dense table for a per-family oracle (or the reverse)
+  // never changes results: same seeds, byte-identical SimResults, across a
   // routing mix that exercises every oracle query path (sampled minimal
   // walks, UGAL candidate comparison, dragonfly group sampling, and the
   // compressed-BFS fallback on dln).
@@ -258,35 +258,6 @@ TEST(NetworkParallel, OracleModesBitIdenticalAcrossThreadMatrix) {
     expect_same_result(table[i].result, family[i].result,
                        "family oracle point " + std::to_string(i));
   }
-
-  // The per-series override spelling ("config": {"oracle": "family"} in a
-  // suite file) must reach the same cells — and, like engine, must not
-  // perturb the per-point seed stream.
-  spec.config.oracle = OracleMode::Table;
-  for (auto& s : spec.series) {
-    s.config_overrides["oracle"] =
-        static_cast<double>(OracleMode::Family);
-  }
-  auto per_series = engine.run(spec);
-  ASSERT_EQ(table.size(), per_series.size());
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    EXPECT_EQ(table[i].seed, per_series[i].seed) << "point " << i;
-    expect_same_result(table[i].result, per_series[i].result,
-                       "per-series oracle point " + std::to_string(i));
-  }
-}
-
-TEST(NetworkParallel, OracleFromEnv) {
-  setenv("SF_ORACLE", "family", 1);
-  EXPECT_EQ(exp::oracle_from_env(), OracleMode::Family);
-  setenv("SF_ORACLE", "table", 1);
-  EXPECT_EQ(exp::oracle_from_env(), OracleMode::Table);
-  setenv("SF_ORACLE", "auto", 1);
-  EXPECT_EQ(exp::oracle_from_env(), OracleMode::Auto);
-  setenv("SF_ORACLE", "junk", 1);  // tolerant: cannot change results
-  EXPECT_EQ(exp::oracle_from_env(), OracleMode::Auto);
-  unsetenv("SF_ORACLE");
-  EXPECT_EQ(exp::oracle_from_env(), OracleMode::Auto);
 }
 
 TEST(NetworkParallel, IntraThreadsFromEnv) {

@@ -1,8 +1,8 @@
 // Distance-oracle certification: every per-family oracle must agree with
 // BFS (the dense DistanceTable) on every pair, report the exact diameter,
 // and replicate the dense sample_minimal_path walk bit-for-bit — the
-// properties that make OracleMode a pure memory knob that can never change
-// simulation results.
+// properties that let the program pick the backend (OracleMode::Auto) on
+// speed and memory alone, without ever changing simulation results.
 
 #include <gtest/gtest.h>
 

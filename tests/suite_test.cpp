@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -8,6 +10,7 @@
 
 #include "exp/json.hpp"
 #include "exp/suite.hpp"
+#include "sf/mms.hpp"
 #include "sim/simulation.hpp"
 
 namespace slimfly {
@@ -46,16 +49,24 @@ void expect_parse_error(const std::string& text,
 // ---- checked-in suites ------------------------------------------------------
 
 TEST(SuiteFiles, EveryCheckedInSuiteParsesAndExpands) {
-  for (const char* name :
-       {"fig06a", "fig06b", "fig06c", "fig06d", "fig08a_buffers", "fig08be",
-        "abl_ugal", "abl_valiant", "golden_mini", "workloads"}) {
-    const std::string path =
-        source_path("examples/suites/" + std::string(name) + ".json");
+  // Every file, so a new suite is covered the day it lands; expansion
+  // validates spec strings only, so even scale_smoke's q=103 is cheap.
+  std::size_t checked = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           source_path("examples/suites"))) {
+    if (entry.path().extension() != ".json") continue;
+    const std::string path = entry.path().string();
     exp::Suite suite = exp::load_suite_file(path);
+    for (const std::string& scale : suite.scale_names()) {
+      exp::ExperimentSpec spec = exp::suite_to_spec(suite, scale);
+      EXPECT_FALSE(spec.series.empty()) << path << " scale " << scale;
+    }
     exp::ExperimentSpec spec = exp::suite_to_spec(suite);
     EXPECT_FALSE(spec.series.empty()) << path;
     EXPECT_FALSE(spec.loads.empty()) << path;
+    ++checked;
   }
+  EXPECT_GE(checked, 12u);
 }
 
 TEST(SuiteFiles, Fig06aScalesExpandToExpectedPointCounts) {
@@ -96,6 +107,26 @@ TEST(SuiteFiles, AblationSuitesCarryParameterizedRoutings) {
   ASSERT_EQ(vspec.series.size(), 4u);
   EXPECT_EQ(vspec.series[2].routing, "VAL:hoplimit=3");
   EXPECT_EQ(*sim::parse_routing_spec("VAL:hoplimit=3").val_hop_limit, 3);
+}
+
+TEST(SuiteFiles, Fig08beOversubscribesTheBalancedConcentration) {
+  // Figures 8b-8e: the balanced Slim Fly plus concentrations p+1 and p+3,
+  // at both scales, each under all four SF routings x {uniform, worst-sf}.
+  exp::Suite suite =
+      exp::load_suite_file(source_path("examples/suites/fig08be.json"));
+  for (const auto& [scale, q] : {std::pair<std::string, int>{"small", 7},
+                                 std::pair<std::string, int>{"paper", 19}}) {
+    exp::ExperimentSpec spec = exp::suite_to_spec(suite, scale);
+    ASSERT_EQ(spec.series.size(), 24u) << scale;
+    const int p = sf::SlimFlyMMS::balanced_concentration(q);
+    for (std::size_t i = 0; i < spec.series.size(); ++i) {
+      const int extra = std::array<int, 3>{0, 1, 3}[i / 8];
+      EXPECT_EQ(spec.series[i].topology,
+                "slimfly:q=" + std::to_string(q) +
+                    ",p=" + std::to_string(p + extra))
+          << scale << " series " << i;
+    }
+  }
 }
 
 TEST(SuiteFiles, Fig08aCarriesPerSeriesBufferOverrides) {
@@ -222,12 +253,24 @@ TEST(SuiteParser, StructuralErrorsAreNamed) {
       "{\"suite\": \"x\", \"loads\": [0.1], \"config\": "
       "{\"engine\": \"active\"}, \"series\": [{\"topology\": "
       "\"slimfly:q=5\", \"routing\": \"MIN\", \"traffic\": \"uniform\"}]}",
-      {"unknown config key \"engine\"", "oracle"});
+      {"unknown config key \"engine\"", "stats_window"});
   expect_parse_error(
       "{\"suite\": \"x\", \"loads\": [0.1], \"series\": "
       "[{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
       "\"traffic\": \"uniform\", \"config\": {\"engine\": \"cycle\"}}]}",
       {"unknown config key \"engine\""});
+  // Likewise the distance oracle: the program picks it, so an "oracle" key
+  // (base or per series) is an unknown config key, named.
+  expect_parse_error(
+      "{\"suite\": \"x\", \"loads\": [0.1], \"config\": "
+      "{\"oracle\": \"family\"}, \"series\": [{\"topology\": "
+      "\"slimfly:q=5\", \"routing\": \"MIN\", \"traffic\": \"uniform\"}]}",
+      {"unknown config key \"oracle\"", "stats_window"});
+  expect_parse_error(
+      "{\"suite\": \"x\", \"loads\": [0.1], \"series\": "
+      "[{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
+      "\"traffic\": \"uniform\", \"config\": {\"oracle\": \"table\"}}]}",
+      {"unknown config key \"oracle\""});
   // Per-series config blocks must not smuggle run-level keys.
   expect_parse_error(
       "{\"suite\": \"x\", \"loads\": [0.1], \"series\": "

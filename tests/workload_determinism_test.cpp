@@ -1,8 +1,8 @@
 // Property-test harness for the workload layer (burst/hotspot modulation,
 // dependency-aware trace replay, allreduce collectives):
 //   1. Every parameterized pattern is byte-identical across the full
-//      SF_THREADS x SF_INTRA_THREADS x forced stepping mode x SF_ORACLE
-//      matrix.
+//      SF_THREADS x SF_INTRA_THREADS x forced stepping mode x forced
+//      distance oracle matrix.
 //   2. Trace-replay ordering is independent of shard count and stepping
 //      mode down to the windowed-stats rows.
 //   3. Burst offered load converges to the configured mean (load x mult x
