@@ -435,10 +435,10 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
                            seen, l, std::memory_order_relaxed)) {
     }
   };
-  // Post-filter shared by every parallel path: keep each series' prefix up
-  // to and including its first saturated point — exactly what the
-  // sequential early-stop path produces, so all schedules return identical
-  // points.
+  // Post-filter shared by every schedule: keep each series' prefix up to
+  // and including its first saturated point, so all schedules return
+  // identical points. At width 1 for_indices runs points inline in index
+  // order, so the skip below never simulates past a series' saturation.
   auto filter_truncated = [&](std::vector<RunResult>&& all) {
     std::vector<RunResult> kept;
     for (std::size_t s = 0; s < prepared.series.size(); ++s) {
@@ -504,18 +504,6 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
       spares.fetch_add(1, std::memory_order_relaxed);
     });
     return filter_truncated(std::move(all));
-  }
-
-  if (across == 1 && prepared.truncate_at_saturation) {
-    // Sequential early stop: never simulate past a series' saturation point.
-    std::vector<RunResult> out;
-    for (std::size_t s = 0; s < prepared.series.size(); ++s) {
-      for (std::size_t l = 0; l < n_loads; ++l) {
-        out.push_back(run_point(s, l, intra, {}));
-        if (out.back().result.saturated) break;
-      }
-    }
-    return out;
   }
 
   std::vector<RunResult> all(n_points);

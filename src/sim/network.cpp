@@ -26,8 +26,9 @@ inline int ctz64(std::uint64_t mask) {
 #endif
 }
 
-// EndpointState::next_arrival sentinels (active engine only).
-constexpr std::int64_t kUnplannedArrival = -1;  // cycle 0 / backlog: draw live
+// EndpointRef::next_arrival sentinels. Only active mode ever plans, so in
+// full-scan mode every endpoint stays unplanned and draws live each cycle.
+constexpr std::int64_t kUnplannedArrival = -1;  // draw live this cycle
 constexpr std::int64_t kNeverArrives = std::numeric_limits<std::int64_t>::max();
 
 std::size_t resolve_intra_threads(int requested, int num_routers) {
@@ -200,8 +201,8 @@ void Network::wire() {
           "(port indices are 16-bit)");
     }
     total_ports += ports;
-    // Injection inputs only ever buffer on VC 0 (both engines), so they
-    // carry single-VC spans instead of num_vcs worst-case buffers.
+    // Injection inputs only ever buffer on VC 0, so they carry single-VC
+    // spans instead of num_vcs worst-case buffers.
     total_vcs += deg * nvc + eps;
     total_cache += ports * nvc;
     total_words += ports + (ports + 63) / 64;  // vc_occupied + staging_nonempty
@@ -321,6 +322,17 @@ void Network::wire() {
   }
   shard_totals_.assign(shards_, ShardTotals{});
   shard_errors_.assign(shards_, nullptr);
+  // Each step list starts as one run over the whole shard: the full scan's
+  // fixed list. Active mode rebuilds it every cycle (init_active).
+  shard_of_router_.assign(static_cast<std::size_t>(nr), 0);
+  step_list_.assign(shards_, {});
+  for (std::size_t s = 0; s < shards_; ++s) {
+    for (int r = shard_ranges_[s].first; r < shard_ranges_[s].second; ++r) {
+      shard_of_router_[static_cast<std::size_t>(r)] =
+          static_cast<std::uint16_t>(s);
+    }
+    step_list_[s].push_back(shard_ranges_[s]);
+  }
 
   // Persistent allocation scratch, sized for the widest router per shard.
   alloc_scratch_.assign(shards_, AllocScratch{});
@@ -428,8 +440,8 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 }
 
 /* SF_HOT */ void Network::phase_arrivals(std::size_t shard) {
-  auto [lo, hi] = shard_ranges_[shard];
-  for (int r = lo; r < hi; ++r) arrivals_router(shard, r);
+  if (engine_active_) build_step_list(shard);
+  for_each_stepped(shard, [&](int r) { arrivals_router(shard, r); });
 }
 
 /* SF_HOT */ void Network::generate_packet(std::size_t shard, int e, int dst,
@@ -464,18 +476,29 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
     if (traffic_self_clocked_) {
       // Self-clocked replay: the pattern decides when the next message is
       // eligible (FIFO order plus `after:` dependency delivery); no load
-      // coin is consumed — the workload itself is the clock.
+      // coin is consumed — the workload itself is the clock, so nothing is
+      // planned: in active mode pending_eligible keeps this router busy and
+      // apply_completions wakes it when a dependency delivers.
       std::int64_t dep_stall = 0;
       int dst = traffic_.next_send(e, cycle_, &dep_stall);
       if (dst >= 0) generate_packet(shard, e, dst, in_measurement, dep_stall);
     } else {
-      // Bernoulli generation, drawing only from the endpoint's own stream.
-      // Rate-modulated patterns scale the coin's probability per cycle; a
-      // hard-OFF cycle (multiplier 0) consumes no draw at all, so the
-      // stream position depends only on ON-cycle count — the invariant the
-      // active engine's batched planning relies on (see modulated_hit).
-      const bool hit = traffic_modulated_ ? modulated_hit(e, cycle_, ep.rng)
-                                          : ep.rng.bernoulli(load_);
+      bool hit = false;
+      if (ep.next_arrival == kUnplannedArrival) {
+        // Live draw from the endpoint's own stream: every cycle in
+        // full-scan mode; in active mode at cycle 0 and while the source
+        // queue is backlogged. A hard-OFF cycle (multiplier 0) consumes no
+        // draw, so the stream position depends only on ON-cycle count — the
+        // invariant plan_arrival_from's batched draws rely on.
+        hit = traffic_modulated_ ? modulated_hit(e, cycle_, ep.rng)
+                                 : ep.rng.bernoulli(load_);
+      } else if (cycle_ == ep.next_arrival) {
+        // A planned arrival materializes. Its Bernoulli draws were consumed
+        // at plan time; the destination (and any routing) draws happen now,
+        // on the same cycle and in the same order as a live hit's.
+        hit = true;
+        ep.next_arrival = kUnplannedArrival;
+      }
       if (hit) {
         int dst = traffic_.destination(e, ep.rng);
         if (dst >= 0) generate_packet(shard, e, dst, in_measurement, 0);
@@ -496,23 +519,28 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       router.inputs[static_cast<std::size_t>(port)].vcs[0].push(pkt);
       router.vc_occupied[static_cast<std::size_t>(port)] |= 1;
     }
+    // Active mode keeps an empty queue planned (or never-arriving), so a
+    // sleeping endpoint's next arrival is a heap event, not a poll.
+    if (engine_active_ && !traffic_self_clocked_ && ep.source_queue.empty() &&
+        ep.next_arrival == kUnplannedArrival) {
+      plan_arrival_from(shard, r, e, cycle_ + 1);
+    }
   }
 }
 
 /* SF_HOT */ void Network::phase_injection(std::size_t shard) {
   bool in_measurement = cycle_ >= config_.warmup_cycles &&
                         cycle_ < config_.warmup_cycles + config_.measure_cycles;
-  auto [lo, hi] = shard_ranges_[shard];
-  for (int r = lo; r < hi; ++r) injection_router(shard, r, in_measurement);
+  for_each_stepped(shard,
+                   [&](int r) { injection_router(shard, r, in_measurement); });
 }
 
 /* SF_HOT */ void Network::phase_allocation(std::size_t shard) {
-  auto [lo, hi] = shard_ranges_[shard];
   // Both internal-speedup iterations run back-to-back per router: routers
   // exchange nothing during allocation (credits pushed upstream carry
   // credit_delay >= 1, so they surface in a later cycle's arrivals), which
   // makes the per-router ordering equivalent to the per-iteration one.
-  for (int r = lo; r < hi; ++r) allocate_router(shard, r);
+  for_each_stepped(shard, [&](int r) { allocate_router(shard, r); });
 }
 
 // Requests are gathered per occupied input VC (the vc_occupied bitmask
@@ -618,7 +646,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
                             .incoming.push_slot(ready);
           // The downstream router must run arrivals when this flit matures,
           // even if it is asleep by then.
-          if (engine_active_) schedule_wake(shard, out.dest_router, ready);
+          schedule_wake(shard, out.dest_router, ready);
         } else {
           staged_pkt = &out.staging.push_slot();
         }
@@ -651,16 +679,12 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
           // Credit maturation must run on time even on a sleeping upstream
           // router: UGAL's queue_estimate reads `consumed` remotely, so a
           // stale counter would change adaptive decisions.
-          if (engine_active_) {
-            schedule_wake(shard, in.src_router, cycle_ + config_.credit_delay);
-          }
+          schedule_wake(shard, in.src_router, cycle_ + config_.credit_delay);
         } else {
           router.ep_credits.push(cycle_ + config_.credit_delay,
                                  req.input_port - router.network_ports);
           // This router may drain to idle before the uplink credit matures.
-          if (engine_active_) {
-            schedule_wake(shard, r, cycle_ + config_.credit_delay);
-          }
+          schedule_wake(shard, r, cycle_ + config_.credit_delay);
         }
         break;
       }
@@ -693,7 +717,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
         out.staging.drop_front();
         // The delivery must run when the flit matures, and nothing else
         // keeps this router awake once its buffers drain.
-        if (engine_active_) schedule_wake(shard, r, ready);
+        schedule_wake(shard, r, ready);
       }
       if (--out.staged == 0) {
         router.staging_nonempty[static_cast<std::size_t>(w)] &=
@@ -704,8 +728,11 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 }
 
 /* SF_HOT */ void Network::phase_transmission(std::size_t shard) {
-  auto [lo, hi] = shard_ranges_[shard];
-  for (int r = lo; r < hi; ++r) transmission_router(shard, r);
+  for_each_stepped(shard, [&](int r) { transmission_router(shard, r); });
+  // Active mode's shard-local busy refresh: reads only state this shard's
+  // phases wrote (VC masks, staging counters, endpoint queues), so it
+  // needs no barrier.
+  if (engine_active_) update_busy(shard);
 }
 
 /* SF_HOT */ void Network::deliver(std::size_t shard, const Packet& pkt) {
@@ -734,7 +761,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 // Serial between-cycles completion pass: every delivery recorded during this
 // cycle's arrivals unlocks its dependents in the pattern before the next
 // cycle begins. Running it serially — even with one shard, where deliver()
-// could have applied completions inline — gives every (shards, engine)
+// could have applied completions inline — gives every (shards, mode)
 // configuration the same uniform one-cycle eligibility deferral, which is
 // what makes replay schedules bit-identical across the whole matrix.
 /* SF_HOT */ void Network::apply_completions() {
@@ -744,14 +771,12 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       const std::int64_t seq = packed & 0xffffffff;
       unlocked_scratch_.clear();
       traffic_.on_delivered(src, seq, cycle_, unlocked_scratch_);
-      if (engine_active_) {
-        for (int e : unlocked_scratch_) {
-          // Called serially, so pass the owner shard: the wake goes straight
-          // to its heap, never through an outbox.
-          const int r = topo_.endpoint_router(e);
-          schedule_wake(shard_of_router_[static_cast<std::size_t>(r)], r,
-                        cycle_ + 1);
-        }
+      for (int e : unlocked_scratch_) {
+        // Called serially, so pass the owner shard: the wake goes straight
+        // to its heap, never through an outbox.
+        const int r = topo_.endpoint_router(e);
+        schedule_wake(shard_of_router_[static_cast<std::size_t>(r)], r,
+                      cycle_ + 1);
       }
     }
     completion_outbox_[s].clear();
@@ -797,23 +822,13 @@ void Network::resize_team(int want) {
       }
     }
   };
-  if (engine_active_) {
-    guarded(&Network::active_phase_arrivals);
-    sync();
-    guarded(&Network::active_phase_injection);
-    sync();
-    guarded(&Network::active_phase_allocation);
-    sync();
-    guarded(&Network::active_phase_transmission);
-  } else {
-    guarded(&Network::phase_arrivals);
-    sync();
-    guarded(&Network::phase_injection);
-    sync();
-    guarded(&Network::phase_allocation);
-    sync();
-    guarded(&Network::phase_transmission);
-  }
+  guarded(&Network::phase_arrivals);
+  sync();
+  guarded(&Network::phase_injection);
+  sync();
+  guarded(&Network::phase_allocation);
+  sync();
+  guarded(&Network::phase_transmission);
 }
 
 /* SF_HOT */ void Network::step() {
@@ -845,36 +860,28 @@ void Network::resize_team(int want) {
   stats_dirty_ = true;
 }
 
-// ---- active engine ---------------------------------------------------------
+// ---- active-mode bookkeeping -----------------------------------------------
 
 void Network::init_active() {
   engine_active_ = true;
-  shard_of_router_.assign(static_cast<std::size_t>(num_routers_), 0);
-  for (std::size_t s = 0; s < shards_; ++s) {
-    for (int r = shard_ranges_[s].first; r < shard_ranges_[s].second; ++r) {
-      shard_of_router_[static_cast<std::size_t>(r)] =
-          static_cast<std::uint16_t>(s);
-    }
-  }
   wake_heaps_.assign(shards_, {});
   wake_outbox_.assign(shards_, {});
   busy_.assign(shards_, {});
   woken_.assign(shards_, {});
-  active_list_.assign(shards_, {});
   for (std::size_t s = 0; s < shards_; ++s) {
     auto [lo, hi] = shard_ranges_[s];
     const std::size_t owned = static_cast<std::size_t>(hi - lo);
     // Every router starts busy, so cycle 0 steps the whole network: each
-    // endpoint's first injection pass draws live at cycle 0, exactly like
-    // the cycle engine, and then plans from cycle 1 (active_injection_router);
-    // self-clocked replay pops its initially-eligible sends the same way.
-    // update_busy after cycle 0 clears every router without work.
+    // endpoint's first injection pass draws live at cycle 0 and then plans
+    // from cycle 1 (injection_router); self-clocked replay pops its
+    // initially-eligible sends the same way. update_busy after cycle 0
+    // clears every router without work.
     busy_[s].assign((owned + 63) / 64, 0);
     for (std::size_t local = 0; local < owned; ++local) {
       busy_[s][local / 64] |= std::uint64_t{1} << (local % 64);
     }
     woken_[s].assign((owned + 63) / 64, 0);
-    active_list_[s].reserve(owned);
+    step_list_[s].reserve(owned / 2 + 1);  // runs are separated by gaps
     // Live wakes targeting a router are bounded by the un-matured entries
     // of its event lines (each push schedules exactly one wake at the
     // entry's ready cycle, popped at that cycle's build) plus one per
@@ -905,6 +912,7 @@ void Network::init_active() {
 }
 
 /* SF_HOT */ void Network::schedule_wake(std::size_t shard, int router, std::int64_t at) {
+  if (!engine_active_) return;  // the full scan steps every router anyway
   const std::int64_t event =
       (at << 16) | static_cast<std::int64_t>(router & 0xffff);
   const std::size_t owner = shard_of_router_[static_cast<std::size_t>(router)];
@@ -929,7 +937,7 @@ void Network::init_active() {
   }
 }
 
-/* SF_HOT */ void Network::build_active_list(std::size_t shard) {
+/* SF_HOT */ void Network::build_step_list(std::size_t shard) {
   auto [lo, hi] = shard_ranges_[shard];
   auto& woken = woken_[shard];
   std::fill(woken.begin(), woken.end(), 0);
@@ -945,15 +953,20 @@ void Network::init_active() {
     std::pop_heap(heap.begin(), heap.end(), std::greater<std::int64_t>{});
     heap.pop_back();
   }
-  auto& list = active_list_[shard];
-  list.clear();
+  auto& runs = step_list_[shard];
+  runs.clear();
   const auto& busy = busy_[shard];
   for (std::size_t w = 0; w < woken.size(); ++w) {
     std::uint64_t mask = woken[w] | busy[w];
     while (mask) {
-      const int local = static_cast<int>(w) * 64 + ctz64(mask);
+      const int r = lo + static_cast<int>(w) * 64 + ctz64(mask);
       mask &= mask - 1;
-      list.push_back(lo + local);  // ascending: same order as a full scan  // sf-lint: allow(hot-alloc) capacity reserved in init_active()
+      // Ascending, so the phases visit routers in full-scan order.
+      if (!runs.empty() && runs.back().second == r) {
+        ++runs.back().second;
+      } else {
+        runs.emplace_back(r, r + 1);  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
+      }
     }
   }
 }
@@ -980,7 +993,7 @@ void Network::init_active() {
 /* SF_HOT */ void Network::update_busy(std::size_t shard) {
   const int lo = shard_ranges_[shard].first;
   auto& busy = busy_[shard];
-  for (int r : active_list_[shard]) {
+  for_each_stepped(shard, [&](int r) {
     const int local = r - lo;
     const std::uint64_t bit = std::uint64_t{1} << (local % 64);
     if (router_is_busy(r)) {
@@ -988,31 +1001,7 @@ void Network::init_active() {
     } else {
       busy[static_cast<std::size_t>(local) / 64] &= ~bit;
     }
-  }
-}
-
-/* SF_HOT */ void Network::active_phase_arrivals(std::size_t shard) {
-  build_active_list(shard);
-  for (int r : active_list_[shard]) arrivals_router(shard, r);
-}
-
-/* SF_HOT */ void Network::active_phase_injection(std::size_t shard) {
-  bool in_measurement = cycle_ >= config_.warmup_cycles &&
-                        cycle_ < config_.warmup_cycles + config_.measure_cycles;
-  for (int r : active_list_[shard]) {
-    active_injection_router(shard, r, in_measurement);
-  }
-}
-
-/* SF_HOT */ void Network::active_phase_allocation(std::size_t shard) {
-  for (int r : active_list_[shard]) allocate_router(shard, r);
-}
-
-/* SF_HOT */ void Network::active_phase_transmission(std::size_t shard) {
-  for (int r : active_list_[shard]) transmission_router(shard, r);
-  // Shard-local busy refresh: reads only state this shard's phases wrote
-  // (VC masks, staging counters, endpoint queues), so it needs no barrier.
-  update_busy(shard);
+  });
 }
 
 /* SF_HOT */ void Network::plan_arrival_from(std::size_t shard, int r, int e,
@@ -1023,9 +1012,9 @@ void Network::init_active() {
     return;
   }
   // Batch the per-cycle Bernoulli draws the sleeping endpoint would have
-  // made — one draw per cycle, the exact cycle-engine sequence. Draws are
-  // capped at the run's absolute last cycle: past it neither engine can
-  // materialize a packet, so the leftover stream divergence is unobservable.
+  // made — one draw per cycle, the exact sequence of live draws. Draws are
+  // capped at the run's absolute last cycle: past it no packet can
+  // materialize, so the leftover stream divergence is unobservable.
   const std::int64_t last = config_.warmup_cycles + config_.measure_cycles +
                             config_.drain_cycles;
   std::int64_t t = from;
@@ -1044,62 +1033,6 @@ void Network::init_active() {
   }
   ep.next_arrival = t;
   schedule_wake(shard, r, t);
-}
-
-/* SF_HOT */ void Network::active_injection_router(std::size_t shard, int r,
-                                      bool in_measurement) {
-  for (int j = 0; j < topo_.endpoints_at(r); ++j) {
-    int e = topo_.first_endpoint(r) + j;
-    auto ep = injector_.endpoint(e);  // reference bundle over the SoA columns
-    if (traffic_self_clocked_) {
-      // Replay consumes no load coins, so there is nothing to plan: pop
-      // the next eligible message exactly as the cycle engine would.
-      // pending_eligible keeps this router busy while sends remain
-      // eligible; apply_completions wakes it when a dependency delivers.
-      std::int64_t dep_stall = 0;
-      int dst = traffic_.next_send(e, cycle_, &dep_stall);
-      if (dst >= 0) generate_packet(shard, e, dst, in_measurement, dep_stall);
-    } else {
-      bool generate = false;
-      if (ep.next_arrival == kUnplannedArrival) {
-        // Cycle 0 (every router starts busy) or backlog mode (the source
-        // queue is nonempty, so the router steps every cycle): draw live,
-        // exactly like the cycle engine.
-        generate = traffic_modulated_ ? modulated_hit(e, cycle_, ep.rng)
-                                      : ep.rng.bernoulli(load_);
-      } else if (cycle_ == ep.next_arrival) {
-        // Materialize the precomputed arrival. The Bernoulli draws through
-        // this cycle were consumed at plan time; the destination (and any
-        // routing) draws happen now, on the same cycle and in the same order
-        // the cycle engine makes them.
-        generate = true;
-        ep.next_arrival = kUnplannedArrival;
-      }
-      if (generate) {
-        int dst = traffic_.destination(e, ep.rng);
-        if (dst >= 0) generate_packet(shard, e, dst, in_measurement, 0);
-      }
-    }
-    // Uplink — identical to the cycle engine.
-    if (!ep.source_queue.empty() && ep.credits > 0) {
-      Packet pkt = ep.source_queue.pop_front();
-      --ep.credits;
-      pkt.t_injected = static_cast<std::int32_t>(cycle_);
-      routing_.route_at_injection(*this, pkt, ep.rng);
-      RouterState& router = routers_[static_cast<std::size_t>(r)];
-      int port = router.network_ports + j;
-      router.inputs[static_cast<std::size_t>(port)].vcs[0].push(pkt);
-      router.vc_occupied[static_cast<std::size_t>(port)] |= 1;
-    }
-    // Invariant: an empty queue always has a plan (or the never sentinel),
-    // so a sleeping endpoint's next arrival is a heap event, not a poll.
-    // Self-clocked replay plans nothing — eligibility keeps the router in
-    // the busy set instead (router_is_busy).
-    if (!traffic_self_clocked_ && ep.source_queue.empty() &&
-        ep.next_arrival == kUnplannedArrival) {
-      plan_arrival_from(shard, r, e, cycle_ + 1);
-    }
-  }
 }
 
 /* SF_HOT */ void Network::fast_forward(std::int64_t bound) {
@@ -1202,10 +1135,10 @@ void Network::reserve_measurement_stats() {
 }
 
 SimResult Network::run() {
-  // fast_forward runs at the top of each iteration (a no-op for the cycle
-  // engine): jumping before the bounds check keeps result.cycles identical
-  // between engines — a jump straight to the bound ends the loop exactly
-  // where the cycle engine's per-cycle stepping would have.
+  // fast_forward runs at the top of each iteration (a no-op in full-scan
+  // mode): jumping before the bounds check keeps result.cycles identical
+  // between modes — a jump straight to the bound ends the loop exactly
+  // where per-cycle stepping would have.
   std::int64_t horizon = config_.warmup_cycles + config_.measure_cycles;
   while (cycle_ < horizon) {
     fast_forward(horizon);

@@ -71,7 +71,7 @@
 // shard during arrivals are fed back into the traffic pattern's dependency
 // state here, even when shards_ == 1, so a message delivered at cycle T
 // unlocks its dependents for injection at T+1 regardless of shard count or
-// stepping engine. Anything not listed as writable in a phase must not be
+// stepping mode. Anything not listed as writable in a phase must not be
 // written there; widening a phase's write set requires re-auditing every
 // cross-shard read above.
 //
@@ -80,26 +80,29 @@
 // TrafficPattern's workload hooks (traffic.hpp) plug in here:
 //   * rate modulation (burst:) — the injection phase asks the pattern for a
 //     per-endpoint multiplier each cycle; a zero multiplier consumes NO
-//     Bernoulli draw, which keeps the cycle engine (querying every cycle)
-//     and the active engine (querying inside plan_arrival_from's batched
-//     loop) bit-identical. The unmodulated path is byte-for-byte the
-//     pre-workload code (the flag is cached at construction).
+//     Bernoulli draw, which keeps live draws (querying every cycle) and
+//     active mode's planned draws (querying inside plan_arrival_from's
+//     batched loop) bit-identical. The unmodulated path is byte-for-byte
+//     the pre-workload code (the flag is cached at construction).
 //   * self-clocked replay (trace:/allreduce:) — injection pops eligible
 //     sends from the pattern instead of drawing coins; deliveries flow back
 //     through per-shard completion outboxes (drained serially, above), and
-//     the active engine treats an endpoint with an eligible head as busy
-//     and wakes the routers of endpoints a delivery unlocks.
+//     active mode treats an endpoint with an eligible head as busy and
+//     wakes the routers of endpoints a delivery unlocks.
 //   * windowed stats (SimConfig::stats_window) — per-shard WindowStats rows
 //     (preallocated; merged by elementwise sums) giving the time-resolved
 //     generated/delivered/latency/dependency-stall view.
 //
 // ---- Stepping modes ---------------------------------------------------------
 //
-// The Network schedules the four phases in one of two modes, chosen once at
-// construction (auto_step_engine); results are bit-identical either way
-// (golden_test + engine_test force each mode and enforce it):
+// There is one set of phase functions: each phase walks its shard's step
+// list. The mode, chosen once at construction (auto_step_engine), decides
+// only what that list holds and which bookkeeping runs beside it; results
+// are bit-identical either way (golden_test + engine_test force each mode
+// and enforce it):
 //
-//   cycle   Every router runs every phase every cycle (the loop above).
+//   cycle   The list is one run over the whole shard, fixed at wire();
+//           nothing is recorded or planned (the full scan).
 //   active  Each shard keeps (a) a busy bitmask over its routers — busy iff
 //           any input VC is occupied, any staging counter is nonzero, or an
 //           attached endpoint's source queue is nonempty — and (b) a
@@ -113,11 +116,12 @@
 //           destination/routing draws stay at the materialize cycle, so
 //           every stream consumes values in exactly the cycle-mode order).
 //           Every router starts busy, so cycle 0 steps them all: the first
-//           injection pass draws live and then plans from cycle 1. A step()
-//           runs the phases only over busy|woken routers; run()
-//           fast-forwards cycle_ to the earliest heap entry when every
-//           shard is idle. step() itself always advances exactly one cycle,
-//           so step-level instrumentation sees identical state.
+//           injection pass draws live and then plans from cycle 1. Arrivals
+//           rebuild the list from busy|woken routers and transmission
+//           refreshes the busy bits; run() fast-forwards cycle_ to the
+//           earliest heap entry when every shard is idle. step() itself
+//           always advances exactly one cycle, so step-level
+//           instrumentation sees identical state.
 //
 // The active set pays for its bookkeeping only when most routers are idle
 // most cycles, so SimConfig::engine = Auto picks it for self-clocked replay
@@ -126,7 +130,7 @@
 //
 // Stepping a quiet router is always a no-op, so spurious wakes are safe;
 // only a *missed* wake could break equivalence — which is why every remote
-// push above doubles as a wake-event source under the active engine.
+// push above doubles as a wake-event source in active mode.
 
 #include <algorithm>
 #include <cstdint>
@@ -285,11 +289,19 @@ class Network {
   /// party count. Rare by design: the stealing scheduler only grows teams.
   void resize_team(int want);
   void sync();  ///< barrier between phases; no-op when sequential
+  /// Calls fn(r) for every router on the shard's step list, ascending.
+  template <class Fn>
+  void for_each_stepped(std::size_t shard, Fn&& fn) {
+    for (const auto& [first, last] : step_list_[shard]) {
+      for (int r = first; r < last; ++r) fn(r);
+    }
+  }
+  /// The four phases, each walking the shard's step list.
   void phase_arrivals(std::size_t shard);
   void phase_injection(std::size_t shard);
   void phase_allocation(std::size_t shard);
   void phase_transmission(std::size_t shard);
-  /// Per-router phase bodies shared by both stepping modes.
+  /// Per-router phase bodies.
   void arrivals_router(std::size_t shard, int r);
   void transmission_router(std::size_t shard, int r);
   void injection_router(std::size_t shard, int r, bool in_measurement);
@@ -301,15 +313,15 @@ class Network {
 
   // ---- workload layer ----------------------------------------------------
   /// Creates one packet from endpoint e to dst at cycle_ — the single
-  /// generation body shared by both stepping modes and both injection modes
-  /// (Bernoulli and self-clocked); `dep_stall` feeds the windowed
-  /// dependency-stall counters.
+  /// generation body shared by both injection modes (Bernoulli and
+  /// self-clocked); `dep_stall` feeds the windowed dependency-stall
+  /// counters.
   void generate_packet(std::size_t shard, int e, int dst, bool in_measurement,
                        std::int64_t dep_stall);
   /// Injection decision for a rate-modulated pattern at the current cycle
   /// (multiplier query + at most one Bernoulli draw; zero multiplier draws
-  /// nothing). Shared verbatim by the cycle loop, the active backlog draw,
-  /// and plan_arrival_from's batched draws.
+  /// nothing). Shared verbatim by injection_router's live draw and
+  /// plan_arrival_from's batched draws.
   /* SF_HOT */ bool modulated_hit(int e, std::int64_t t, Rng& rng) {
     const double m = traffic_.rate_multiplier(e, t);
     return m > 0.0 && rng.bernoulli(std::min(1.0, load_ * m));
@@ -322,25 +334,20 @@ class Network {
     return idx < count ? idx : count - 1;
   }
 
-  // ---- active mode (step_engine() == StepEngine::Active) ----------------
+  // ---- active-mode bookkeeping (step_engine() == StepEngine::Active) ----
   void init_active();
-  /// Ensures `router` is stepped at cycle `at`. Own-shard events go
-  /// straight into the producing shard's heap (single writer during
-  /// phases); cross-shard events land in the producer's outbox, merged
-  /// serially by step() after the parallel region.
+  /// Ensures `router` is stepped at cycle `at` (no-op in cycle mode).
+  /// Own-shard events go straight into the producing shard's heap (single
+  /// writer during phases); cross-shard events land in the producer's
+  /// outbox, merged serially by step() after the parallel region.
   void schedule_wake(std::size_t shard, int router, std::int64_t at);
   void drain_wake_outboxes();
   /// Pops every due heap event and merges with the busy mask into the
-  /// shard's index-ordered active router list.
-  void build_active_list(std::size_t shard);
+  /// shard's index-ordered step list.
+  void build_step_list(std::size_t shard);
   /// Recomputes busy bits for the routers this shard just stepped.
   void update_busy(std::size_t shard);
   bool router_is_busy(int r) const;
-  void active_phase_arrivals(std::size_t shard);
-  void active_phase_injection(std::size_t shard);
-  void active_phase_allocation(std::size_t shard);
-  void active_phase_transmission(std::size_t shard);
-  void active_injection_router(std::size_t shard, int r, bool in_measurement);
   /// Batches the endpoint's Bernoulli draws for cycles >= `from` until the
   /// first hit, records it in EndpointState::next_arrival, and schedules
   /// the wake. Draws past the run's absolute end are capped (unobservable).
@@ -408,6 +415,13 @@ class Network {
   std::size_t team_ = 1;
   std::function<int()> team_provider_;  ///< see set_team_provider()
   std::vector<std::pair<int, int>> shard_ranges_;
+  std::vector<std::uint16_t> shard_of_router_;
+  /// Routers each phase visits this cycle [shard], as ascending [first,
+  /// last) runs of global ids: one run over the whole shard in full-scan
+  /// mode, the busy|woken routers in active mode. Runs rather than single
+  /// ids keep the full scan a counted loop; a list of ids measured about 5%
+  /// more CPU on the busy fig06_uniform benchmark workload.
+  std::vector<std::vector<std::pair<int, int>>> step_list_;
   std::vector<ShardTotals> shard_totals_;
   std::vector<std::exception_ptr> shard_errors_;
   std::unique_ptr<ThreadPool> pool_;   ///< team_-1 dedicated workers
@@ -440,9 +454,10 @@ class Network {
 
   // ---- active-mode state (sized once by init_active; the steady-state
   // loop pushes/pops within the reserved capacities and never allocates) --
+  /// The one stepping-policy flag: gates the step-list rebuild, the busy
+  /// refresh, wake recording, arrival planning and fast_forward.
   bool engine_active_ = false;
   std::int64_t cycles_stepped_ = 0;
-  std::vector<std::uint16_t> shard_of_router_;
   /// Per-shard min-heap (std::push_heap/pop_heap with std::greater) of
   /// packed (cycle << 16) | router events. Router ids fit 16 bits (the
   /// constructor enforces <= 65536 routers), cycles fit 31 (ditto).
@@ -453,7 +468,6 @@ class Network {
   /// keeps shard-boundary routers out of shared words).
   std::vector<std::vector<std::uint64_t>> busy_;
   std::vector<std::vector<std::uint64_t>> woken_;
-  std::vector<std::vector<int>> active_list_;  // [shard] global router ids
 
   // ---- workload-layer state (sized once at construction; the steady-state
   // loop stays allocation-free) -------------------------------------------

@@ -2,8 +2,8 @@
 // Ring-buffer deques backing every hot-path queue in the simulator.
 //
 // The steady-state stepping loop must never touch the allocator (see the
-// "hot-path memory layout" section of docs/ARCHITECTURE.md), so the
-// std::deque-based queues were replaced by:
+// "hot-path memory layout" section of docs/ARCHITECTURE.md), so every
+// queue is one of two rings:
 //
 //  * GrowRing<T>   — amortized-doubling ring for the one genuinely
 //    unbounded queue (the endpoint source queue, which must absorb offered

@@ -201,7 +201,8 @@ class CompressedBfsOracle : public DistanceOracle {
   int mod3(int u, int v) const {
     const std::size_t idx = static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) +
                             static_cast<std::size_t>(v);
-    return (packed_[idx >> 2] >> ((idx & 3u) * 2)) & 3u;
+    const unsigned byte = packed_[idx >> 2];
+    return static_cast<int>((byte >> ((idx & 3u) * 2)) & 3u);
   }
 
   const Graph* g_;

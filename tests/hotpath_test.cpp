@@ -37,10 +37,15 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// noinline: inlined free() here trips GCC's false -Wmismatched-new-delete.
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace slimfly::sim {
 namespace {
@@ -56,9 +61,10 @@ SimConfig guard_config() {
 // Steps `settle` cycles (allocations allowed: source rings grow on first
 // use), then asserts the next `measured` cycles allocate nothing. The
 // window straddles warmup -> measurement, covering every phase plus stats
-// recording. Both stepping engines must hold the guarantee: the active
-// engine's wake heaps, outboxes and active lists are sized at wire() for
-// their worst case, so steady-state scheduling never grows them.
+// recording. Both stepping modes must hold the guarantee: the step lists
+// are sized at wire() and active mode's wake heaps and outboxes at
+// init_active() for their worst case, so steady-state scheduling never
+// grows them.
 void expect_allocation_free_steady_state(RoutingKind kind, double load,
                                          StepEngine engine) {
   sf::SlimFlyMMS topo(5);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "exp/experiment.hpp"
 #include "sf/mms.hpp"
@@ -146,36 +148,63 @@ TEST(NetworkParallel, IntraThreadsResolution) {
 }
 
 TEST(NetworkParallel, EngineSchedulingModesBitIdentical) {
-  // The same spec through both engine scheduling modes — wide-grid
-  // (across-point workers, sequential points) and deep-point (one point at
-  // a time, router-parallel) — and the auto split, all byte-identical.
-  exp::ExperimentSpec spec;
-  spec.name = "sched";
-  spec.loads = {0.1, 0.4};
-  spec.config = quick_config();
-  spec.series = {{"slimfly:q=5", "UGAL-L", "uniform", "SF"},
+  // Each spec through every engine schedule — one worker, four
+  // across-point workers under both schedulers, one point at a time stepped
+  // router-parallel (intra 4 leaves across = 1), and the auto split — all
+  // byte-identical. The second spec saturates mid-series with truncation
+  // on, so every schedule must also keep the same prefix of each series.
+  exp::ExperimentSpec busy;
+  busy.name = "sched";
+  busy.loads = {0.1, 0.4};
+  busy.config = quick_config();
+  busy.series = {{"slimfly:q=5", "UGAL-L", "uniform", "SF"},
                  {"fattree:k=4", "FT-ANCA", "uniform", "FT"}};
+  exp::ExperimentSpec saturating;
+  saturating.name = "truncate";
+  saturating.loads = {0.1, 0.3, 0.5, 0.7, 0.9};
+  saturating.config = quick_config();
+  saturating.truncate_at_saturation = true;
+  saturating.series = {{"slimfly:q=5", "VAL", "uniform", "SF-VAL"},
+                       {"slimfly:q=5", "MIN", "worst-sf", "SF-MIN-worst"}};
 
-  spec.config.intra_threads = 1;
-  exp::ExperimentEngine across(4);
-  auto wide = across.run(spec);
-
-  spec.config.intra_threads = 4;
-  exp::ExperimentEngine deep(4);
-  auto narrow = deep.run(spec);
-
-  spec.config.intra_threads = 0;
-  exp::ExperimentEngine split(4);
-  auto autosplit = split.run(spec);
-
-  ASSERT_EQ(wide.size(), narrow.size());
-  ASSERT_EQ(wide.size(), autosplit.size());
-  for (std::size_t i = 0; i < wide.size(); ++i) {
-    EXPECT_EQ(wide[i].seed, narrow[i].seed);
-    expect_same_result(wide[i].result, narrow[i].result, "deep point " +
-                       std::to_string(i));
-    expect_same_result(wide[i].result, autosplit[i].result, "auto point " +
-                       std::to_string(i));
+  struct Schedule {
+    std::size_t threads;
+    exp::SchedulerMode mode;
+    int intra;
+    const char* what;
+  };
+  auto run = [](exp::ExperimentSpec spec, const Schedule& sched) {
+    spec.config.intra_threads = sched.intra;
+    exp::ExperimentEngine engine(sched.threads);
+    engine.set_scheduler(sched.mode);
+    return engine.run(spec);
+  };
+  for (const exp::ExperimentSpec& spec : {busy, saturating}) {
+    const auto want = run(spec, {1, exp::SchedulerMode::Static, 1, "one worker"});
+    ASSERT_FALSE(want.empty());
+    if (spec.name == saturating.name) {
+      std::vector<std::size_t> kept(spec.series.size(), 0);
+      for (const auto& r : want) ++kept[r.series_index];
+      bool truncated = false;
+      for (std::size_t n : kept) truncated |= n < spec.loads.size();
+      ASSERT_TRUE(truncated) << "no series saturates before its last load";
+    }
+    for (const Schedule& sched :
+         {Schedule{4, exp::SchedulerMode::Static, 1, "static x4"},
+          Schedule{4, exp::SchedulerMode::Stealing, 1, "stealing x4"},
+          Schedule{4, exp::SchedulerMode::Static, 4, "intra 4"},
+          Schedule{4, exp::SchedulerMode::Static, 0, "auto split"}}) {
+      const auto got = run(spec, sched);
+      const std::string what = spec.name + " " + sched.what;
+      ASSERT_EQ(want.size(), got.size()) << what;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].series_index, got[i].series_index) << what;
+        EXPECT_EQ(want[i].load, got[i].load) << what;
+        EXPECT_EQ(want[i].seed, got[i].seed) << what;
+        expect_same_result(want[i].result, got[i].result,
+                           what + " point " + std::to_string(i));
+      }
+    }
   }
 }
 
