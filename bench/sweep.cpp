@@ -87,11 +87,11 @@ int usage(const char* argv0, int exit_code) {
       << "usage: " << argv0
       << " [--name TAG] [--topo SPEC]... [--routing SPEC]...\n"
          "       [--traffic NAME]... [--loads L1,L2,...] [--seed N]\n"
-         "       [--intra N] [--scheduler NAME] [--no-truncate] [--list]\n"
+         "       [--intra N] [--no-truncate] [--list]\n"
          "       [--help]\n"
          "   or: " << argv0
       << " --config SUITE.json [--scale NAME] [--name TAG]\n"
-         "       [--seed N] [--intra N] [--scheduler NAME] [--no-truncate]\n"
+         "       [--seed N] [--intra N] [--no-truncate]\n"
          "   or: " << argv0
       << " ... --emit-config PATH   (write the suite JSON, run nothing;\n"
          "       PATH \"-\" = stdout)\n"
@@ -119,13 +119,10 @@ int usage(const char* argv0, int exit_code) {
          "The distance oracle is picked per topology: the dense BFS table\n"
          "  up to 4096 routers (cheapest to query), the per-family oracle\n"
          "  beyond (no O(N^2) table). Bit-identical results either way.\n"
-         "--scheduler NAME: point scheduler, static or stealing (default\n"
-         "  SF_SCHEDULER or static). Bit-identical results either way;\n"
-         "  stealing lets big points absorb workers freed by finished\n"
-         "  points instead of stepping single-file at the tail of a grid.\n"
+         "Workers freed at the tail of a grid join the points still\n"
+         "  running, so big points never step single-file at the end.\n"
          "env: SF_THREADS (across-point workers, 0/unset = all cores),\n"
-         "  SF_INTRA_THREADS (as --intra), SF_SCHEDULER (as --scheduler),\n"
-         "  SF_BENCH_SCALE (small|paper).\n"
+         "  SF_INTRA_THREADS (as --intra), SF_BENCH_SCALE (small|paper).\n"
          "Spec-string grammar and suite schema: docs/SPEC_GRAMMAR.md;\n"
          "paper->code map and engine internals: docs/ARCHITECTURE.md;\n"
          "sanitizer presets, linter, determinism tooling: "
@@ -234,25 +231,19 @@ int run_diff(int argc, char** argv) {
 
 // Runs a spec on the engine, prints the table + CSV, writes
 // BENCH_<spec.name>.json and .csv, and reports points/threads/wall time.
-// `threads` 0 defers to SF_THREADS / hardware (the engine's own policy);
-// `scheduler` unset defers to SF_SCHEDULER (static when that is unset).
+// `threads` 0 defers to SF_THREADS / hardware (the engine's own policy).
 void run_experiment(const slimfly::exp::ExperimentSpec& spec,
-                    std::size_t threads,
-                    std::optional<slimfly::exp::SchedulerMode> scheduler) {
+                    std::size_t threads) {
   using namespace slimfly;
   exp::ExperimentEngine engine(threads);
-  if (scheduler) engine.set_scheduler(*scheduler);
   // Host shape + resolved worker split, so every BENCH log records how the
   // machine was used (execution-only: results never depend on it).
   const auto sched = engine.schedule(spec.series.size() * spec.loads.size(),
                                      spec.config.intra_threads);
-  const bool stealing = engine.scheduler() == exp::SchedulerMode::Stealing;
   std::cout << "[host] hardware_concurrency="
             << std::thread::hardware_concurrency()
             << " engine_threads=" << engine.threads()
-            << " scheduler=" << exp::to_string(engine.scheduler())
             << " across=" << sched.first << " intra=" << sched.second
-            << (stealing ? " (stealing: intra grows as points drain)" : "")
             << "\n"
             << std::flush;
   Timer timer;
@@ -302,7 +293,6 @@ int main(int argc, char** argv) {
   std::string config_path, scale, emit_path;
   std::optional<std::uint64_t> seed;
   std::optional<int> intra;
-  std::optional<exp::SchedulerMode> scheduler;
   bool truncate = true, truncate_flag = false;
 
   auto next_arg = [&](int& i) -> const char* {
@@ -351,8 +341,6 @@ int main(int argc, char** argv) {
                                       "\" (want 0..4096; 0 = auto)");
         }
         intra = static_cast<int>(std::stoul(value));
-      } else if (!std::strcmp(argv[i], "--scheduler")) {
-        scheduler = exp::scheduler_from_string(next_arg(i), "--scheduler");
       } else if (!std::strcmp(argv[i], "--no-truncate")) {
         truncate = false;
         truncate_flag = true;
@@ -388,14 +376,6 @@ int main(int argc, char** argv) {
       if (!intra && !exp::suite_sets_config_key(suite, scale, "intra_threads")) {
         spec.config.intra_threads = exp::intra_threads_from_env();
       }
-      // Scheduler precedence: --scheduler flag, then the suite's own hint,
-      // then SF_SCHEDULER (the ExperimentEngine ctor default), then static.
-      // A suite-level key like `threads`, not a config key — byte-identical
-      // results either way.
-      if (!scheduler && !suite.scheduler.empty()) {
-        scheduler = exp::scheduler_from_string(suite.scheduler,
-                                               "suite \"scheduler\"");
-      }
     } else {
       if (!scale.empty()) {
         throw std::invalid_argument("--scale requires --config");
@@ -417,9 +397,8 @@ int main(int argc, char** argv) {
     }
 
     if (!emit_path.empty()) {
-      const std::string text = exp::serialize_suite(exp::suite_from_spec(
-          spec, threads_hint,
-          scheduler ? exp::to_string(*scheduler) : std::string()));
+      const std::string text =
+          exp::serialize_suite(exp::suite_from_spec(spec, threads_hint));
       if (emit_path == "-") {
         std::cout << text;
       } else {
@@ -438,7 +417,7 @@ int main(int argc, char** argv) {
     // hint, then all hardware threads (the engine's own fallback).
     std::size_t threads = exp::threads_from_env();
     if (threads == 0) threads = threads_hint;
-    run_experiment(spec, threads, scheduler);
+    run_experiment(spec, threads);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

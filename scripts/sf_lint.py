@@ -2,8 +2,9 @@
 """sf_lint.py — repo-specific determinism and hot-path invariant linter.
 
 The simulator's load-bearing invariants (bit-identical results across the
-SF_THREADS x SF_INTRA_THREADS x SF_SCHEDULER matrix and under every forced
-stepping mode and distance oracle, zero steady-state heap allocations in
+SF_THREADS x SF_INTRA_THREADS matrix, for every team size the point
+scheduler hands a point, and under every forced stepping mode and
+distance oracle, zero steady-state heap allocations in
 Network::step(), per-endpoint/per-router PCG32 streams) are enforced dynamically by the golden byte-equality tests
 and the allocator-counting hotpath_test. This linter enforces the *static*
 side of the same contract — classes of bug the stock tools cannot express.

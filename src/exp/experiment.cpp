@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <mutex>
 #include <thread>
@@ -46,31 +46,6 @@ unsigned long parse_worker_env(const char* name, unsigned long fallback) {
   unsigned long v = std::strtoul(env, nullptr, 10);
   if (v > 4096) return fallback;
   return v;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char raw : s) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {  // RFC 8259 forbids raw control characters
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(raw);
-        }
-    }
-  }
-  return out;
 }
 
 std::string csv_field(const std::string& s) { return Table::csv_quote(s); }
@@ -209,38 +184,17 @@ int intra_threads_from_env() {
   return static_cast<int>(parse_worker_env("SF_INTRA_THREADS", 1));
 }
 
-SchedulerMode scheduler_from_string(const std::string& name,
-                                    const std::string& context) {
-  if (name == "static") return SchedulerMode::Static;
-  if (name == "stealing") return SchedulerMode::Stealing;
-  throw std::invalid_argument(context + ": unknown scheduler \"" + name +
-                              "\" (known: static, stealing)");
-}
-
-SchedulerMode scheduler_from_env() {
-  const char* env = std::getenv("SF_SCHEDULER");
-  if (!env) return SchedulerMode::Static;
-  const std::string name(env);
-  if (name == "stealing") return SchedulerMode::Stealing;
-  return SchedulerMode::Static;  // unset/junk: the tolerant env fallback
-}
-
 ExperimentEngine::ExperimentEngine(std::size_t threads) {
   if (threads == 0) threads = threads_from_env();
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   threads_ = threads;
-  scheduler_ = scheduler_from_env();
 }
 
 ExperimentEngine::~ExperimentEngine() = default;
 
 std::size_t ExperimentEngine::threads() const { return threads_; }
-
-SchedulerMode ExperimentEngine::scheduler() const { return scheduler_; }
-
-void ExperimentEngine::set_scheduler(SchedulerMode mode) { scheduler_ = mode; }
 
 void ExperimentEngine::for_indices(
     std::size_t n, std::size_t width,
@@ -386,12 +340,14 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
     const PreparedExperiment& prepared, const ProgressFn& on_point) {
   const std::size_t n_loads = prepared.loads.size();
   const std::size_t n_points = prepared.series.size() * n_loads;
+  if (n_points == 0) return {};
   const std::pair<std::size_t, int> sched =
       schedule(n_points, prepared.config.intra_threads);
   const std::size_t across = sched.first;
   const int intra = sched.second;
+  const int max_team = static_cast<int>(threads_);
   std::mutex progress_mutex;
-  auto run_point = [&](std::size_t s, std::size_t l, int point_intra,
+  auto run_point = [&](std::size_t s, std::size_t l,
                        const std::function<int()>& team_provider) {
     const PreparedSeries& series = prepared.series[s];
     sim::SimConfig cfg = prepared.config;
@@ -400,9 +356,11 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
                                    "series \"" + series.label + "\"");
     }
     // Execution-only fields, applied after the overrides on purpose: the
-    // schedule (or the stealing runner) owns how a point uses the machine,
-    // and neither field enters point_seed, so results are unchanged.
-    cfg.intra_threads = point_intra;  // never 0 here
+    // runner owns how a point uses the machine, and neither field enters
+    // point_seed, so results are unchanged. Every point is sharded at the
+    // full worker budget, the finest granularity a grown team could use;
+    // the live team size is whatever the provider says.
+    cfg.intra_threads = max_team;
     cfg.team_provider = team_provider;
     if (prepared.seed_fn) cfg.seed = prepared.seed_fn(s, l);
     auto routing = series.make_routing();
@@ -435,10 +393,8 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
                            seen, l, std::memory_order_relaxed)) {
     }
   };
-  // Post-filter shared by every schedule: keep each series' prefix up to
-  // and including its first saturated point, so all schedules return
-  // identical points. At width 1 for_indices runs points inline in index
-  // order, so the skip below never simulates past a series' saturation.
+  // Post-filter: keep each series' prefix up to and including its first
+  // saturated point, so every schedule returns identical points.
   auto filter_truncated = [&](std::vector<RunResult>&& all) {
     std::vector<RunResult> kept;
     for (std::size_t s = 0; s < prepared.series.size(); ++s) {
@@ -452,71 +408,67 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
     return kept;
   };
 
-  if (scheduler_ == SchedulerMode::Stealing && threads_ > 1 && n_points > 0) {
-    // Work stealing: every engine worker is a runner claiming whole points
-    // from a shared counter. A runner that finds the grid drained retires
-    // its worker into `spares`; the points still running poll the spare
-    // pool once per simulated cycle (via SimConfig::team_provider) and
-    // widen their intra-shard stepping teams to absorb the freed workers —
-    // so the tail of a grid (a few big points) still fills the machine.
-    // `spares` counts permissions, not threads: the claiming point's own
-    // Network supplies the extra stepping workers, and the retired runner
-    // thread simply exits its loop. Per-point seeds, truncation, and
-    // result bytes are identical to the static schedule.
-    std::vector<RunResult> all(n_points);
-    std::atomic<std::size_t> next{0};
-    std::atomic<int> spares{0};
-    const int max_team = static_cast<int>(threads_);
-    for_indices(threads_, threads_, [&](std::size_t) {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n_points) break;
+  // `across` runners claim chunks of consecutive points from one counter,
+  // chunked exactly as parallel_for chunks an index range, so the points
+  // that run together are the ones a fixed across/intra split would run
+  // together (which keeps peak RSS at that split's). A point's team starts
+  // at `intra`; once per simulated cycle its team provider claims workers
+  // from `spares` up to the full budget. A runner that finds the grid
+  // drained retires its `intra` workers into `spares`, and a finished point
+  // returns what it claimed — so the tail of a grid (a few big points)
+  // still fills the machine. `spares` counts permissions, not threads: the
+  // claiming point's own Network supplies the extra stepping workers. At
+  // width 1 the one runner walks the points inline in index order, so the
+  // truncation skip never simulates past a series' saturation.
+  const std::size_t chunks = std::min(n_points, 4 * across);
+  const std::size_t per = (n_points + chunks - 1) / chunks;
+  std::vector<RunResult> all(n_points);
+  std::vector<std::exception_ptr> errors(n_points);
+  std::atomic<std::size_t> next_chunk{0};
+  std::atomic<int> spares{max_team - static_cast<int>(across) * intra};
+  for_indices(across, across, [&](std::size_t) {
+    for (;;) {
+      const std::size_t lo =
+          next_chunk.fetch_add(1, std::memory_order_relaxed) * per;
+      if (lo >= n_points) break;
+      for (std::size_t i = lo; i < std::min(n_points, lo + per); ++i) {
         const std::size_t s = i / n_loads;
         const std::size_t l = i % n_loads;
         if (prepared.truncate_at_saturation &&
             l > first_saturated[s].load(std::memory_order_relaxed)) {
           continue;  // guaranteed to be truncated; leave the slot empty
         }
-        // Claims are point-local: the team starts as just this runner and
-        // grows monotonically while the point runs (claimed spares are only
-        // returned when the point finishes, below).
-        std::atomic<int> claimed{0};
-        auto provider = [&spares, &claimed, max_team]() {
-          int team = 1 + claimed.load(std::memory_order_relaxed);
-          while (team < max_team) {
-            int avail = spares.load(std::memory_order_relaxed);
-            if (avail <= 0) break;
-            if (spares.compare_exchange_weak(avail, avail - 1,
+        // Polled only by this point's step(), on this runner's thread.
+        int claimed = 0;
+        auto provider = [&spares, &claimed, intra, max_team]() {
+          int team = intra + claimed;
+          int avail = spares.load(std::memory_order_relaxed);
+          while (team < max_team && avail > 0) {
+            const int take = std::min(avail, max_team - team);
+            if (spares.compare_exchange_weak(avail, avail - take,
                                              std::memory_order_relaxed)) {
-              team = 2 + claimed.fetch_add(1, std::memory_order_relaxed);
+              claimed += take;
+              team += take;
             }
           }
           return team;
         };
-        // intra_threads = the full worker budget so the Network shards at
-        // the finest granularity a grown team could use (sharding is
-        // results-invariant; the live team size is what the provider says).
-        all[i] = run_point(s, l, max_team, provider);
-        spares.fetch_add(claimed.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-        if (all[i].result.saturated) note_saturated(s, l);
+        // A throwing point poisons only itself: the runner still hands its
+        // claimed workers back and keeps claiming.
+        try {
+          all[i] = run_point(s, l, provider);
+          if (all[i].result.saturated) note_saturated(s, l);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+        spares.fetch_add(claimed, std::memory_order_relaxed);
       }
-      spares.fetch_add(1, std::memory_order_relaxed);
-    });
-    return filter_truncated(std::move(all));
-  }
-
-  std::vector<RunResult> all(n_points);
-  for_indices(n_points, across, [&](std::size_t i) {
-    const std::size_t s = i / n_loads;
-    const std::size_t l = i % n_loads;
-    if (prepared.truncate_at_saturation &&
-        l > first_saturated[s].load(std::memory_order_relaxed)) {
-      return;  // guaranteed to be truncated; leave the slot empty
     }
-    all[i] = run_point(s, l, intra, {});
-    if (all[i].result.saturated) note_saturated(s, l);
+    spares.fetch_add(intra, std::memory_order_relaxed);
   });
+  for (const auto& err : errors) {
+    if (err) std::rethrow_exception(err);
+  }
   return filter_truncated(std::move(all));
 }
 
@@ -537,7 +489,7 @@ Table to_table(const ExperimentSpec& spec,
 void write_json(std::ostream& os, const ExperimentSpec& spec,
                 const std::vector<RunResult>& results, std::size_t threads) {
   os << "{\n";
-  os << "  \"experiment\": \"" << json_escape(spec.name) << "\",\n";
+  os << "  \"experiment\": " << json::quote(spec.name) << ",\n";
   os << "  \"threads\": " << threads << ",\n";
   os << "  \"config\": {\"warmup_cycles\": " << spec.config.warmup_cycles
      << ", \"measure_cycles\": " << spec.config.measure_cycles
@@ -550,11 +502,11 @@ void write_json(std::ostream& os, const ExperimentSpec& spec,
   os << "  \"series\": [\n";
   for (std::size_t s = 0; s < spec.series.size(); ++s) {
     const SeriesSpec& series = spec.series[s];
-    os << "    {\"label\": \"" << json_escape(series.display_label())
-       << "\", \"topology\": \"" << json_escape(series.topology)
-       << "\", \"routing\": \"" << json_escape(series.routing)
-       << "\", \"traffic\": \"" << json_escape(series.traffic)
-       << "\", \"points\": [\n";
+    os << "    {\"label\": " << json::quote(series.display_label())
+       << ", \"topology\": " << json::quote(series.topology)
+       << ", \"routing\": " << json::quote(series.routing)
+       << ", \"traffic\": " << json::quote(series.traffic)
+       << ", \"points\": [\n";
     bool first = true;
     for (const auto& r : results) {
       if (r.series_index != s) continue;

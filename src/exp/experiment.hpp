@@ -25,11 +25,15 @@
 //   * within a point — SimConfig::intra_threads router-parallel stepping
 //     workers inside each Network (SF_INTRA_THREADS / sweep --intra);
 //     ideal for a few paper-scale points that would otherwise serialize.
-// run_prepared() composes them without oversubscription: with
+// run_prepared() composes them without oversubscription: schedule() picks a
+// starting split of across-point runners x per-point intra workers (with
 // intra_threads == 1 every engine worker runs whole points; with
 // intra_threads == N > 1 the across-point width shrinks to threads/N; with
-// intra_threads == 0 ("auto") wide grids (points >= threads) go fully
-// across-point and narrow grids split the workers across the few points.
+// intra_threads == 0, "auto", wide grids (points >= threads) go fully
+// across-point and narrow grids split the workers across the few points).
+// From there the runners hand workers on: a runner that drains the grid
+// gives its workers to the points still running, whose teams grow up to
+// the whole budget.
 // Neither level affects results — only wall-clock time.
 
 #include <cstdint>
@@ -138,37 +142,11 @@ std::size_t threads_from_env();
 /// unparsable means 1 (sequential stepping), the SimConfig default.
 int intra_threads_from_env();
 
-/// Point-scheduling policy for run_prepared. Execution-only, like
-/// SF_THREADS: both modes produce byte-identical results (same points, same
-/// per-point seeds, same truncation), so the knob is a suite-level hint and
-/// never enters point_seed hashing.
-///
-///   Static   — the fixed across/intra split schedule() computes up front;
-///              every point steps with the same intra team for its whole
-///              life. A grid whose points finish at very different times
-///              strands workers: a runner that drains its share idles while
-///              the big point next door steps single-file.
-///   Stealing — every engine worker is a runner claiming points from a
-///              shared counter; a runner that finds the grid empty retires
-///              its worker into a spare pool, and the still-running points'
-///              team providers (SimConfig::team_provider) claim those
-///              spares to widen their intra-shard teams mid-flight. Big
-///              points absorb the machine as small points drain.
-enum class SchedulerMode : std::uint8_t { Static = 0, Stealing = 1 };
+/// The one point scheduler run_prepared has; kept as a type only because
+/// the benchmark driver prints it.
+enum class SchedulerMode : std::uint8_t { Chunked = 0 };
 
-inline const char* to_string(SchedulerMode mode) {
-  return mode == SchedulerMode::Stealing ? "stealing" : "static";
-}
-
-/// Parses a scheduler name ("static" | "stealing"); anything else throws
-/// std::invalid_argument naming `context`.
-SchedulerMode scheduler_from_string(const std::string& name,
-                                    const std::string& context);
-
-/// Scheduler policy: SF_SCHEDULER env var when set to a known name; unset
-/// or unparsable means SchedulerMode::Static (the scheduler cannot change
-/// results, so junk safely falls back).
-SchedulerMode scheduler_from_env();
+inline const char* to_string(SchedulerMode) { return "chunked"; }
 
 // ---- prepared (non-registry) form ------------------------------------------
 // For callers that already hold topology / routing / traffic objects. The
@@ -204,10 +182,7 @@ class ExperimentEngine {
 
   std::size_t threads() const;
 
-  /// Point-scheduling policy (defaults to scheduler_from_env()). Execution
-  /// only: run/run_prepared return byte-identical results either way.
-  SchedulerMode scheduler() const;
-  void set_scheduler(SchedulerMode mode);
+  SchedulerMode scheduler() const { return SchedulerMode::Chunked; }
 
   /// Completion hook for long runs: called once per finished point, from
   /// worker threads but never concurrently (the engine serializes calls).
@@ -227,13 +202,15 @@ class ExperimentEngine {
   /// saturated point are skipped entirely (a sequential early stop); an
   /// across-point parallel run skips a point once a lower load of its
   /// series is known saturated and drops the rest after the fact — either
-  /// way the returned points are identical.
+  /// way the returned points are identical. A point that throws poisons
+  /// only itself: the others still run, then the lowest-index error is
+  /// rethrown.
   std::vector<RunResult> run_prepared(const PreparedExperiment& prepared,
                                       const ProgressFn& on_point = {});
 
-  /// The (across-point width, per-point intra worker count) run_prepared
-  /// would use for a grid of `n_points` under `requested_intra`
-  /// (SimConfig::intra_threads). Exposed for tests and schedulers; the
+  /// The starting (across-point runners, per-point intra team) run_prepared
+  /// uses for a grid of `n_points` under `requested_intra`
+  /// (SimConfig::intra_threads). Exposed for tests and the benchmark; the
   /// product never exceeds threads().
   std::pair<std::size_t, int> schedule(std::size_t n_points,
                                        int requested_intra) const;
@@ -246,7 +223,6 @@ class ExperimentEngine {
                    const std::function<void(std::size_t)>& body);
 
   std::size_t threads_ = 1;
-  SchedulerMode scheduler_ = SchedulerMode::Static;
   std::size_t pool_width_ = 0;
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -186,8 +186,7 @@ Suite parse_suite(const std::string& text, const std::string& origin) {
   }
   check_keys(root, ctx,
              {"suite", "description", "scale", "scales", "loads", "config",
-              "truncate_at_saturation", "threads", "scheduler", "series",
-              "cross"});
+              "truncate_at_saturation", "threads", "series", "cross"});
 
   Suite suite;
   const json::Value* name = root.find("suite");
@@ -251,12 +250,6 @@ Suite parse_suite(const std::string& text, const std::string& origin) {
     const std::uint64_t t = v->as_uint64(ctx + ".threads");
     if (t > 4096) fail(ctx + ".threads", "want 0..4096 (0 = auto)");
     suite.threads = static_cast<std::size_t>(t);
-  }
-  if (const json::Value* v = root.find("scheduler")) {
-    suite.scheduler = v->as_string(ctx + ".scheduler");
-    // Validate eagerly (strict parse everywhere else); the string form is
-    // kept so "" can mean "unset — env/default decides".
-    scheduler_from_string(suite.scheduler, ctx + ".scheduler");
   }
 
   if (const json::Value* v = root.find("series")) {
@@ -421,8 +414,7 @@ ExperimentSpec suite_to_spec(const Suite& suite, const std::string& scale) {
   return spec;
 }
 
-Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads,
-                      const std::string& scheduler) {
+Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads) {
   if (spec.config.seed > (1ULL << 53)) {
     throw std::invalid_argument(
         "suite_from_spec: seed " + std::to_string(spec.config.seed) +
@@ -433,10 +425,6 @@ Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads,
   suite.loads = spec.loads;
   suite.truncate_at_saturation = spec.truncate_at_saturation;
   suite.threads = threads;
-  if (!scheduler.empty()) {
-    scheduler_from_string(scheduler, "suite_from_spec");
-    suite.scheduler = scheduler;
-  }
   const sim::SimConfig& c = spec.config;
   // Every field explicit, so the suite is immune to SimConfig default drift
   // — a requirement for golden trajectories.
@@ -506,9 +494,6 @@ std::string serialize_suite(const Suite& suite) {
   os << ",\n  \"truncate_at_saturation\": "
      << (suite.truncate_at_saturation ? "true" : "false");
   if (suite.threads != 0) os << ",\n  \"threads\": " << suite.threads;
-  if (!suite.scheduler.empty()) {
-    os << ",\n  \"scheduler\": " << json::quote(suite.scheduler);
-  }
   if (!suite.series.empty()) {
     os << ",\n  \"series\": [";
     for (std::size_t i = 0; i < suite.series.size(); ++i) {

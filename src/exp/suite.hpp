@@ -24,7 +24,6 @@
 //     "config": {"seed": 1, ...},             // SimConfig overrides
 //     "truncate_at_saturation": true,
 //     "threads": 0,                           // across-point hint; 0 = auto
-//     "scheduler": "stealing",                // optional: static | stealing
 //     "series": [
 //       {"topology": "slimfly:q=7",           // plain string, or per scale:
 //        // "topology": {"small": "slimfly:q=7", "paper": "slimfly:q=19"},
@@ -74,11 +73,6 @@ struct Suite {
   ConfigOverrides config;  ///< run keys (seed, intra_threads) allowed
   bool truncate_at_saturation = true;
   std::size_t threads = 0;  ///< across-point worker hint; 0 = unset
-  /// Point-scheduler hint ("static" | "stealing"); "" = unset (env/default
-  /// decides). A suite-level execution knob like `threads`, NOT a config
-  /// key: both schedulers return byte-identical results, so it never enters
-  /// point_seed hashing.
-  std::string scheduler;
   std::vector<SuiteSeries> series;
   /// Cross block: compatible combinations are expanded, incompatible ones
   /// skipped (exactly ExperimentSpec::cross). Topologies use the same
@@ -119,8 +113,7 @@ ExperimentSpec suite_to_spec(const Suite& suite, const std::string& scale = "");
 /// config block lists every SimConfig field explicitly (robust against
 /// default drift). parse_suite(serialize_suite(...)) reproduces the spec
 /// bit-identically (tests/suite_test.cpp).
-Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads = 0,
-                      const std::string& scheduler = "");
+Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads = 0);
 
 /// Deterministic, diffable JSON serialization of a suite.
 std::string serialize_suite(const Suite& suite);

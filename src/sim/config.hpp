@@ -100,10 +100,11 @@ struct SimConfig {
   std::int64_t stats_window = 0;
 
   /// Execution-only hook the Network polls once per step(): lets an
-  /// external scheduler (the work-stealing experiment engine — see
-  /// exp/experiment.hpp) grow or shrink the intra-point worker team while
-  /// the point runs. The returned count is clamped to [1, intra_threads];
-  /// null (the default) keeps a fixed team. Like intra_threads itself this
+  /// external scheduler (the experiment engine, whose runners hand workers
+  /// freed at the tail of a grid to the points still running — see
+  /// ExperimentEngine::run_prepared) grow or shrink the intra-point worker
+  /// team while the point runs. The returned count is clamped to
+  /// [1, intra_threads]; null (the default) keeps a fixed team. Like intra_threads itself this
   /// never changes results — workers cover contiguous shard ranges between
   /// the same global phase barriers for every team size — so it is
   /// excluded from exp::point_seed hashing.

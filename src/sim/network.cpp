@@ -793,7 +793,7 @@ void Network::resize_team(int want) {
   if (w == team_) return;
   team_ = w;
   // Torn down here, recreated lazily by the next parallel step at the new
-  // party count — team changes are rare by design (the stealing scheduler
+  // party count — team changes are rare by design (the point scheduler
   // only grows a point's team as sibling points finish).
   pool_.reset();
   barrier_.reset();

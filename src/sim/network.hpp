@@ -242,7 +242,7 @@ class Network {
   /// Workers currently executing the shards (team size, <= shards_).
   std::size_t team() const { return team_; }
 
-  /// Execution-only scheduling hook for the work-stealing experiment
+  /// Execution-only scheduling hook for the experiment engine's point
   /// scheduler: polled once per step (serial, between cycles); the return
   /// value is clamped to [1, intra_threads()] and sets how many workers
   /// step the fixed shard set this cycle. Workers always cover contiguous
@@ -286,7 +286,7 @@ class Network {
   }
   /// Applies the team provider's verdict (clamped to [1, shards_]); tears
   /// down the pool/barrier on change so step() recreates them at the new
-  /// party count. Rare by design: the stealing scheduler only grows teams.
+  /// party count. Rare by design: the point scheduler only grows teams.
   void resize_team(int want);
   void sync();  ///< barrier between phases; no-op when sequential
   /// Calls fn(r) for every router on the shard's step list, ascending.
@@ -411,7 +411,7 @@ class Network {
   std::size_t shards_ = 1;
   /// Workers executing the shards this cycle (team size). Shards are the
   /// ownership unit and never change after wire(); the team is pure
-  /// execution and may change between cycles (work-stealing scheduler).
+  /// execution and may change between cycles (the point scheduler).
   std::size_t team_ = 1;
   std::function<int()> team_provider_;  ///< see set_team_provider()
   std::vector<std::pair<int, int>> shard_ranges_;

@@ -96,6 +96,34 @@ TEST(ExperimentEngine, IncompatibleSeriesThrows) {
   EXPECT_THROW(engine.run(spec), std::invalid_argument);
 }
 
+TEST(ExperimentEngine, PointFailingAtRunTimeThrowsAfterTheGrid) {
+  // A trace series validates by name but cannot open its file until its
+  // points run. Beside good series on a parallel engine, the failing points
+  // poison only themselves, and run() returns by throwing the error, which
+  // names the path. Two grids: a wide one (16 points over 4 workers) and a
+  // narrow one (2 points over 4 workers, so teams grow from spares).
+  const std::string missing = "no/such/trace.json";
+  const exp::SeriesSpec trace{"slimfly:q=5", "MIN", "trace:file=" + missing,
+                              "T"};
+  auto wide = tiny_spec();
+  wide.loads = {0.05, 0.1, 0.2, 0.3};
+  wide.series.insert(wide.series.begin() + 1, trace);
+  auto narrow = tiny_spec();
+  narrow.loads = {0.1};
+  narrow.series = {narrow.series.front(), trace};
+  for (const exp::ExperimentSpec& spec : {wide, narrow}) {
+    exp::ExperimentEngine engine(4);
+    try {
+      engine.run(spec);
+      FAIL() << "expected invalid_argument (" << spec.series.size()
+             << " series)";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ExperimentSpec, CrossFiltersIncompatibleCombos) {
   auto spec = exp::ExperimentSpec::cross(
       "x", {"slimfly:q=5", "dragonfly:p=2,a=4,h=2", "fattree:k=4"},

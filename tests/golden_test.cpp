@@ -117,25 +117,19 @@ TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndEngineMatrix) {
   }
 }
 
-TEST(GoldenTrajectory, SchedulerAxisIsByteIdentical) {
+TEST(GoldenTrajectory, ThreadAxisIsByteIdentical) {
   exp::ExperimentSpec spec = golden_spec();
   const std::string want = read_file(source_path(kTrajectoryPath));
-  // The point scheduler (static split vs work stealing) is execution-only:
-  // whichever runner claims a point, the point's seed comes from
-  // exp::point_seed and its stepping team only changes how many workers
-  // cover the fixed shard set between the same barriers. Every cell must
-  // reproduce the pinned trajectory byte-for-byte — including stealing
-  // teams that grow mid-point as sibling points drain (threads > points
-  // makes spares available immediately).
+  // The point scheduler is execution-only: whichever runner claims a
+  // point, the point's seed comes from exp::point_seed and its stepping
+  // team only changes how many workers cover the fixed shard set between
+  // the same barriers. Every cell must reproduce the pinned trajectory
+  // byte-for-byte — including teams that grow mid-point as runners drain
+  // (32 threads outnumber the points, so spares exist from the start).
   for (std::size_t threads : {std::size_t{2}, std::size_t{32}}) {
-    for (exp::SchedulerMode mode :
-         {exp::SchedulerMode::Static, exp::SchedulerMode::Stealing}) {
-      exp::ExperimentEngine engine(threads);
-      engine.set_scheduler(mode);
-      const std::string got = exp::golden_trajectory(spec, engine.run(spec));
-      EXPECT_EQ(want, got) << "SF_THREADS=" << threads
-                           << " SF_SCHEDULER=" << exp::to_string(mode);
-    }
+    exp::ExperimentEngine engine(threads);
+    const std::string got = exp::golden_trajectory(spec, engine.run(spec));
+    EXPECT_EQ(want, got) << "SF_THREADS=" << threads;
   }
 }
 

@@ -149,10 +149,11 @@ TEST(NetworkParallel, IntraThreadsResolution) {
 
 TEST(NetworkParallel, EngineSchedulingModesBitIdentical) {
   // Each spec through every engine schedule — one worker, four
-  // across-point workers under both schedulers, one point at a time stepped
-  // router-parallel (intra 4 leaves across = 1), and the auto split — all
-  // byte-identical. The second spec saturates mid-series with truncation
-  // on, so every schedule must also keep the same prefix of each series.
+  // across-point runners, two runners of two intra workers, one point at a
+  // time stepped router-parallel (intra 4 leaves across = 1), and the auto
+  // split — all byte-identical, with teams growing as runners drain. The
+  // second spec saturates mid-series with truncation on, so every schedule
+  // must also keep the same prefix of each series.
   exp::ExperimentSpec busy;
   busy.name = "sched";
   busy.loads = {0.1, 0.4};
@@ -169,18 +170,16 @@ TEST(NetworkParallel, EngineSchedulingModesBitIdentical) {
 
   struct Schedule {
     std::size_t threads;
-    exp::SchedulerMode mode;
     int intra;
     const char* what;
   };
   auto run = [](exp::ExperimentSpec spec, const Schedule& sched) {
     spec.config.intra_threads = sched.intra;
     exp::ExperimentEngine engine(sched.threads);
-    engine.set_scheduler(sched.mode);
     return engine.run(spec);
   };
   for (const exp::ExperimentSpec& spec : {busy, saturating}) {
-    const auto want = run(spec, {1, exp::SchedulerMode::Static, 1, "one worker"});
+    const auto want = run(spec, {1, 1, "one worker"});
     ASSERT_FALSE(want.empty());
     if (spec.name == saturating.name) {
       std::vector<std::size_t> kept(spec.series.size(), 0);
@@ -190,10 +189,8 @@ TEST(NetworkParallel, EngineSchedulingModesBitIdentical) {
       ASSERT_TRUE(truncated) << "no series saturates before its last load";
     }
     for (const Schedule& sched :
-         {Schedule{4, exp::SchedulerMode::Static, 1, "static x4"},
-          Schedule{4, exp::SchedulerMode::Stealing, 1, "stealing x4"},
-          Schedule{4, exp::SchedulerMode::Static, 4, "intra 4"},
-          Schedule{4, exp::SchedulerMode::Static, 0, "auto split"}}) {
+         {Schedule{4, 1, "across x4"}, Schedule{4, 2, "intra 2"},
+          Schedule{4, 4, "intra 4"}, Schedule{4, 0, "auto split"}}) {
       const auto got = run(spec, sched);
       const std::string what = spec.name + " " + sched.what;
       ASSERT_EQ(want.size(), got.size()) << what;

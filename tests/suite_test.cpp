@@ -271,6 +271,12 @@ TEST(SuiteParser, StructuralErrorsAreNamed) {
       "[{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
       "\"traffic\": \"uniform\", \"config\": {\"oracle\": \"table\"}}]}",
       {"unknown config key \"oracle\""});
+  // The point scheduler is the engine's own, not a suite key.
+  expect_parse_error(
+      "{\"suite\": \"x\", \"loads\": [0.1], \"scheduler\": \"static\", "
+      "\"series\": [{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
+      "\"traffic\": \"uniform\"}]}",
+      {"unknown key \"scheduler\""});
   // Per-series config blocks must not smuggle run-level keys.
   expect_parse_error(
       "{\"suite\": \"x\", \"loads\": [0.1], \"series\": "
