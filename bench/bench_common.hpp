@@ -57,10 +57,6 @@ inline sim::SimConfig make_sim_config() {
     cfg.measure_cycles = 1000;
     cfg.drain_cycles = 8000;
   }
-  // Router-parallel stepping inside each point (SF_INTRA_THREADS; 0 lets
-  // the engine split workers between the two levels). Never changes
-  // results, only wall time — see docs/ARCHITECTURE.md.
-  cfg.intra_threads = exp::intra_threads_from_env();
   return cfg;
 }
 

@@ -9,19 +9,26 @@
 // wall-time policy.
 //
 // Battery cells:
-//   * reference — slimfly:q=11 | UGAL-L | uniform @ 0.5, the README's
+//   * reference    — slimfly:q=11 | UGAL-L | uniform @ 0.5, the README's
 //     before/after point (busy network; the cycle engine's home turf).
-//   * lowload   — torus:dims=8x8x8 | MIN | stencil3d @ 0.002, a mostly-idle
-//     network where the active engine's router skipping dominates.
-//   * drain     — slimfly:q=11 | UGAL-L | uniform @ 0.7, where the
+//   * lowload      — torus:dims=8x8x8 | MIN | stencil3d @ 0.002, a
+//     mostly-idle network where the active engine's router skipping
+//     dominates.
+//   * drain        — slimfly:q=11 | UGAL-L | uniform @ 0.7, where the
 //     post-injection drain tail is the bulk of the simulated cycles.
+//   * sparse-burst — slimfly:q=11 | MIN | burst ON/OFF over uniform
+//     @ 0.02, where long OFF segments leave most routers idle.
+//
+// Each cell steps sequentially; the reference cell is then re-run at
+// fixed teams of 1/2/4 workers (+ all hardware threads on bigger hosts)
+// for the intra-point scaling curve.
 //
 //   hotpath [--topo SPEC] [--routing SPEC] [--traffic NAME] [--load L]
 //           [--out PATH]
 //
 // Passing any of --topo/--routing/--traffic/--load replaces the battery
 // with that single custom cell (still run under both modes).
-// SF_BENCH_SCALE / SF_INTRA_THREADS apply as everywhere else.
+// SF_BENCH_SCALE applies as everywhere else.
 
 #include <cstring>
 #include <fstream>
@@ -42,10 +49,10 @@ int usage(const char* argv0, int code) {
   std::cout << "usage: " << argv0
             << " [--topo SPEC] [--routing SPEC] [--traffic NAME]\n"
                "       [--load L] [--out PATH]\n"
-               "defaults: the three-cell battery (reference / lowload / "
-               "drain),\nBENCH_hotpath.json; any cell flag switches to a "
-               "single custom cell.\nEvery cell runs under both stepping "
-               "modes, forced.\n";
+               "defaults: the four-cell battery (reference / lowload / "
+               "drain /\nsparse-burst), BENCH_hotpath.json; any cell flag "
+               "switches to a\nsingle custom cell. Every cell runs under "
+               "both stepping modes, forced.\n";
   return code;
 }
 
@@ -176,9 +183,7 @@ int main(int argc, char** argv) {
     // Host shape, so every BENCH log records how the machine was used —
     // the numbers are execution-only, results never depend on them.
     std::cout << "[host] hardware_concurrency="
-              << std::thread::hardware_concurrency()
-              << " intra_threads=" << exp::intra_threads_from_env()
-              << " (SF_INTRA_THREADS; 0 = all cores per point)\n"
+              << std::thread::hardware_concurrency() << "\n"
               << std::flush;
 
     std::vector<Cell> cells;
@@ -291,7 +296,6 @@ int main(int argc, char** argv) {
        << "  \"routing\": " << exp::json::quote(head.cell.routing) << ",\n"
        << "  \"traffic\": " << exp::json::quote(head.cell.traffic) << ",\n"
        << "  \"load\": " << exp::json::number(head.cell.load) << ",\n"
-       << "  \"intra_threads\": " << exp::intra_threads_from_env() << ",\n"
        << "  \"cycles\": " << head.cycle.res.cycles << ",\n"
        << "  \"flit_hops\": " << head.cycle.res.flit_hops << ",\n"
        << "  \"wall_seconds\": " << exp::json::number(head.cycle.wall)

@@ -87,11 +87,11 @@ int usage(const char* argv0, int exit_code) {
       << "usage: " << argv0
       << " [--name TAG] [--topo SPEC]... [--routing SPEC]...\n"
          "       [--traffic NAME]... [--loads L1,L2,...] [--seed N]\n"
-         "       [--intra N] [--no-truncate] [--list]\n"
+         "       [--no-truncate] [--list]\n"
          "       [--help]\n"
          "   or: " << argv0
       << " --config SUITE.json [--scale NAME] [--name TAG]\n"
-         "       [--seed N] [--intra N] [--no-truncate]\n"
+         "       [--seed N] [--no-truncate]\n"
          "   or: " << argv0
       << " ... --emit-config PATH   (write the suite JSON, run nothing;\n"
          "       PATH \"-\" = stdout)\n"
@@ -109,9 +109,6 @@ int usage(const char* argv0, int exit_code) {
          "diff: join two BENCH_*.json trajectories on run-point identity\n"
          "  and exit 1 on any out-of-tolerance delta or missing point\n"
          "  (defaults demand exact equality; wall time is never gated).\n"
-         "--intra N: router-parallel workers inside each point (0 = auto\n"
-         "  split with the across-point level; default SF_INTRA_THREADS or\n"
-         "  1). Results are bit-identical for every worker count.\n"
          "Each point picks its own stepping mode: the active set (skips\n"
          "  quiet routers, fast-forwards idle stretches) for self-clocked\n"
          "  replay or mean injection rates <= 0.01, a full scan otherwise.\n"
@@ -119,10 +116,12 @@ int usage(const char* argv0, int exit_code) {
          "The distance oracle is picked per topology: the dense BFS table\n"
          "  up to 4096 routers (cheapest to query), the per-family oracle\n"
          "  beyond (no O(N^2) table). Bit-identical results either way.\n"
-         "Workers freed at the tail of a grid join the points still\n"
-         "  running, so big points never step single-file at the end.\n"
-         "env: SF_THREADS (across-point workers, 0/unset = all cores),\n"
-         "  SF_INTRA_THREADS (as --intra), SF_BENCH_SCALE (small|paper).\n"
+         "The engine splits its workers itself: one point per worker on\n"
+         "  a wide grid, an even share per point on a narrow one, and\n"
+         "  workers freed at the tail of a grid join the points still\n"
+         "  running. Bit-identical results for every split.\n"
+         "env: SF_THREADS (the worker budget, 0/unset = all cores),\n"
+         "  SF_BENCH_SCALE (small|paper).\n"
          "Spec-string grammar and suite schema: docs/SPEC_GRAMMAR.md;\n"
          "paper->code map and engine internals: docs/ARCHITECTURE.md;\n"
          "sanitizer presets, linter, determinism tooling: "
@@ -238,8 +237,8 @@ void run_experiment(const slimfly::exp::ExperimentSpec& spec,
   exp::ExperimentEngine engine(threads);
   // Host shape + resolved worker split, so every BENCH log records how the
   // machine was used (execution-only: results never depend on it).
-  const auto sched = engine.schedule(spec.series.size() * spec.loads.size(),
-                                     spec.config.intra_threads);
+  const auto sched =
+      engine.schedule(spec.series.size() * spec.loads.size(), 0);
   std::cout << "[host] hardware_concurrency="
             << std::thread::hardware_concurrency()
             << " engine_threads=" << engine.threads()
@@ -292,7 +291,6 @@ int main(int argc, char** argv) {
   std::vector<double> loads;
   std::string config_path, scale, emit_path;
   std::optional<std::uint64_t> seed;
-  std::optional<int> intra;
   bool truncate = true, truncate_flag = false;
 
   auto next_arg = [&](int& i) -> const char* {
@@ -330,17 +328,6 @@ int main(int argc, char** argv) {
           throw std::invalid_argument("malformed seed \"" + value + "\"");
         }
         seed = std::stoull(value);
-      } else if (!std::strcmp(argv[i], "--intra")) {
-        std::string value = next_arg(i);
-        // Same bounds as the SF_INTRA_THREADS policy: digits only, and a
-        // cap that keeps absurd counts from wrapping through the int cast.
-        if (value.empty() || value.size() > 4 ||
-            value.find_first_not_of("0123456789") != std::string::npos ||
-            std::stoul(value) > 4096) {
-          throw std::invalid_argument("malformed --intra \"" + value +
-                                      "\" (want 0..4096; 0 = auto)");
-        }
-        intra = static_cast<int>(std::stoul(value));
       } else if (!std::strcmp(argv[i], "--no-truncate")) {
         truncate = false;
         truncate_flag = true;
@@ -370,12 +357,6 @@ int main(int argc, char** argv) {
       threads_hint = suite.threads;
       if (!name.empty()) spec.name = name;
       if (truncate_flag) spec.truncate_at_saturation = truncate;
-      // Intra-point precedence mirrors the CLI path: --intra flag, then an
-      // explicit suite value, then SF_INTRA_THREADS, then sequential — so
-      // the CI regression matrix's intra axis reaches --config runs too.
-      if (!intra && !exp::suite_sets_config_key(suite, scale, "intra_threads")) {
-        spec.config.intra_threads = exp::intra_threads_from_env();
-      }
     } else {
       if (!scale.empty()) {
         throw std::invalid_argument("--scale requires --config");
@@ -390,7 +371,6 @@ int main(int argc, char** argv) {
       spec.truncate_at_saturation = truncate;
     }
     if (seed) spec.config.seed = *seed;
-    if (intra) spec.config.intra_threads = *intra;
     if (spec.series.empty()) {
       std::cerr << "no compatible (topology, routing, traffic) combination\n";
       return 1;

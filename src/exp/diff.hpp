@@ -3,7 +3,7 @@
 //
 // A "trajectory" is the per-point stats record a run leaves behind
 // (BENCH_<tag>.json, written by exp::write_json). Because the engine is
-// bit-identical for every SF_THREADS / SF_INTRA_THREADS value, two runs of
+// bit-identical for every SF_THREADS value and team size, two runs of
 // the same suite must produce *exactly* equal trajectories; `sweep diff`
 // joins two of them on run-point identity (series label + offered load) and
 // reports per-point deltas in latency/throughput metrics with configurable

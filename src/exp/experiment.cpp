@@ -34,20 +34,6 @@ std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
   return h;
 }
 
-// Digits-only parse shared by the SF_THREADS / SF_INTRA_THREADS policies:
-// negatives, signs, junk, and absurd counts all map to `fallback`, never a
-// wrapped-around astronomical worker count.
-unsigned long parse_worker_env(const char* name, unsigned long fallback) {
-  const char* env = std::getenv(name);
-  if (!env || !*env) return fallback;
-  for (const char* p = env; *p; ++p) {
-    if (*p < '0' || *p > '9') return fallback;
-  }
-  unsigned long v = std::strtoul(env, nullptr, 10);
-  if (v > 4096) return fallback;
-  return v;
-}
-
 std::string csv_field(const std::string& s) { return Table::csv_quote(s); }
 
 // Shortest exact round-trip (exp/json.hpp): BENCH files and CSVs must
@@ -117,7 +103,14 @@ sim::SimConfig apply_config_overrides(sim::SimConfig base,
       // use; suite files wanting full 64 bits should derive via --seed.
       base.seed = static_cast<std::uint64_t>(integral(key, value, 0, 9007199254740992.0));
     } else if (allow_run_keys && key == "intra_threads") {
-      base.intra_threads = static_cast<int>(integral(key, value, 0, 4096));
+      // Accepted only as 0, the value suite files use for "auto": the
+      // engine always picks the intra-point split itself.
+      if (value != 0) {
+        throw std::invalid_argument(
+            context + ": config key \"intra_threads\" can only be 0 (got " +
+            json_num(value) +
+            "): the experiment engine picks the intra-point split itself");
+      }
     } else {
       throw std::invalid_argument(
           context + ": unknown config key \"" + key +
@@ -177,11 +170,15 @@ std::uint64_t point_seed(const ExperimentSpec& spec, std::size_t series_index,
 }
 
 std::size_t threads_from_env() {
-  return static_cast<std::size_t>(parse_worker_env("SF_THREADS", 0));
-}
-
-int intra_threads_from_env() {
-  return static_cast<int>(parse_worker_env("SF_INTRA_THREADS", 1));
+  // Digits only: negatives, signs, junk, and absurd counts all mean 0
+  // (auto), never a wrapped-around astronomical worker count.
+  const char* env = std::getenv("SF_THREADS");
+  if (!env || !*env) return 0;
+  for (const char* p = env; *p; ++p) {
+    if (*p < '0' || *p > '9') return 0;
+  }
+  const unsigned long v = std::strtoul(env, nullptr, 10);
+  return v > 4096 ? 0 : static_cast<std::size_t>(v);
 }
 
 ExperimentEngine::ExperimentEngine(std::size_t threads) {
@@ -216,28 +213,12 @@ void ExperimentEngine::for_indices(
 }
 
 std::pair<std::size_t, int> ExperimentEngine::schedule(
-    std::size_t n_points, int requested_intra) const {
-  // Negatives are treated as sequential, matching the Network-level
-  // resolution of the same SimConfig field.
-  if (requested_intra != 0 && requested_intra <= 1) return {threads_, 1};
-  if (n_points == 0) return {threads_, 1};
-  if (requested_intra > 1) {
-    // Explicit intra count: across-point width shrinks so that
-    // across * intra stays within the engine's worker budget — which also
-    // caps intra itself (requesting more stepping workers than the engine
-    // owns would oversubscribe every point).
-    int intra = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(requested_intra), std::max<std::size_t>(1, threads_)));
-    std::size_t across =
-        std::max<std::size_t>(1, threads_ / static_cast<std::size_t>(intra));
-    return {across, intra};
-  }
-  // Auto (0): wide grids keep every worker busy across points; narrow grids
-  // (fewer points than workers — the paper-scale regime) split the budget
-  // so each concurrent point steps router-parallel with the spare workers.
-  if (n_points >= threads_) return {threads_, 1};
-  std::size_t across = std::max<std::size_t>(1, n_points);
-  return {across, static_cast<int>(std::max<std::size_t>(1, threads_ / across))};
+    std::size_t n_points, int /*requested_intra*/) const {
+  // Wide grids keep every worker busy across points; narrow grids (fewer
+  // points than workers — the paper-scale regime) split the budget evenly
+  // so each concurrent point steps router-parallel with its share.
+  if (n_points == 0 || n_points >= threads_) return {threads_, 1};
+  return {n_points, static_cast<int>(threads_ / n_points)};
 }
 
 std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
@@ -305,16 +286,10 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
     }
   });
 
-  PreparedExperiment prepared;
-  prepared.loads = spec.loads;
-  prepared.config = spec.config;
-  prepared.truncate_at_saturation = spec.truncate_at_saturation;
-  prepared.seed_fn = [&spec](std::size_t s, std::size_t l) {
-    return point_seed(spec, s, l);
-  };
+  std::vector<PreparedSeries> series_of(spec.series.size());
   for (std::size_t i = 0; i < spec.series.size(); ++i) {
     const TopoEntry& entry = topos[series_topo[i]];
-    PreparedSeries ps;
+    PreparedSeries& ps = series_of[i];
     ps.topo = entry.topo.get();
     ps.label = spec.series[i].display_label();
     ps.config_overrides = spec.series[i].config_overrides;
@@ -331,26 +306,20 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
                        topo = entry.topo.get()]() {
       return sim::make_traffic(name, *topo);
     };
-    prepared.series.push_back(std::move(ps));
   }
-  return run_prepared(prepared, on_point);
-}
 
-std::vector<RunResult> ExperimentEngine::run_prepared(
-    const PreparedExperiment& prepared, const ProgressFn& on_point) {
-  const std::size_t n_loads = prepared.loads.size();
-  const std::size_t n_points = prepared.series.size() * n_loads;
+  const std::size_t n_loads = spec.loads.size();
+  const std::size_t n_points = spec.series.size() * n_loads;
   if (n_points == 0) return {};
-  const std::pair<std::size_t, int> sched =
-      schedule(n_points, prepared.config.intra_threads);
+  const std::pair<std::size_t, int> sched = schedule(n_points, 0);
   const std::size_t across = sched.first;
   const int intra = sched.second;
   const int max_team = static_cast<int>(threads_);
   std::mutex progress_mutex;
   auto run_point = [&](std::size_t s, std::size_t l,
                        const std::function<int()>& team_provider) {
-    const PreparedSeries& series = prepared.series[s];
-    sim::SimConfig cfg = prepared.config;
+    const PreparedSeries& series = series_of[s];
+    sim::SimConfig cfg = spec.config;
     if (!series.config_overrides.empty()) {
       cfg = apply_config_overrides(cfg, series.config_overrides, false,
                                    "series \"" + series.label + "\"");
@@ -362,16 +331,16 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
     // the live team size is whatever the provider says.
     cfg.intra_threads = max_team;
     cfg.team_provider = team_provider;
-    if (prepared.seed_fn) cfg.seed = prepared.seed_fn(s, l);
+    cfg.seed = point_seed(spec, s, l);
     auto routing = series.make_routing();
     auto traffic = series.make_traffic();
     RunResult out;
     out.series_index = s;
-    out.load = prepared.loads[l];
+    out.load = spec.loads[l];
     out.seed = cfg.seed;
     Timer timer;
     out.result = sim::simulate(*series.topo, *routing, *traffic, cfg,
-                               prepared.loads[l]);
+                               spec.loads[l]);
     out.wall_seconds = timer.seconds();
     out.peak_rss_bytes = peak_rss_bytes();
     if (on_point) {
@@ -385,7 +354,7 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
   // drops everything past it, so such points can be skipped outright
   // without changing the kept output (they're the slowest points, too —
   // saturated networks churn maximum traffic until the drain cap).
-  std::vector<std::atomic<std::size_t>> first_saturated(prepared.series.size());
+  std::vector<std::atomic<std::size_t>> first_saturated(spec.series.size());
   for (auto& f : first_saturated) f.store(n_loads, std::memory_order_relaxed);
   auto note_saturated = [&](std::size_t s, std::size_t l) {
     std::size_t seen = first_saturated[s].load(std::memory_order_relaxed);
@@ -397,10 +366,10 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
   // saturated point, so every schedule returns identical points.
   auto filter_truncated = [&](std::vector<RunResult>&& all) {
     std::vector<RunResult> kept;
-    for (std::size_t s = 0; s < prepared.series.size(); ++s) {
+    for (std::size_t s = 0; s < spec.series.size(); ++s) {
       for (std::size_t l = 0; l < n_loads; ++l) {
         kept.push_back(std::move(all[s * n_loads + l]));
-        if (prepared.truncate_at_saturation && kept.back().result.saturated) {
+        if (spec.truncate_at_saturation && kept.back().result.saturated) {
           break;
         }
       }
@@ -434,7 +403,7 @@ std::vector<RunResult> ExperimentEngine::run_prepared(
       for (std::size_t i = lo; i < std::min(n_points, lo + per); ++i) {
         const std::size_t s = i / n_loads;
         const std::size_t l = i % n_loads;
-        if (prepared.truncate_at_saturation &&
+        if (spec.truncate_at_saturation &&
             l > first_saturated[s].load(std::memory_order_relaxed)) {
           continue;  // guaranteed to be truncated; leave the slot empty
         }
@@ -496,7 +465,6 @@ void write_json(std::ostream& os, const ExperimentSpec& spec,
      << ", \"drain_cycles\": " << spec.config.drain_cycles
      << ", \"num_vcs\": " << spec.config.num_vcs
      << ", \"buffer_per_port\": " << spec.config.buffer_per_port
-     << ", \"intra_threads\": " << spec.config.intra_threads
      << ", \"stats_window\": " << spec.config.stats_window
      << ", \"seed\": " << spec.config.seed << "},\n";
   os << "  \"series\": [\n";

@@ -19,21 +19,19 @@
 // the same spec (covered by tests/experiment_test.cpp).
 //
 // Two composable parallelism levels (docs/ARCHITECTURE.md has the full
-// decision guide):
-//   * across points — independent run points over the engine's ThreadPool
-//     (SF_THREADS workers); ideal for wide grids of small/medium points.
-//   * within a point — SimConfig::intra_threads router-parallel stepping
-//     workers inside each Network (SF_INTRA_THREADS / sweep --intra);
-//     ideal for a few paper-scale points that would otherwise serialize.
-// run_prepared() composes them without oversubscription: schedule() picks a
-// starting split of across-point runners x per-point intra workers (with
-// intra_threads == 1 every engine worker runs whole points; with
-// intra_threads == N > 1 the across-point width shrinks to threads/N; with
-// intra_threads == 0, "auto", wide grids (points >= threads) go fully
-// across-point and narrow grids split the workers across the few points).
-// From there the runners hand workers on: a runner that drains the grid
-// gives its workers to the points still running, whose teams grow up to
-// the whole budget.
+// decision guide), both sized by the engine from its worker budget
+// (SF_THREADS):
+//   * across points — independent run points over the engine's ThreadPool;
+//     ideal for wide grids of small/medium points.
+//   * within a point — router-parallel stepping workers inside each
+//     Network; ideal for a few paper-scale points that would otherwise
+//     serialize.
+// run() composes them without oversubscription: schedule() picks a
+// starting split of across-point runners x per-point intra workers (wide
+// grids, points >= threads, go fully across-point; narrow grids split the
+// workers evenly across the few points). From there the runners hand
+// workers on: a runner that drains the grid gives its workers to the
+// points still running, whose teams grow up to the whole budget.
 // Neither level affects results — only wall-clock time.
 
 #include <cstdint>
@@ -66,9 +64,10 @@ using ConfigOverrides = std::map<std::string, double>;
 /// (num_vcs, buffer_per_port, channel_latency, router_pipeline,
 /// credit_delay, alloc_iterations, output_staging, warmup_cycles,
 /// measure_cycles, drain_cycles, latency_cap, stats_window); with
-/// `allow_run_keys` also seed and intra_threads (suite-level blocks own
-/// those; per-series blocks must not — stats_window is allowed per series
-/// because it cannot change results and point_seed skips it).
+/// `allow_run_keys` also seed (suite-level blocks own it; per-series blocks
+/// must not — stats_window is allowed per series because it cannot change
+/// results and point_seed skips it) and intra_threads, accepted only as 0
+/// so older suite files still load: the engine picks the split itself.
 /// Unknown keys and non-integral values for integer fields throw
 /// std::invalid_argument naming the key and `context`.
 sim::SimConfig apply_config_overrides(sim::SimConfig base,
@@ -137,21 +136,14 @@ std::uint64_t point_seed(const ExperimentSpec& spec, std::size_t series_index,
 /// SF_THREADS=0, unset, or unparsable means hardware_concurrency().
 std::size_t threads_from_env();
 
-/// Intra-point worker policy: SF_INTRA_THREADS env var when set and a
-/// plausible digit string (0 = let the engine's scheduler decide); unset or
-/// unparsable means 1 (sequential stepping), the SimConfig default.
-int intra_threads_from_env();
-
-/// The one point scheduler run_prepared has; kept as a type only because
-/// the benchmark driver prints it.
+/// The one point scheduler run() has; kept as a type only because the
+/// benchmark driver prints it.
 enum class SchedulerMode : std::uint8_t { Chunked = 0 };
 
 inline const char* to_string(SchedulerMode) { return "chunked"; }
 
-// ---- prepared (non-registry) form ------------------------------------------
-// For callers that already hold topology / routing / traffic objects. The
-// registry path lowers onto this.
-
+/// One series as run() prepares it: the shared topology plus per-point
+/// routing and traffic factories. ProgressFn hands it to callers.
 struct PreparedSeries {
   const Topology* topo = nullptr;  ///< shared read-only across points
   /// Fresh routing instance per point (may close over a shared const
@@ -162,16 +154,6 @@ struct PreparedSeries {
   std::string label;
   /// Applied onto the experiment's SimConfig for this series' points.
   ConfigOverrides config_overrides;
-};
-
-struct PreparedExperiment {
-  std::vector<PreparedSeries> series;
-  std::vector<double> loads;
-  sim::SimConfig config;
-  bool truncate_at_saturation = true;
-  /// Per-point seed; nullptr keeps config.seed for every point.
-  std::function<std::uint64_t(std::size_t series_idx, std::size_t load_idx)>
-      seed_fn;
 };
 
 class ExperimentEngine {
@@ -193,25 +175,22 @@ class ExperimentEngine {
   /// oracles (SimConfig::oracle picks the backend for the whole run) are
   /// built once per distinct topology string (in parallel), then all
   /// points run over the pool. Results are ordered by (series, load).
+  /// When points run one at a time (one engine worker) and
+  /// truncate_at_saturation is set, loads past a series' first saturated
+  /// point are skipped entirely (a sequential early stop); an across-point
+  /// parallel run skips a point once a lower load of its series is known
+  /// saturated and drops the rest after the fact — either way the returned
+  /// points are identical. A point that throws poisons only itself: the
+  /// others still run, then the lowest-index error is rethrown.
   std::vector<RunResult> run(const ExperimentSpec& spec,
                              const ProgressFn& on_point = {});
 
-  /// Runs an already-prepared experiment. When points run one at a time
-  /// (one engine worker, or intra-point workers claiming the whole budget)
-  /// and truncate_at_saturation is set, loads past a series' first
-  /// saturated point are skipped entirely (a sequential early stop); an
-  /// across-point parallel run skips a point once a lower load of its
-  /// series is known saturated and drops the rest after the fact — either
-  /// way the returned points are identical. A point that throws poisons
-  /// only itself: the others still run, then the lowest-index error is
-  /// rethrown.
-  std::vector<RunResult> run_prepared(const PreparedExperiment& prepared,
-                                      const ProgressFn& on_point = {});
-
-  /// The starting (across-point runners, per-point intra team) run_prepared
-  /// uses for a grid of `n_points` under `requested_intra`
-  /// (SimConfig::intra_threads). Exposed for tests and the benchmark; the
-  /// product never exceeds threads().
+  /// The starting (across-point runners, per-point intra team) run() uses
+  /// for a grid of `n_points`: {threads(), 1} when points >= threads(),
+  /// else {n_points, threads() / n_points}. `requested_intra` is ignored
+  /// (the benchmark driver still passes SimConfig::intra_threads).
+  /// Exposed for tests and the benchmark; the product never exceeds
+  /// threads().
   std::pair<std::size_t, int> schedule(std::size_t n_points,
                                        int requested_intra) const;
 

@@ -354,13 +354,6 @@ std::string resolve_scale(const Suite& suite, const std::string& requested) {
   return chosen;
 }
 
-bool suite_sets_config_key(const Suite& suite, const std::string& scale,
-                           const std::string& key) {
-  if (suite.config.count(key)) return true;
-  const std::string chosen = resolve_scale(suite, scale);
-  return !chosen.empty() && suite.scales.at(chosen).config.count(key) > 0;
-}
-
 ExperimentSpec suite_to_spec(const Suite& suite, const std::string& scale) {
   const std::string ctx = "suite \"" + suite.name + "\"";
   const std::string chosen = resolve_scale(suite, scale);
@@ -440,7 +433,6 @@ Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads) {
                   {"drain_cycles", static_cast<double>(c.drain_cycles)},
                   {"latency_cap", c.latency_cap},
                   {"seed", static_cast<double>(c.seed)},
-                  {"intra_threads", static_cast<double>(c.intra_threads)},
                   {"stats_window", static_cast<double>(c.stats_window)}};
   for (const SeriesSpec& s : spec.series) {
     SuiteSeries series;

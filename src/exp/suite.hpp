@@ -70,7 +70,7 @@ struct Suite {
   std::string default_scale;  ///< "" = "small" when scales exist
   std::map<std::string, SuiteScale> scales;
   std::vector<double> loads;
-  ConfigOverrides config;  ///< run keys (seed, intra_threads) allowed
+  ConfigOverrides config;  ///< run keys allowed (see apply_config_overrides)
   bool truncate_at_saturation = true;
   std::size_t threads = 0;  ///< across-point worker hint; 0 = unset
   std::vector<SuiteSeries> series;
@@ -97,12 +97,6 @@ Suite load_suite_file(const std::string& path);
 /// itself, else the suite default, else "small" — or "" for an unscaled
 /// suite. Throws on an unknown scale (listing the available ones).
 std::string resolve_scale(const Suite& suite, const std::string& requested);
-
-/// True when the suite (or the resolved scale's block) sets `key` in a
-/// config block — lets callers distinguish an explicit suite value from
-/// the SimConfig default (e.g. env fallback for intra_threads).
-bool suite_sets_config_key(const Suite& suite, const std::string& scale,
-                           const std::string& key);
 
 /// Expands a suite at a scale into a runnable spec. `scale` "" means the
 /// suite's default. Throws when the scale is unknown, the load grid is

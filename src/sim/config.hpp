@@ -73,12 +73,12 @@ struct SimConfig {
 
   std::uint64_t seed = 1;
 
-  /// Router-parallel stepping workers inside one simulation point: 1 (the
-  /// default) steps sequentially, N > 1 shards routers over N workers with
-  /// barriers between the cycle phases, 0 means "auto" (all hardware
-  /// threads when a Network resolves it; the scheduling policy when an
-  /// ExperimentEngine does — see exp/experiment.hpp). Results are
-  /// bit-identical for every value: the knob only trades wall-clock time.
+  /// Shard count of a Network built directly (tests, examples, benchmark
+  /// drivers): 1 (the default) steps sequentially, N > 1 shards routers
+  /// over N workers with barriers between the cycle phases; values below 1
+  /// mean 1 and the router count caps it. ExperimentEngine ignores it and
+  /// sizes every point itself (see exp/experiment.hpp). Results are
+  /// bit-identical for every value: the field only trades wall-clock time.
   int intra_threads = 1;
 
   /// Stepping mode. Auto (the default) lets the Network choose; forcing
@@ -99,15 +99,15 @@ struct SimConfig {
   /// exp::point_seed hashing and allowed per-series in suites.
   std::int64_t stats_window = 0;
 
-  /// Execution-only hook the Network polls once per step(): lets an
-  /// external scheduler (the experiment engine, whose runners hand workers
-  /// freed at the tail of a grid to the points still running — see
-  /// ExperimentEngine::run_prepared) grow or shrink the intra-point worker
-  /// team while the point runs. The returned count is clamped to
-  /// [1, intra_threads]; null (the default) keeps a fixed team. Like intra_threads itself this
-  /// never changes results — workers cover contiguous shard ranges between
-  /// the same global phase barriers for every team size — so it is
-  /// excluded from exp::point_seed hashing.
+  /// Execution-only hook the Network polls once per step(), serially
+  /// between cycles: lets an external scheduler (the experiment engine,
+  /// whose runners hand workers freed at the tail of a grid to the points
+  /// still running — see ExperimentEngine::run) grow or shrink the
+  /// intra-point worker team while the point runs. The returned count is
+  /// clamped to [1, intra_threads]; null (the default) keeps a fixed team.
+  /// Like intra_threads itself this never changes results — workers cover
+  /// contiguous shard ranges between the same global phase barriers for
+  /// every team size — so it is excluded from exp::point_seed hashing.
   std::function<int()> team_provider;
 
   /// Flit slots available to each VC.

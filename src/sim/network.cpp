@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 namespace slimfly::sim {
 
@@ -31,17 +30,9 @@ inline int ctz64(std::uint64_t mask) {
 constexpr std::int64_t kUnplannedArrival = -1;  // draw live this cycle
 constexpr std::int64_t kNeverArrives = std::numeric_limits<std::int64_t>::max();
 
+// Values below 1 mean sequential; the router count caps the shard count.
 std::size_t resolve_intra_threads(int requested, int num_routers) {
-  std::size_t w;
-  if (requested > 1) {
-    w = static_cast<std::size_t>(requested);
-  } else if (requested == 0) {
-    w = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  } else {
-    w = 1;  // 1 and any nonsensical negative mean sequential
-  }
-  return std::max<std::size_t>(
-      1, std::min(w, static_cast<std::size_t>(num_routers)));
+  return static_cast<std::size_t>(std::max(1, std::min(requested, num_routers)));
 }
 }  // namespace
 
@@ -87,7 +78,6 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
   }
   shards_ = resolve_intra_threads(config_.intra_threads, topo_.num_routers());
   team_ = shards_;
-  if (config_.team_provider) team_provider_ = config_.team_provider;
   wire();
   for (int e = 0; e < topo_.num_endpoints(); ++e) {
     if (traffic_.is_active(e)) ++active_endpoints_;
@@ -833,8 +823,8 @@ void Network::resize_team(int want) {
 
 /* SF_HOT */ void Network::step() {
   // Execution-only: the provider can change how many workers step the fixed
-  // shard set, never which shard owns what (see set_team_provider).
-  if (team_provider_) resize_team(team_provider_());
+  // shard set, never which shard owns what (see SimConfig::team_provider).
+  if (config_.team_provider) resize_team(config_.team_provider());
   std::fill(shard_errors_.begin(), shard_errors_.end(), nullptr);
   if (team_ == 1) {
     step_worker(0);

@@ -135,7 +135,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -241,17 +240,6 @@ class Network {
 
   /// Workers currently executing the shards (team size, <= shards_).
   std::size_t team() const { return team_; }
-
-  /// Execution-only scheduling hook for the experiment engine's point
-  /// scheduler: polled once per step (serial, between cycles); the return
-  /// value is clamped to [1, intra_threads()] and sets how many workers
-  /// step the fixed shard set this cycle. Workers always cover contiguous
-  /// shard ranges phase-by-phase between the same global barriers, so the
-  /// trajectory is bit-identical for every team size — the provider can
-  /// never affect results, only wall-clock.
-  void set_team_provider(std::function<int()> provider) {
-    team_provider_ = std::move(provider);
-  }
 
   /// Total flits currently buffered in the network (test/debug hook).
   std::int64_t flits_in_flight() const;
@@ -413,7 +401,6 @@ class Network {
   /// ownership unit and never change after wire(); the team is pure
   /// execution and may change between cycles (the point scheduler).
   std::size_t team_ = 1;
-  std::function<int()> team_provider_;  ///< see set_team_provider()
   std::vector<std::pair<int, int>> shard_ranges_;
   std::vector<std::uint16_t> shard_of_router_;
   /// Routers each phase visits this cycle [shard], as ascending [first,

@@ -2,8 +2,8 @@
 // golden_mini.json suite is run here and its full stats output compared
 // *exactly* against tests/golden/golden_mini.trajectory. Bit-identical
 // determinism (PR 1/2) makes exact comparison valid; the thread matrix
-// re-checks it under every (across-point x intra-point) worker combination
-// the satellite CI matrix uses.
+// re-checks it under the worker budgets the CI regression matrix uses
+// (1, 4 and 32 threads: sequential, across-point, and teams of 2).
 //
 // Regenerating after an intentional simulator change:
 //   SF_UPDATE_GOLDEN=1 ./build/golden_test
@@ -87,31 +87,28 @@ TEST(GoldenTrajectory, MatchesCheckedInTrajectoryExactly) {
 TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndEngineMatrix) {
   exp::ExperimentSpec spec = golden_spec();
   const std::string want = read_file(source_path(kTrajectoryPath));
-  // SF_THREADS x SF_INTRA_THREADS x forced stepping mode x forced
-  // distance oracle matrix, constructed directly so the test is hermetic
-  // against the environment. engine(1) with intra=2 clamps to sequential
-  // (one worker owns the whole budget) — still compared. The program
-  // normally picks the stepping mode and the oracle itself; forcing each
-  // one here keeps every backend certified on every series (the family
-  // cells run DLN-UGAL-L on the compressed-BFS fallback). Every cell
-  // reproduces the same pinned trajectory.
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (int intra : {1, 2}) {
-      for (sim::StepEngine step_engine :
-           {sim::StepEngine::Cycle, sim::StepEngine::Active}) {
-        for (sim::OracleMode oracle :
-             {sim::OracleMode::Table, sim::OracleMode::Family}) {
-          exp::ExperimentSpec run = spec;
-          run.config.intra_threads = intra;
-          run.config.engine = step_engine;
-          run.config.oracle = oracle;
-          exp::ExperimentEngine engine(threads);
-          const std::string got = exp::golden_trajectory(run, engine.run(run));
-          EXPECT_EQ(want, got)
-              << "SF_THREADS=" << threads << " SF_INTRA_THREADS=" << intra
-              << " engine=" << sim::to_string(step_engine)
-              << " oracle=" << sim::to_string(oracle);
-        }
+  // SF_THREADS x forced stepping mode x forced distance oracle matrix,
+  // constructed directly so the test is hermetic against the environment.
+  // The 16 points run sequentially at 1 thread, one per worker at 4, and
+  // as 16 teams of 2 at 32, so both parallel levels are engaged. The
+  // program normally picks the stepping mode and the oracle itself;
+  // forcing each one here keeps every backend certified on every series
+  // (the family cells run DLN-UGAL-L on the compressed-BFS fallback).
+  // Every cell reproduces the same pinned trajectory.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
+    for (sim::StepEngine step_engine :
+         {sim::StepEngine::Cycle, sim::StepEngine::Active}) {
+      for (sim::OracleMode oracle :
+           {sim::OracleMode::Table, sim::OracleMode::Family}) {
+        exp::ExperimentSpec run = spec;
+        run.config.engine = step_engine;
+        run.config.oracle = oracle;
+        exp::ExperimentEngine engine(threads);
+        const std::string got = exp::golden_trajectory(run, engine.run(run));
+        EXPECT_EQ(want, got)
+            << "SF_THREADS=" << threads
+            << " engine=" << sim::to_string(step_engine)
+            << " oracle=" << sim::to_string(oracle);
       }
     }
   }
@@ -125,8 +122,8 @@ TEST(GoldenTrajectory, ThreadAxisIsByteIdentical) {
   // team only changes how many workers cover the fixed shard set between
   // the same barriers. Every cell must reproduce the pinned trajectory
   // byte-for-byte — including teams that grow mid-point as runners drain
-  // (32 threads outnumber the points, so spares exist from the start).
-  for (std::size_t threads : {std::size_t{2}, std::size_t{32}}) {
+  // (16 points on 20 threads start as teams of one with 4 spare workers).
+  for (std::size_t threads : {std::size_t{2}, std::size_t{20}}) {
     exp::ExperimentEngine engine(threads);
     const std::string got = exp::golden_trajectory(spec, engine.run(spec));
     EXPECT_EQ(want, got) << "SF_THREADS=" << threads;

@@ -2,7 +2,7 @@
 // allocations per cycle — enforced with a counting global allocator — and
 // (2) the data-oriented storage (ring buffers, receiver-side flit lines,
 // per-router route caches and occupancy masks) still produces bit-identical
-// trajectories across the SF_THREADS x SF_INTRA_THREADS matrix.
+// trajectories across SF_THREADS values that start points at teams of 1 and 2.
 //
 // The allocation guard covers the transition from warmup into the
 // measurement window, so it exercises delivery recording too (the network
@@ -204,25 +204,22 @@ TEST(HotPathAllocationGuard, FatTreeGatherPathIsAllocationFree) {
 }
 
 TEST(HotPathStorage, BitIdenticalAcrossThreadMatrix) {
-  // The new storage under sharded stepping: every (across x intra) worker
-  // combination must reproduce the sequential trajectory byte-for-byte.
+  // The new storage under sharded stepping: every worker budget must
+  // reproduce the sequential trajectory byte-for-byte. The 4 points run
+  // two at a time at 2 threads, one per worker at 4, and as teams of 2 at 8.
   exp::ExperimentSpec spec = exp::ExperimentSpec::cross(
       "hotpath_matrix", {"slimfly:q=5"}, {"MIN", "UGAL-L"}, {"uniform"},
       {0.2, 0.6}, guard_config());
   spec.truncate_at_saturation = false;
   exp::ExperimentEngine reference(1);
   const std::string want = exp::golden_trajectory(spec, reference.run(spec));
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    for (int intra : {1, 2}) {
-      for (StepEngine step_engine : {StepEngine::Cycle, StepEngine::Active}) {
-        exp::ExperimentSpec run = spec;
-        run.config.intra_threads = intra;
-        run.config.engine = step_engine;
-        exp::ExperimentEngine engine(threads);
-        EXPECT_EQ(want, exp::golden_trajectory(run, engine.run(run)))
-            << "threads=" << threads << " intra=" << intra
-            << " engine=" << to_string(step_engine);
-      }
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    for (StepEngine step_engine : {StepEngine::Cycle, StepEngine::Active}) {
+      exp::ExperimentSpec run = spec;
+      run.config.engine = step_engine;
+      exp::ExperimentEngine engine(threads);
+      EXPECT_EQ(want, exp::golden_trajectory(run, engine.run(run)))
+          << "threads=" << threads << " engine=" << to_string(step_engine);
     }
   }
 }

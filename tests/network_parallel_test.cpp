@@ -59,9 +59,6 @@ TEST(NetworkParallel, EveryRoutingBitIdenticalAcrossIntraThreadCounts) {
       expect_same_result(sequential, run_point(sf, kind, 0.3, intra),
                          to_string(kind) + " intra=" + std::to_string(intra));
     }
-    // 0 = auto (hardware threads) must resolve to the same simulation too.
-    expect_same_result(sequential, run_point(sf, kind, 0.3, 0),
-                       to_string(kind) + " intra=auto");
   }
 }
 
@@ -139,21 +136,21 @@ TEST(NetworkParallel, IntraThreadsResolution) {
   cfg.intra_threads = 4096;  // capped by router count
   EXPECT_EQ(Network(sf, *bundle.algorithm, *traffic, cfg, 0.1).intra_threads(),
             50u);
-  cfg.intra_threads = 0;  // auto resolves to >= 1
-  EXPECT_GE(Network(sf, *bundle.algorithm, *traffic, cfg, 0.1).intra_threads(),
+  cfg.intra_threads = 0;  // values below 1 mean sequential
+  EXPECT_EQ(Network(sf, *bundle.algorithm, *traffic, cfg, 0.1).intra_threads(),
             1u);
-  cfg.intra_threads = -3;  // nonsense means sequential
+  cfg.intra_threads = -3;
   EXPECT_EQ(Network(sf, *bundle.algorithm, *traffic, cfg, 0.1).intra_threads(),
             1u);
 }
 
 TEST(NetworkParallel, EngineSchedulingModesBitIdentical) {
-  // Each spec through every engine schedule — one worker, four
-  // across-point runners, two runners of two intra workers, one point at a
-  // time stepped router-parallel (intra 4 leaves across = 1), and the auto
-  // split — all byte-identical, with teams growing as runners drain. The
-  // second spec saturates mid-series with truncation on, so every schedule
-  // must also keep the same prefix of each series.
+  // Each spec through every engine split the worker budget reaches — one
+  // worker, four across-point runners, one runner per point with a spare
+  // worker the first polling point claims, and one runner per point with
+  // a team of two each — all byte-identical, with teams growing as
+  // runners drain. The second spec saturates mid-series with truncation
+  // on, so every schedule must also keep the same prefix of each series.
   exp::ExperimentSpec busy;
   busy.name = "sched";
   busy.loads = {0.1, 0.4};
@@ -170,16 +167,15 @@ TEST(NetworkParallel, EngineSchedulingModesBitIdentical) {
 
   struct Schedule {
     std::size_t threads;
-    int intra;
     const char* what;
   };
-  auto run = [](exp::ExperimentSpec spec, const Schedule& sched) {
-    spec.config.intra_threads = sched.intra;
+  auto run = [](const exp::ExperimentSpec& spec, const Schedule& sched) {
     exp::ExperimentEngine engine(sched.threads);
     return engine.run(spec);
   };
   for (const exp::ExperimentSpec& spec : {busy, saturating}) {
-    const auto want = run(spec, {1, 1, "one worker"});
+    const std::size_t points = spec.series.size() * spec.loads.size();
+    const auto want = run(spec, {1, "one worker"});
     ASSERT_FALSE(want.empty());
     if (spec.name == saturating.name) {
       std::vector<std::size_t> kept(spec.series.size(), 0);
@@ -189,8 +185,8 @@ TEST(NetworkParallel, EngineSchedulingModesBitIdentical) {
       ASSERT_TRUE(truncated) << "no series saturates before its last load";
     }
     for (const Schedule& sched :
-         {Schedule{4, 1, "across x4"}, Schedule{4, 2, "intra 2"},
-          Schedule{4, 4, "intra 4"}, Schedule{4, 0, "auto split"}}) {
+         {Schedule{4, "across x4"}, Schedule{points + 1, "one spare"},
+          Schedule{2 * points, "teams of 2"}}) {
       const auto got = run(spec, sched);
       const std::string what = spec.name + " " + sched.what;
       ASSERT_EQ(want.size(), got.size()) << what;
@@ -208,52 +204,48 @@ TEST(NetworkParallel, EngineSchedulingModesBitIdentical) {
 TEST(NetworkParallel, ExoticTopologiesBitIdenticalAcrossThreadMatrix) {
   // The Section 2 comparison families ride the topology-generic routing
   // stack; their randomized construction must not leak thread identity —
-  // the full SF_THREADS x SF_INTRA_THREADS matrix reproduces the
-  // single-threaded trajectory bit for bit.
+  // every worker budget, including ones above the point count (teams start
+  // at 2), reproduces the single-threaded trajectory bit for bit.
   exp::ExperimentSpec spec;
   spec.name = "exotic";
   spec.loads = {0.1, 0.4};
   spec.config = quick_config();
   spec.series = {{"dln:n=36,k=6,p=2,seed=3", "UGAL-L", "uniform", "DLN"},
                  {"longhop:n=5,extra=2", "UGAL-L", "uniform", "LH"}};
-  spec.config.intra_threads = 1;
   exp::ExperimentEngine base(1);
   auto want = base.run(spec);
   ASSERT_FALSE(want.empty());
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (int intra : {1, 2}) {
-      if (threads == 1 && intra == 1) continue;  // the baseline itself
-      exp::ExperimentSpec run = spec;
-      run.config.intra_threads = intra;
-      exp::ExperimentEngine engine(threads);
-      auto got = engine.run(run);
-      ASSERT_EQ(want.size(), got.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(want[i].seed, got[i].seed);
-        expect_same_result(want[i].result, got[i].result,
-                           "threads=" + std::to_string(threads) +
-                               " intra=" + std::to_string(intra) + " point " +
-                               std::to_string(i));
-      }
+  // 4 points: 4 threads run them one per worker, 8 start teams of 2.
+  for (std::size_t threads : {std::size_t{4}, std::size_t{8}}) {
+    exp::ExperimentEngine engine(threads);
+    auto got = engine.run(spec);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].seed, got[i].seed);
+      expect_same_result(want[i].result, got[i].result,
+                         "threads=" + std::to_string(threads) + " point " +
+                             std::to_string(i));
     }
   }
 }
 
 TEST(NetworkParallel, SchedulePolicy) {
+  using Split = std::pair<std::size_t, int>;
   exp::ExperimentEngine engine(8);
-  // Wide grid, intra off: every worker goes across points.
-  EXPECT_EQ(engine.schedule(100, 1), (std::pair<std::size_t, int>{8, 1}));
-  // Explicit intra: across shrinks so across * intra <= threads, and intra
-  // itself is capped by the engine's budget.
-  EXPECT_EQ(engine.schedule(100, 4), (std::pair<std::size_t, int>{2, 4}));
-  EXPECT_EQ(engine.schedule(100, 16), (std::pair<std::size_t, int>{1, 8}));
-  // Negatives mean sequential, matching Network's resolution.
-  EXPECT_EQ(engine.schedule(100, -1), (std::pair<std::size_t, int>{8, 1}));
-  // Auto: wide grids stay across-point...
-  EXPECT_EQ(engine.schedule(100, 0), (std::pair<std::size_t, int>{8, 1}));
-  // ...while narrow grids split the budget over the few points.
-  EXPECT_EQ(engine.schedule(2, 0), (std::pair<std::size_t, int>{2, 4}));
-  EXPECT_EQ(engine.schedule(1, 0), (std::pair<std::size_t, int>{1, 8}));
+  // Wide grids (points >= threads) keep every worker across points...
+  EXPECT_EQ(engine.schedule(100, 0), (Split{8, 1}));
+  EXPECT_EQ(engine.schedule(8, 0), (Split{8, 1}));
+  // ...narrow grids split the budget evenly over the few points, rounding
+  // down (the remainder starts as spares the running points claim)...
+  EXPECT_EQ(engine.schedule(3, 0), (Split{3, 2}));
+  EXPECT_EQ(engine.schedule(2, 0), (Split{2, 4}));
+  EXPECT_EQ(engine.schedule(1, 0), (Split{1, 8}));
+  EXPECT_EQ(engine.schedule(0, 0), (Split{8, 1}));
+  // ...and a requested team changes neither split.
+  for (int requested : {-1, 1, 2, 16}) {
+    EXPECT_EQ(engine.schedule(100, requested), (Split{8, 1})) << requested;
+    EXPECT_EQ(engine.schedule(2, requested), (Split{2, 4})) << requested;
+  }
 }
 
 TEST(NetworkParallel, OracleModesBitIdenticalAcrossThreadMatrix) {
@@ -284,17 +276,6 @@ TEST(NetworkParallel, OracleModesBitIdenticalAcrossThreadMatrix) {
     expect_same_result(table[i].result, family[i].result,
                        "family oracle point " + std::to_string(i));
   }
-}
-
-TEST(NetworkParallel, IntraThreadsFromEnv) {
-  setenv("SF_INTRA_THREADS", "3", 1);
-  EXPECT_EQ(exp::intra_threads_from_env(), 3);
-  setenv("SF_INTRA_THREADS", "0", 1);
-  EXPECT_EQ(exp::intra_threads_from_env(), 0);
-  setenv("SF_INTRA_THREADS", "junk", 1);
-  EXPECT_EQ(exp::intra_threads_from_env(), 1);
-  unsetenv("SF_INTRA_THREADS");
-  EXPECT_EQ(exp::intra_threads_from_env(), 1);
 }
 
 }  // namespace

@@ -277,6 +277,27 @@ TEST(SuiteParser, StructuralErrorsAreNamed) {
       "\"series\": [{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
       "\"traffic\": \"uniform\"}]}",
       {"unknown key \"scheduler\""});
+  // The engine picks the intra-point split: intra_threads survives only as
+  // 0 (older suite files say "auto"); any other value is a named error, at
+  // suite and scale level alike.
+  const std::string series_block =
+      "\"series\": [{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
+      "\"traffic\": \"uniform\"}]}";
+  expect_parse_error(
+      "{\"suite\": \"x\", \"loads\": [0.1], \"config\": "
+      "{\"intra_threads\": 2}, " + series_block,
+      {"\"intra_threads\" can only be 0", "engine picks"});
+  expect_parse_error(
+      "{\"suite\": \"x\", \"loads\": [0.1], \"scales\": {\"small\": "
+      "{\"config\": {\"intra_threads\": 1}}}, " + series_block,
+      {"scales.small.config", "\"intra_threads\" can only be 0"});
+  const exp::Suite zero = exp::parse_suite(
+      "{\"suite\": \"x\", \"loads\": [0.1], \"config\": "
+      "{\"intra_threads\": 0}, " + series_block);
+  EXPECT_EQ(exp::suite_to_spec(zero).config.intra_threads, 1);
+  EXPECT_EQ(exp::serialize_suite(exp::suite_from_spec(exp::suite_to_spec(zero), 0))
+                .find("intra_threads"),
+            std::string::npos);
   // Per-series config blocks must not smuggle run-level keys.
   expect_parse_error(
       "{\"suite\": \"x\", \"loads\": [0.1], \"series\": "
