@@ -28,27 +28,26 @@
 #include "bench_common.hpp"
 #include "exp/diff.hpp"
 #include "exp/suite.hpp"
+#include "util/spec.hpp"
 
 namespace {
 
+// Each load must parse in full; the range and the ascending order are the
+// suite loader's (exp::check_loads).
 std::vector<double> parse_loads(const std::string& csv) {
   std::vector<double> loads;
   std::stringstream ss(csv);
   std::string part;
   while (std::getline(ss, part, ',')) {
-    std::size_t pos = 0;
-    double v = std::stod(part, &pos);
-    if (pos != part.size() || v <= 0.0) {
+    char* end = nullptr;
+    const double v = std::strtod(part.c_str(), &end);
+    if (part.empty() || end != part.c_str() + part.size()) {
       throw std::invalid_argument("malformed load \"" + part +
-                                  "\" (must be a positive number)");
+                                  "\" in --loads (want a number)");
     }
     loads.push_back(v);
   }
-  if (loads.empty()) throw std::invalid_argument("empty load list");
-  // The engine's saturation truncation assumes an ascending grid; a
-  // descending list would silently drop valid low-load points.
-  std::sort(loads.begin(), loads.end());
-  return loads;
+  return slimfly::exp::check_loads(std::move(loads), "--loads");
 }
 
 double parse_tolerance(const std::string& value, const char* flag) {
@@ -67,8 +66,8 @@ void print_registries() {
   using namespace slimfly;
   std::cout << "topologies (topo::make specs):\n";
   for (const auto& spec : topo::example_specs())
-    std::cout << "  " << spec << "  (family "
-              << topo::parse_spec(spec).family << ")\n";
+    std::cout << "  " << spec << "  (family " << topo::validate_spec(spec)
+              << ")\n";
   std::cout << "routings:\n ";
   for (const auto& name : sim::routing_names()) std::cout << " " << name;
   std::cout << "\n  (UGAL-L/UGAL-G take :c=<1..64>, VAL takes"
@@ -321,13 +320,7 @@ int main(int argc, char** argv) {
       } else if (!std::strcmp(argv[i], "--emit-config")) {
         emit_path = next_arg(i);
       } else if (!std::strcmp(argv[i], "--seed")) {
-        std::string value = next_arg(i);
-        // Digits only: stoull would silently wrap a negative to a huge seed.
-        if (value.empty() ||
-            value.find_first_not_of("0123456789") != std::string::npos) {
-          throw std::invalid_argument("malformed seed \"" + value + "\"");
-        }
-        seed = std::stoull(value);
+        seed = spec::read_seed(next_arg(i), "--seed");
       } else if (!std::strcmp(argv[i], "--no-truncate")) {
         truncate = false;
         truncate_flag = true;

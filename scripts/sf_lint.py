@@ -24,9 +24,9 @@ Rules (full rationale in docs/CORRECTNESS.md):
                  (src/sim, src/exp, src/analysis): hash-table iteration
                  order is an implementation detail, and double accumulation
                  in that order is platform-dependent.
-  stoi           No stoi/atoi-family parsing outside the vetted registry
-                 helpers (the PR-4 class of bug: stoi accepts signs,
-                 whitespace, 0x, and silently truncates).
+  stoi           No stoi/atoi-family parsing outside the vetted readers
+                 (util/spec.hpp's spec::read_integer and friends; stoi
+                 accepts signs, whitespace, 0x, and silently truncates).
   float-stats    No `float` anywhere in src/: statistics must accumulate in
                  double or integer counters (float would quantize latency
                  sums long before the golden harness could notice).
@@ -368,8 +368,8 @@ def lint_file(path, rel, all_rules=False):
     # stoi — everywhere (the vetted helpers live in the allowlist).
     for m in STOI_PATTERN.finditer(stripped):
         emit(m.start(), "stoi",
-             "stoi/atoi-family parsing (use the vetted registry to_int "
-             "helpers; see topo/registry.cpp)")
+             "stoi/atoi-family parsing (use the vetted readers in "
+             "util/spec.hpp)")
 
     # float-stats — everywhere.
     for m in FLOAT_PATTERN.finditer(stripped):

@@ -125,6 +125,27 @@ sim::SimConfig apply_config_overrides(sim::SimConfig base,
   return base;
 }
 
+std::string series_conflict(const std::string& topology,
+                            const std::string& routing,
+                            const std::string& traffic,
+                            const std::string& context) {
+  std::string family, need, tneed;
+  try {
+    family = topo::validate_spec(topology);
+    need = sim::routing_requirement(sim::parse_routing_spec(routing).kind);
+    tneed = sim::traffic_requirement(traffic);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(context + ": " + e.what());
+  }
+  if (!need.empty() && need != family) {
+    return "routing " + routing + " cannot run on topology " + topology;
+  }
+  if (!tneed.empty() && tneed != family) {
+    return "traffic " + traffic + " cannot run on topology " + topology;
+  }
+  return "";
+}
+
 ExperimentSpec ExperimentSpec::cross(std::string name,
                                      const std::vector<std::string>& topologies,
                                      const std::vector<std::string>& routings,
@@ -135,16 +156,13 @@ ExperimentSpec ExperimentSpec::cross(std::string name,
   spec.name = std::move(name);
   spec.loads = std::move(loads);
   spec.config = config;
+  const std::string context = "experiment \"" + spec.name + "\"";
   for (const auto& topo_spec : topologies) {
-    const std::string family = topo::parse_spec(topo_spec).family;
     for (const auto& routing : routings) {
-      const std::string need =
-          sim::routing_requirement(sim::parse_routing_spec(routing).kind);
-      if (!need.empty() && need != family) continue;
       for (const auto& traffic : traffics) {
-        const std::string tneed = sim::traffic_requirement(traffic);
-        if (!tneed.empty() && tneed != family) continue;
-        spec.series.push_back({topo_spec, routing, traffic, "", {}});
+        if (series_conflict(topo_spec, routing, traffic, context).empty()) {
+          spec.series.push_back({topo_spec, routing, traffic, "", {}});
+        }
       }
     }
   }
@@ -238,32 +256,14 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
   std::vector<std::size_t> series_topo;
   series_topo.reserve(spec.series.size());
   for (const auto& s : spec.series) {
-    // Fail fast on unknown names and incompatible combinations using the
+    // Fail fast on malformed specs and incompatible combinations using the
     // spec strings alone — before any topology or distance-table build
-    // (minutes at paper scale). Routing typos throw from
-    // routing_kind_from_string below. Traffic validation covers the full
-    // parameterized grammar (burst:/hotspot:/allreduce:/trace:) without
-    // touching the filesystem.
-    try {
-      sim::validate_traffic_spec(s.traffic);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("experiment \"" + spec.name + "\": " +
-                                  e.what());
-    }
-    topo::validate_spec(s.topology);
-    const std::string family = topo::parse_spec(s.topology).family;
-    sim::RoutingKind kind = sim::parse_routing_spec(s.routing).kind;
-    const std::string need = sim::routing_requirement(kind);
-    if (!need.empty() && need != family) {
-      throw std::invalid_argument("experiment \"" + spec.name +
-                                  "\": routing " + s.routing +
-                                  " cannot run on topology " + s.topology);
-    }
-    const std::string tneed = sim::traffic_requirement(s.traffic);
-    if (!tneed.empty() && tneed != family) {
-      throw std::invalid_argument("experiment \"" + spec.name +
-                                  "\": traffic " + s.traffic +
-                                  " cannot run on topology " + s.topology);
+    // (minutes at paper scale). Trace files are opened when points run.
+    const std::string where = "experiment \"" + spec.name + "\"";
+    const std::string conflict =
+        series_conflict(s.topology, s.routing, s.traffic, where);
+    if (!conflict.empty()) {
+      throw std::invalid_argument(where + ": " + conflict);
     }
     // Validate per-series overrides before any expensive build, too.
     apply_config_overrides(spec.config, s.config_overrides, false,
@@ -272,8 +272,9 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
     auto [it, inserted] = topo_index.emplace(s.topology, topos.size());
     if (inserted) topos.push_back({s.topology, nullptr, false, nullptr});
     series_topo.push_back(it->second);
-    // FT-ANCA needs no distances.
-    if (kind != sim::RoutingKind::FatTreeAnca) {
+    // FT-ANCA needs no distances (and takes no parameters, so a validated
+    // spec naming it is exactly its name).
+    if (s.routing != sim::to_string(sim::RoutingKind::FatTreeAnca)) {
       topos[it->second].needs_oracle = true;
     }
   }

@@ -100,7 +100,8 @@ struct ExperimentSpec {
   /// Cross-product helper: one series per compatible combination;
   /// topology-specific routings/traffics silently skip non-matching
   /// topologies (DF-UGAL-L only rides Dragonfly specs, worst-ft only
-  /// fat-tree specs, ...).
+  /// fat-tree specs, ...). Every spec string is validated
+  /// (series_conflict), so a malformed one throws.
   static ExperimentSpec cross(std::string name,
                               const std::vector<std::string>& topologies,
                               const std::vector<std::string>& routings,
@@ -108,6 +109,17 @@ struct ExperimentSpec {
                               std::vector<double> loads,
                               sim::SimConfig config);
 };
+
+/// The one series check, shared by ExperimentSpec::cross, run(), the suite
+/// loader and suite_from_spec: reads the three spec strings, building
+/// nothing, and returns "" when the routing and traffic may run on the
+/// topology, else why not ("routing FT-ANCA cannot run on topology
+/// slimfly:q=5"). A malformed spec throws std::invalid_argument prefixed
+/// with `context`.
+std::string series_conflict(const std::string& topology,
+                            const std::string& routing,
+                            const std::string& traffic,
+                            const std::string& context);
 
 /// Outcome of one expanded run point.
 struct RunResult {

@@ -1,11 +1,12 @@
 #include "exp/json.hpp"
 
 #include <cctype>
-#include <charconv>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
+
+#include "util/spec.hpp"
 
 namespace slimfly::exp::json {
 namespace {
@@ -355,17 +356,6 @@ std::string quote(const std::string& s) {
   return out;
 }
 
-std::string number(double v) {
-#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
-  char buf[32];
-  auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, result.ptr);
-#else
-  std::ostringstream ss;
-  ss.precision(17);
-  ss << v;
-  return ss.str();
-#endif
-}
+std::string number(double v) { return spec::number(v); }
 
 }  // namespace slimfly::exp::json

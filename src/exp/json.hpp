@@ -70,10 +70,10 @@ Value parse(const std::string& text, const std::string& origin = "");
 std::string quote(const std::string& s);
 
 /// Serializes a double as the shortest decimal that parses back to the
-/// same bits (std::to_chars; precision-17 fallback on older toolchains).
-/// Every number the BENCH/suite writers emit goes through this, so written
-/// trajectories reload exactly — the property golden-file comparison and
-/// `sweep diff`'s default zero tolerance rest on.
+/// same bits: spec::number (util/spec.hpp), the spelling decimal spec
+/// values must use too. Every number the BENCH/suite writers emit goes
+/// through this, so written trajectories reload exactly — the property
+/// golden-file comparison and `sweep diff`'s default zero tolerance rest on.
 std::string number(double v);
 
 }  // namespace slimfly::exp::json

@@ -6,9 +6,6 @@
 #include <stdexcept>
 
 #include "exp/json.hpp"
-#include "sim/simulation.hpp"
-#include "sim/traffic.hpp"
-#include "topo/registry.hpp"
 
 namespace slimfly::exp {
 namespace {
@@ -55,20 +52,15 @@ std::vector<double> parse_loads_array(const json::Value& v,
                                       const std::string& context) {
   std::vector<double> loads;
   for (const auto& item : v.as_array(context)) {
-    double load = item.as_number(context + "[" + std::to_string(loads.size()) + "]");
-    if (!(load > 0.0)) {
-      fail(context, "loads must be positive (got " + json_num(load) + ")");
-    }
-    loads.push_back(load);
+    loads.push_back(
+        item.as_number(context + "[" + std::to_string(loads.size()) + "]"));
   }
-  if (loads.empty()) fail(context, "empty load list");
-  // Ascending, like the CLI: the engine's saturation truncation assumes it.
-  std::sort(loads.begin(), loads.end());
-  return loads;
+  return check_loads(std::move(loads), context);
 }
 
 /// "slimfly:q=7" or {"small": "slimfly:q=7", "paper": "slimfly:q=19"};
-/// every spec is structurally validated, every scale key must be declared.
+/// every scale key must be declared. The specs are validated with their
+/// series (series_conflict).
 std::map<std::string, std::string> parse_topology_entry(
     const json::Value& v, const std::string& context,
     const std::map<std::string, SuiteScale>& scales) {
@@ -88,45 +80,20 @@ std::map<std::string, std::string> parse_topology_entry(
                               "{scale: spec} object, got ") +
                       json::Value::kind_name(v.kind));
   }
-  for (const auto& [scale, spec] : out) {
-    (void)scale;
-    topo::validate_spec(spec);
-  }
   return out;
-}
-
-void validate_routing_and_traffic(const std::string& routing,
-                                  const std::string& traffic,
-                                  const std::string& context) {
-  sim::parse_routing_spec(routing);  // throws with the named spec
-  try {
-    // Full grammar check, parameterized specs included; no filesystem
-    // access (trace files are opened when the series actually runs).
-    sim::validate_traffic_spec(traffic);
-  } catch (const std::invalid_argument& e) {
-    fail(context, e.what());
-  }
 }
 
 /// Explicit series must be compatible on every scale they name; cross
 /// blocks filter instead (the ExperimentSpec::cross contract).
-void validate_series_compat(const SuiteSeries& series,
-                            const std::string& context) {
-  const std::string need =
-      sim::routing_requirement(sim::parse_routing_spec(series.routing).kind);
-  const std::string tneed = sim::traffic_requirement(series.traffic);
-  for (const auto& [scale, topo_spec] : series.topology) {
-    const std::string family = topo::parse_spec(topo_spec).family;
+void check_series(const std::map<std::string, std::string>& topology,
+                  const std::string& routing, const std::string& traffic,
+                  const std::string& context) {
+  for (const auto& [scale, topo_spec] : topology) {
     const std::string where =
         context + (scale.empty() ? "" : " (scale " + scale + ")");
-    if (!need.empty() && need != family) {
-      fail(where, "routing " + series.routing + " cannot run on topology " +
-                      topo_spec);
-    }
-    if (!tneed.empty() && tneed != family) {
-      fail(where, "traffic " + series.traffic + " cannot run on topology " +
-                      topo_spec);
-    }
+    const std::string conflict =
+        series_conflict(topo_spec, routing, traffic, where);
+    if (!conflict.empty()) fail(where, conflict);
   }
 }
 
@@ -275,8 +242,7 @@ Suite parse_suite(const std::string& text, const std::string& origin) {
       if (const json::Value* config = items[i].find("config")) {
         series.config = parse_config_block(*config, sctx + ".config", false);
       }
-      validate_routing_and_traffic(series.routing, series.traffic, sctx);
-      validate_series_compat(series, sctx);
+      check_series(series.topology, series.routing, series.traffic, sctx);
       suite.series.push_back(std::move(series));
     }
   }
@@ -298,20 +264,25 @@ Suite parse_suite(const std::string& text, const std::string& origin) {
     }
     for (const auto& r : routings->as_array(cctx + ".routings")) {
       suite.cross_routings.push_back(r.as_string(cctx + ".routings"));
-      sim::parse_routing_spec(suite.cross_routings.back());
     }
     for (const auto& t : traffics->as_array(cctx + ".traffics")) {
-      const std::string traffic = t.as_string(cctx + ".traffics");
-      try {
-        sim::validate_traffic_spec(traffic);
-      } catch (const std::invalid_argument& e) {
-        fail(cctx + ".traffics", e.what());
-      }
-      suite.cross_traffics.push_back(traffic);
+      suite.cross_traffics.push_back(t.as_string(cctx + ".traffics"));
     }
     if (suite.cross_topologies.empty() || suite.cross_routings.empty() ||
         suite.cross_traffics.empty()) {
       fail(cctx, "every axis needs at least one entry");
+    }
+    // Every combination is read, so a malformed spec on any axis fails
+    // here; cross() skips the incompatible ones when the suite expands.
+    for (const auto& topology : suite.cross_topologies) {
+      for (const auto& [scale, topo_spec] : topology) {
+        (void)scale;
+        for (const auto& routing : suite.cross_routings) {
+          for (const auto& traffic : suite.cross_traffics) {
+            series_conflict(topo_spec, routing, traffic, cctx);
+          }
+        }
+      }
     }
   }
 
@@ -407,15 +378,30 @@ ExperimentSpec suite_to_spec(const Suite& suite, const std::string& scale) {
   return spec;
 }
 
+std::vector<double> check_loads(std::vector<double> loads,
+                                const std::string& context) {
+  for (const double load : loads) {
+    if (!(load > 0.0 && load <= 1.0)) {
+      fail(context, "loads must be positive and at most 1, in (0, 1] (got " +
+                        json_num(load) + ")");
+    }
+  }
+  if (loads.empty()) fail(context, "empty load list");
+  // Ascending: the engine's saturation truncation assumes it.
+  std::sort(loads.begin(), loads.end());
+  return loads;
+}
+
 Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads) {
+  const std::string ctx = "suite_from_spec \"" + spec.name + "\"";
   if (spec.config.seed > (1ULL << 53)) {
-    throw std::invalid_argument(
-        "suite_from_spec: seed " + std::to_string(spec.config.seed) +
-        " exceeds 2^53 and cannot round-trip through a JSON number");
+    fail(ctx, "seed " + std::to_string(spec.config.seed) +
+                  " exceeds 2^53 and cannot round-trip through a JSON number");
   }
   Suite suite;
   suite.name = spec.name;
-  suite.loads = spec.loads;
+  // The loader's checks, so every emitted suite loads again.
+  suite.loads = check_loads(spec.loads, ctx + " loads");
   suite.truncate_at_saturation = spec.truncate_at_saturation;
   suite.threads = threads;
   const sim::SimConfig& c = spec.config;
@@ -436,6 +422,8 @@ Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads) {
                   {"stats_window", static_cast<double>(c.stats_window)}};
   for (const SeriesSpec& s : spec.series) {
     SuiteSeries series;
+    check_series({{"", s.topology}}, s.routing, s.traffic,
+                 ctx + " series \"" + s.display_label() + "\"");
     series.topology[""] = s.topology;
     series.routing = s.routing;
     series.traffic = s.traffic;

@@ -89,6 +89,13 @@ struct Suite {
 /// name) prefixes every error message.
 Suite parse_suite(const std::string& text, const std::string& origin = "");
 
+/// The one load-grid check (suite files, `sweep --loads`, suite_from_spec):
+/// at least one load, each finite and in (0, 1]. Returns the grid sorted
+/// ascending, which saturation truncation assumes. Throws
+/// std::invalid_argument naming `context`.
+std::vector<double> check_loads(std::vector<double> loads,
+                                const std::string& context);
+
 /// Reads and parses a suite file; throws std::invalid_argument when the
 /// file cannot be read.
 Suite load_suite_file(const std::string& path);
@@ -106,7 +113,9 @@ ExperimentSpec suite_to_spec(const Suite& suite, const std::string& scale = "");
 /// Round-trip: captures a fully-resolved spec as an unscaled suite whose
 /// config block lists every SimConfig field explicitly (robust against
 /// default drift). parse_suite(serialize_suite(...)) reproduces the spec
-/// bit-identically (tests/suite_test.cpp).
+/// bit-identically (tests/suite_test.cpp). Runs the loader's series and
+/// load checks, so a spec that would not load again throws the loader's
+/// named error instead of being written.
 Suite suite_from_spec(const ExperimentSpec& spec, std::size_t threads = 0);
 
 /// Deterministic, diffable JSON serialization of a suite.

@@ -1,6 +1,7 @@
 #pragma once
-// Per-family distance/next-hop oracles (ROADMAP item 1): answer the
-// DistanceOracle queries without materializing the O(N^2) dense table.
+// Per-family distance/next-hop oracles (docs/ARCHITECTURE.md §"Distance
+// oracles"): answer the DistanceOracle queries without materializing the
+// O(N^2) dense table.
 //
 // Every oracle here returns EXACT BFS hop distances — certified
 // exhaustively against DistanceTable in tests/oracle_test.cpp — and keeps

@@ -9,6 +9,7 @@
 #include "sim/routing/ugal.hpp"
 #include "sim/routing/valiant.hpp"
 #include "topo/registry.hpp"
+#include "util/spec.hpp"
 
 namespace slimfly::sim {
 
@@ -76,8 +77,28 @@ bool routing_supported(RoutingKind kind, const Topology& topo) {
   return need.empty() || need == topo::family_of(topo);
 }
 
-RoutingBundle make_routing(RoutingKind kind, const Topology& topo,
-                           std::shared_ptr<const DistanceOracle> distances) {
+RoutingSpec parse_routing_spec(const std::string& text) {
+  spec::Params p("routing spec", text);
+  RoutingSpec out;
+  out.kind = routing_kind_from_string(p.name());
+  if (out.kind == RoutingKind::UgalL || out.kind == RoutingKind::UgalG) {
+    out.ugal_candidates = static_cast<int>(p.integer("c", 1, 64, 4));
+  }
+  if (out.kind == RoutingKind::Valiant) {
+    // 0 is out of range for hoplimit, so it can stand for "absent".
+    if (const auto limit = p.integer("hoplimit", 1, 255, 0)) {
+      out.val_hop_limit = static_cast<int>(limit);
+    }
+  }
+  p.finish();
+  return out;
+}
+
+namespace {
+
+RoutingBundle build_routing(const RoutingSpec& spec, const Topology& topo,
+                            std::shared_ptr<const DistanceOracle> distances) {
+  const RoutingKind kind = spec.kind;
   RoutingBundle bundle;
   if (kind != RoutingKind::FatTreeAnca) {
     bundle.distances = distances
@@ -89,15 +110,15 @@ RoutingBundle make_routing(RoutingKind kind, const Topology& topo,
       bundle.algorithm = std::make_unique<MinimalRouting>(topo, *bundle.distances);
       break;
     case RoutingKind::Valiant:
-      bundle.algorithm = std::make_unique<ValiantRouting>(topo, *bundle.distances);
+      bundle.algorithm = std::make_unique<ValiantRouting>(
+          topo, *bundle.distances, spec.val_hop_limit);
       break;
     case RoutingKind::UgalL:
-      bundle.algorithm = std::make_unique<UgalRouting>(topo, *bundle.distances,
-                                                       UgalMode::Local);
-      break;
     case RoutingKind::UgalG:
-      bundle.algorithm = std::make_unique<UgalRouting>(topo, *bundle.distances,
-                                                       UgalMode::Global);
+      bundle.algorithm = std::make_unique<UgalRouting>(
+          topo, *bundle.distances,
+          kind == RoutingKind::UgalL ? UgalMode::Local : UgalMode::Global,
+          spec.ugal_candidates);
       break;
     case RoutingKind::DragonflyUgalL: {
       const auto* df = dynamic_cast<const Dragonfly*>(&topo);
@@ -115,91 +136,18 @@ RoutingBundle make_routing(RoutingKind kind, const Topology& topo,
   return bundle;
 }
 
-RoutingBundle make_routing(const std::string& name, const Topology& topo,
-                           std::shared_ptr<const DistanceOracle> distances) {
-  return make_routing(routing_kind_from_string(name), topo,
-                      std::move(distances));
-}
-
-namespace {
-
-// Strict positive-integer read for routing spec parameters; `what` names the
-// spec and key so the message is self-serve ("routing spec \"VAL:hoplimit=x\":
-// hoplimit must be an integer in 1..255").
-int parse_routing_param(const std::string& value, int min, int max,
-                        const std::string& what) {
-  bool ok = !value.empty() && value.size() <= 6 &&
-            value.find_first_not_of("0123456789") == std::string::npos;
-  long parsed = ok ? std::stol(value) : 0;
-  if (!ok || parsed < min || parsed > max) {
-    throw std::invalid_argument(what + " must be an integer in " +
-                                std::to_string(min) + ".." +
-                                std::to_string(max) + " (got \"" + value +
-                                "\")");
-  }
-  return static_cast<int>(parsed);
-}
-
 }  // namespace
-
-RoutingSpec parse_routing_spec(const std::string& spec) {
-  const std::size_t colon = spec.find(':');
-  RoutingSpec out;
-  out.kind = routing_kind_from_string(spec.substr(0, colon));
-  if (colon == std::string::npos) return out;
-
-  const std::string context = "routing spec \"" + spec + "\"";
-  std::string params = spec.substr(colon + 1);
-  std::size_t start = 0;
-  while (start <= params.size()) {
-    std::size_t end = params.find(',', start);
-    std::string part = params.substr(
-        start, end == std::string::npos ? std::string::npos : end - start);
-    std::size_t eq = part.find('=');
-    if (part.empty() || eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument(context + ": expected key=value, got \"" +
-                                  part + "\"");
-    }
-    const std::string key = part.substr(0, eq);
-    const std::string value = part.substr(eq + 1);
-    if ((out.kind == RoutingKind::UgalL || out.kind == RoutingKind::UgalG) &&
-        key == "c") {
-      out.ugal_candidates =
-          parse_routing_param(value, 1, 64, context + ": c");
-    } else if (out.kind == RoutingKind::Valiant && key == "hoplimit") {
-      out.val_hop_limit =
-          parse_routing_param(value, 1, 255, context + ": hoplimit");
-    } else {
-      throw std::invalid_argument(
-          context + ": unknown parameter \"" + key + "\" for " +
-          to_string(out.kind) +
-          " (UGAL-L/UGAL-G take c=<1..64>, VAL takes hoplimit=<1..255>; "
-          "other routings take none)");
-    }
-    if (end == std::string::npos) break;
-    start = end + 1;
-  }
-  return out;
-}
 
 RoutingBundle make_routing_spec(const std::string& spec, const Topology& topo,
                                 std::shared_ptr<const DistanceOracle> distances) {
-  const RoutingSpec parsed = parse_routing_spec(spec);
-  RoutingBundle bundle = make_routing(parsed.kind, topo, std::move(distances));
-  // Rebuild the two parameterizable algorithms when a non-default parameter
-  // was requested; the bundle already holds the shared distance oracle.
-  if (parsed.kind == RoutingKind::Valiant && parsed.val_hop_limit) {
-    bundle.algorithm = std::make_unique<ValiantRouting>(topo, *bundle.distances,
-                                                        parsed.val_hop_limit);
-  } else if ((parsed.kind == RoutingKind::UgalL ||
-              parsed.kind == RoutingKind::UgalG) &&
-             parsed.ugal_candidates != 4) {
-    bundle.algorithm = std::make_unique<UgalRouting>(
-        topo, *bundle.distances,
-        parsed.kind == RoutingKind::UgalL ? UgalMode::Local : UgalMode::Global,
-        parsed.ugal_candidates);
-  }
-  return bundle;
+  return build_routing(parse_routing_spec(spec), topo, std::move(distances));
+}
+
+RoutingBundle make_routing(RoutingKind kind, const Topology& topo,
+                           std::shared_ptr<const DistanceOracle> distances) {
+  RoutingSpec spec;
+  spec.kind = kind;
+  return build_routing(spec, topo, std::move(distances));
 }
 
 SimResult simulate(const Topology& topo, RoutingAlgorithm& routing,

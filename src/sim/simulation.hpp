@@ -45,21 +45,8 @@ struct RoutingBundle {
   std::unique_ptr<RoutingAlgorithm> algorithm;
 };
 
-/// Builds a routing algorithm for `topo`. DragonflyUgalL requires a
-/// Dragonfly topology and FatTreeAnca a FatTree3 (checked at runtime).
-/// An existing distance oracle may be shared to avoid recomputation; when
-/// none is passed, one is selected via make_distance_oracle(topo, Auto)
-/// (sim/routing/oracle.hpp) — the dense table on small networks, the
-/// per-family oracle beyond.
-RoutingBundle make_routing(RoutingKind kind, const Topology& topo,
-                           std::shared_ptr<const DistanceOracle> distances = nullptr);
-
-/// String-keyed wrapper: make_routing(routing_kind_from_string(name), ...).
-RoutingBundle make_routing(const std::string& name, const Topology& topo,
-                           std::shared_ptr<const DistanceOracle> distances = nullptr);
-
 // ---- parameterized routing specs ------------------------------------------
-// The routing analogue of topo::parse_spec: "NAME[:key=value,...]", so the
+// "NAME[:key=value,...]" in the shared spec grammar (util/spec.hpp), so the
 // paper's routing ablations (Sections IV-B/IV-C) are registry strings too.
 //
 //   "UGAL-L:c=8"      UGAL with 8 Valiant candidates (c in 1..64; default 4)
@@ -68,7 +55,8 @@ RoutingBundle make_routing(const std::string& name, const Topology& topo,
 //                     "at most 3 hops" variant)
 //
 // Every other routing takes no parameters. Unknown names, unknown keys, and
-// out-of-range values throw std::invalid_argument naming the offending spec.
+// out-of-range or non-canonical values throw std::invalid_argument naming
+// the offending spec.
 
 struct RoutingSpec {
   RoutingKind kind = RoutingKind::Minimal;
@@ -79,10 +67,18 @@ struct RoutingSpec {
 /// Parses and validates a routing spec string without building anything.
 RoutingSpec parse_routing_spec(const std::string& spec);
 
-/// make_routing honouring spec parameters. A bare name behaves exactly like
-/// make_routing(name, ...).
+/// Builds the routing algorithm a spec describes for `topo`. DF-UGAL-L
+/// requires a Dragonfly topology and FT-ANCA a FatTree3 (checked at
+/// runtime). An existing distance oracle may be shared to avoid
+/// recomputation; when none is passed, one is selected via
+/// make_distance_oracle(topo, Auto) (sim/routing/oracle.hpp) — the dense
+/// table on small networks, the per-family oracle beyond.
 RoutingBundle make_routing_spec(const std::string& spec, const Topology& topo,
                                 std::shared_ptr<const DistanceOracle> distances = nullptr);
+
+/// make_routing_spec for a bare routing name: every parameter at its default.
+RoutingBundle make_routing(RoutingKind kind, const Topology& topo,
+                           std::shared_ptr<const DistanceOracle> distances = nullptr);
 
 /// Runs one (topology, routing, traffic, load) point.
 SimResult simulate(const Topology& topo, RoutingAlgorithm& routing,

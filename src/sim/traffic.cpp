@@ -1,13 +1,14 @@
 #include "sim/traffic.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
 #include "analysis/metrics.hpp"
 #include "sim/workload.hpp"
 #include "topo/registry.hpp"
+#include "util/spec.hpp"
 
 namespace slimfly::sim {
 
@@ -290,7 +291,7 @@ class TraceTraffic final : public TrafficPattern {
 constexpr std::uint64_t kBurstStreamTag = 0x6b75c2e9;
 constexpr std::uint64_t kHotspotStreamTag = 0x3fa8d17b;
 
-/// ON/OFF modulation (make_burst contract in traffic.hpp). Segment state
+/// ON/OFF modulation (burst contract in traffic.hpp). Segment state
 /// advances lazily from the queried cycle: each endpoint keeps the end cycle
 /// of its current segment and rolls forward while t passes it, drawing each
 /// segment length as a uniform integer in [1, 2·mean−1] from the endpoint's
@@ -352,7 +353,7 @@ class BurstTraffic final : public TrafficPattern {
   std::vector<State> states_;
 };
 
-/// Hotspot skew (make_hotspot contract in traffic.hpp): with probability
+/// Hotspot skew (hotspot contract in traffic.hpp): with probability
 /// q = H(heat−1)/(N−H) a send is redirected to one of the H hot endpoints,
 /// so each hot endpoint receives heat× the uniform share while the
 /// remaining traffic keeps the base pattern's shape. A redirect that picks
@@ -362,6 +363,7 @@ class HotspotTraffic final : public TrafficPattern {
   HotspotTraffic(std::unique_ptr<TrafficPattern> base, int n, double frac,
                  double heat, std::uint64_t seed)
       : base_(std::move(base)) {
+    if (n < 2) throw std::invalid_argument("hotspot: need >= 2 endpoints");
     int h = static_cast<int>(frac * n + 0.5);
     h = std::max(1, std::min(h, n - 1));
     q_ = h * (heat - 1.0) / (n - h);
@@ -455,52 +457,9 @@ std::unique_ptr<TrafficPattern> make_worst_case_ft(const FatTree3& topo) {
   return std::make_unique<WorstCaseFtTraffic>(topo);
 }
 
-std::unique_ptr<TrafficPattern> make_burst(std::unique_ptr<TrafficPattern> base,
-                                           int n, std::int64_t on_mean,
-                                           std::int64_t off_mean, double mult,
-                                           std::uint64_t seed) {
-  if (!base) throw std::invalid_argument("make_burst: null base pattern");
-  if (base->self_clocked()) {
-    throw std::invalid_argument(
-        "burst cannot modulate a self-clocked base pattern (" + base->name() +
-        " has no injection rate to modulate)");
-  }
-  if (n < 2) throw std::invalid_argument("make_burst: need >= 2 endpoints");
-  if (on_mean < 1 || on_mean > 1000000000 || off_mean < 1 ||
-      off_mean > 1000000000) {
-    throw std::invalid_argument(
-        "burst: on/off mean segment lengths must be in [1, 1e9] cycles");
-  }
-  if (!(mult > 0.0) || mult > 1000000.0) {
-    throw std::invalid_argument("burst: mult must be in (0, 1e6]");
-  }
-  return std::make_unique<BurstTraffic>(std::move(base), n, on_mean, off_mean,
-                                        mult, seed);
-}
-
-std::unique_ptr<TrafficPattern> make_hotspot(
-    std::unique_ptr<TrafficPattern> base, int n, double frac, double heat,
-    std::uint64_t seed) {
-  if (!base) throw std::invalid_argument("make_hotspot: null base pattern");
-  if (base->self_clocked()) {
-    throw std::invalid_argument(
-        "hotspot cannot redirect a self-clocked base pattern (" +
-        base->name() + " replays fixed destinations)");
-  }
-  if (n < 2) throw std::invalid_argument("make_hotspot: need >= 2 endpoints");
-  if (!(frac > 0.0) || frac > 1.0) {
-    throw std::invalid_argument("hotspot: frac must be in (0, 1]");
-  }
-  if (heat < 1.0 || heat > 1000000.0) {
-    throw std::invalid_argument("hotspot: heat must be in [1, 1e6]");
-  }
-  return std::make_unique<HotspotTraffic>(std::move(base), n, frac, heat,
-                                          seed);
-}
-
 namespace {
 
-/// Single source of truth for the traffic registry: name, the topology
+/// Single source of truth for the bare traffic names: name, the topology
 /// family it is restricted to ("" = any), and the factory. make_traffic,
 /// traffic_names and traffic_requirement all derive from this table.
 struct TrafficEntry {
@@ -543,260 +502,117 @@ constexpr TrafficEntry kTrafficRegistry[] = {
      }},
 };
 
-/// Decodes a nested base=<spec> value: inside an outer spec the base spells
-/// its own commas as ';' (the convention topo/registry.cpp established for
-/// augmented:base=).
-std::string decode_base_spec(std::string value) {
-  std::replace(value.begin(), value.end(), ';', ',');
-  return value;
+/// A traffic spec as its one read path leaves it. Reading checks every
+/// key (names, spelling, ranges, nested bases) without a topology or the
+/// filesystem; the checks that need the endpoint count or the trace file
+/// run in `make`.
+struct TrafficReading {
+  std::string requirement;  ///< family the pattern is restricted to; "" = any
+  bool self_clocked = false;
+  std::function<std::unique_ptr<TrafficPattern>(const Topology&)> make;
+};
+
+TrafficReading read_traffic(const std::string& text);
+
+/// The base=<spec> of a rate wrapper (default uniform), which must not be
+/// self-clocked: rate modulation has no meaning for dependency-driven sends.
+TrafficReading read_base(spec::Params& p) {
+  const std::string base = p.nested("base", "uniform");
+  TrafficReading reading = read_traffic(base);
+  if (reading.self_clocked) {
+    p.fail(p.name() + " cannot wrap the self-clocked base \"" + base + "\"");
+  }
+  return reading;
 }
 
-[[noreturn]] void spec_fail(const std::string& spec, const std::string& msg) {
-  throw std::invalid_argument("traffic spec \"" + spec + "\": " + msg);
-}
-
-std::string spec_param(const TrafficSpec& parsed, const char* key,
-                       const std::string& fallback) {
-  const auto it = parsed.params.find(key);
-  return it == parsed.params.end() ? fallback : it->second;
-}
-
-/// Rejects parameters outside the pattern's key set with a named error.
-void check_spec_keys(const std::string& spec, const TrafficSpec& parsed,
-                     const std::vector<const char*>& required,
-                     const std::vector<const char*>& optional) {
-  for (const char* key : required) {
-    if (!parsed.params.count(key)) {
-      spec_fail(spec, "missing required parameter \"" + std::string(key) +
-                          "\"");
-    }
-  }
-  for (const auto& [key, value] : parsed.params) {
-    (void)value;
-    const auto known = [&](const std::vector<const char*>& set) {
-      return std::any_of(set.begin(), set.end(),
-                         [&](const char* k) { return key == k; });
-    };
-    if (!known(required) && !known(optional)) {
-      std::string allowed;
-      for (const char* k : required) allowed += std::string(" ") + k;
-      for (const char* k : optional) allowed += std::string(" ") + k;
-      spec_fail(spec, "unknown parameter \"" + key + "\" (takes:" + allowed +
-                          ")");
-    }
-  }
-}
-
-std::int64_t spec_int(const std::string& spec, const std::string& key,
-                      const std::string& value, std::int64_t lo,
-                      std::int64_t hi) {
-  if (value.empty() || value.size() > 10 ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    spec_fail(spec, key + "=" + value + " must be an integer in [" +
-                        std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  const std::int64_t v = std::stoll(value);
-  if (v < lo || v > hi) {
-    spec_fail(spec, key + "=" + value + " out of range [" +
-                        std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  return v;
-}
-
-double spec_double(const std::string& spec, const std::string& key,
-                   const std::string& value) {
-  const char* text = value.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (value.empty() || end != text + value.size() || !(v == v) ||
-      v > 1e18 || v < -1e18) {
-    spec_fail(spec, key + "=" + value + " must be a finite number");
-  }
-  return v;
-}
-
-std::uint64_t spec_seed(const std::string& spec, const std::string& value) {
-  if (value.empty() || value.size() > 20 ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    spec_fail(spec, "seed=" + value + " must be an unsigned integer");
-  }
-  try {
-    return std::stoull(value);
-  } catch (const std::out_of_range&) {
-    spec_fail(spec, "seed=" + value + " exceeds 64 bits");
-  }
-}
-
-bool registry_has(const std::string& name) {
+TrafficReading read_traffic(const std::string& text) {
+  spec::Params p("traffic spec", text);
   for (const auto& entry : kTrafficRegistry) {
-    if (name == entry.name) return true;
+    if (p.name() != entry.name) continue;
+    p.finish();
+    return {entry.requirement, false, entry.make};
   }
-  return false;
-}
-
-bool is_self_clocked_name(const std::string& base_spec) {
-  const std::string name = base_spec.substr(0, base_spec.find(':'));
-  return name == "allreduce" || name == "trace";
-}
-
-}  // namespace
-
-TrafficSpec parse_traffic_spec(const std::string& spec) {
-  TrafficSpec out;
-  const auto colon = spec.find(':');
-  out.name = spec.substr(0, colon);
-  if (out.name.empty()) spec_fail(spec, "empty traffic name");
-  if (colon == std::string::npos) return out;
-  const std::string rest = spec.substr(colon + 1);
-  if (rest.empty()) spec_fail(spec, "expected key=value parameters after ':'");
-  std::size_t pos = 0;
-  while (pos <= rest.size()) {
-    auto comma = rest.find(',', pos);
-    if (comma == std::string::npos) comma = rest.size();
-    const std::string kv = rest.substr(pos, comma - pos);
-    const auto eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == kv.size()) {
-      spec_fail(spec, "expected key=value, got \"" + kv + "\"");
-    }
-    const std::string key = kv.substr(0, eq);
-    const std::string value = kv.substr(eq + 1);
-    if (!out.params.emplace(key, value).second) {
-      spec_fail(spec, "duplicate parameter \"" + key + "\"");
-    }
-    pos = comma + 1;
+  if (p.name() == "burst") {
+    const std::int64_t on = p.integer("on", 1, 1000000000);
+    const std::int64_t off = p.integer("off", 1, 1000000000);
+    const double mult = p.decimal("mult");
+    if (!(mult > 0.0) || mult > 1e6) p.fail("mult must be in (0, 1e6]");
+    const std::uint64_t seed = p.seed("seed", 1);
+    TrafficReading base = read_base(p);
+    p.finish();
+    return {base.requirement, false,
+            [=, base = std::move(base.make)](const Topology& t) {
+              return std::make_unique<BurstTraffic>(
+                  base(t), t.num_endpoints(), on, off, mult, seed);
+            }};
   }
-  return out;
-}
-
-void validate_traffic_spec(const std::string& spec) {
-  const TrafficSpec parsed = parse_traffic_spec(spec);
-  if (registry_has(parsed.name)) {
-    if (!parsed.params.empty()) {
-      spec_fail(spec, "traffic \"" + parsed.name + "\" takes no parameters");
-    }
-    return;
+  if (p.name() == "hotspot") {
+    const double frac = p.decimal("frac");
+    const double heat = p.decimal("heat");
+    if (!(frac > 0.0) || frac > 1.0) p.fail("frac must be in (0, 1]");
+    if (heat < 1.0 || heat > 1e6) p.fail("heat must be in [1, 1e6]");
+    const std::uint64_t seed = p.seed("seed", 1);
+    TrafficReading base = read_base(p);
+    p.finish();
+    return {base.requirement, false,
+            [=, base = std::move(base.make)](const Topology& t) {
+              return std::make_unique<HotspotTraffic>(
+                  base(t), t.num_endpoints(), frac, heat, seed);
+            }};
   }
-  const auto validate_base = [&](const char* wrapper) {
-    const std::string base =
-        decode_base_spec(spec_param(parsed, "base", "uniform"));
-    if (is_self_clocked_name(base)) {
-      spec_fail(spec, std::string(wrapper) +
-                          " cannot wrap the self-clocked base \"" + base +
-                          "\"");
-    }
-    validate_traffic_spec(base);  // recursive: nested wrappers are legal
-  };
-  if (parsed.name == "burst") {
-    check_spec_keys(spec, parsed, {"on", "off", "mult"}, {"seed", "base"});
-    spec_int(spec, "on", parsed.params.at("on"), 1, 1000000000);
-    spec_int(spec, "off", parsed.params.at("off"), 1, 1000000000);
-    const double mult = spec_double(spec, "mult", parsed.params.at("mult"));
-    if (!(mult > 0.0) || mult > 1e6) {
-      spec_fail(spec, "mult must be in (0, 1e6]");
-    }
-    if (parsed.params.count("seed")) {
-      spec_seed(spec, parsed.params.at("seed"));
-    }
-    validate_base("burst");
-    return;
-  }
-  if (parsed.name == "hotspot") {
-    check_spec_keys(spec, parsed, {"frac", "heat"}, {"seed", "base"});
-    const double frac = spec_double(spec, "frac", parsed.params.at("frac"));
-    if (!(frac > 0.0) || frac > 1.0) {
-      spec_fail(spec, "frac must be in (0, 1]");
-    }
-    const double heat = spec_double(spec, "heat", parsed.params.at("heat"));
-    if (heat < 1.0 || heat > 1e6) {
-      spec_fail(spec, "heat must be in [1, 1e6]");
-    }
-    if (parsed.params.count("seed")) {
-      spec_seed(spec, parsed.params.at("seed"));
-    }
-    validate_base("hotspot");
-    return;
-  }
-  if (parsed.name == "allreduce") {
-    check_spec_keys(spec, parsed, {"ranks"}, {"algo"});
-    const std::int64_t ranks =
-        spec_int(spec, "ranks", parsed.params.at("ranks"), 2, 1000000);
-    const std::string algo = spec_param(parsed, "algo", "ring");
+  if (p.name() == "allreduce") {
+    const std::int64_t ranks = p.integer("ranks", 2, 1000000);
+    const std::string algo = p.text("algo", "ring");
     if (algo != "ring" && algo != "tree") {
-      spec_fail(spec, "algo=" + algo + " (ring or tree)");
+      p.fail("algo=" + algo + " (ring or tree)");
     }
     if (algo == "tree" && (ranks & (ranks - 1)) != 0) {
-      spec_fail(spec, "algo=tree requires power-of-two ranks (got " +
-                          std::to_string(ranks) + ")");
+      p.fail("algo=tree requires power-of-two ranks (got " +
+             std::to_string(ranks) + ")");
     }
-    return;
+    p.finish();
+    return {"", true, [=](const Topology& t) {
+              const int n = t.num_endpoints();
+              if (ranks > n) {
+                spec::fail("traffic spec", text,
+                           "ranks=" + std::to_string(ranks) +
+                               " exceeds the topology's " + std::to_string(n) +
+                               " endpoints");
+              }
+              return make_dependency_replay(
+                  n, make_allreduce_trace(static_cast<int>(ranks), algo),
+                  "allreduce-" + algo);
+            }};
   }
-  if (parsed.name == "trace") {
-    check_spec_keys(spec, parsed, {"file"}, {});
-    return;  // the file itself is read (and validated) by make_traffic
+  if (p.name() == "trace") {
+    const std::string file = p.text("file");
+    p.finish();
+    return {"", true, [=](const Topology& t) {
+              return make_dependency_replay(
+                  t.num_endpoints(), load_workload_trace(file), "trace");
+            }};
   }
   throw std::invalid_argument(
-      "unknown traffic pattern \"" + parsed.name +
+      "unknown traffic pattern \"" + p.name() +
       "\" (bare patterns: sweep --list; parameterized: burst:, hotspot:, "
       "allreduce:, trace: — see docs/SPEC_GRAMMAR.md)");
 }
 
+}  // namespace
+
+void validate_traffic_spec(const std::string& spec) { read_traffic(spec); }
+
 std::unique_ptr<TrafficPattern> make_traffic(const std::string& spec,
                                              const Topology& topo) {
-  const TrafficSpec parsed = parse_traffic_spec(spec);
-  for (const auto& entry : kTrafficRegistry) {
-    if (parsed.name != entry.name) continue;
-    if (!parsed.params.empty()) {
-      spec_fail(spec, "traffic \"" + parsed.name + "\" takes no parameters");
-    }
-    // Central requirement check, driven by the same column cross() filters
-    // on, so the factories can downcast unconditionally.
-    if (*entry.requirement &&
-        entry.requirement != topo::family_of(topo)) {
-      throw std::invalid_argument("traffic \"" + parsed.name +
-                                  "\" requires a " + entry.requirement +
-                                  " topology");
-    }
-    return entry.make(topo);
+  const TrafficReading reading = read_traffic(spec);
+  // Central requirement check (a wrapper inherits its base's), so the
+  // factories can downcast unconditionally.
+  if (!reading.requirement.empty() &&
+      reading.requirement != topo::family_of(topo)) {
+    throw std::invalid_argument("traffic \"" + spec + "\" requires a " +
+                                reading.requirement + " topology");
   }
-  validate_traffic_spec(spec);  // named grammar/range/unknown-name errors
-  const int n = topo.num_endpoints();
-  if (parsed.name == "burst") {
-    auto base =
-        make_traffic(decode_base_spec(spec_param(parsed, "base", "uniform")),
-                     topo);
-    return make_burst(std::move(base), n,
-                      spec_int(spec, "on", parsed.params.at("on"), 1,
-                               1000000000),
-                      spec_int(spec, "off", parsed.params.at("off"), 1,
-                               1000000000),
-                      spec_double(spec, "mult", parsed.params.at("mult")),
-                      spec_seed(spec, spec_param(parsed, "seed", "1")));
-  }
-  if (parsed.name == "hotspot") {
-    auto base =
-        make_traffic(decode_base_spec(spec_param(parsed, "base", "uniform")),
-                     topo);
-    return make_hotspot(std::move(base), n,
-                        spec_double(spec, "frac", parsed.params.at("frac")),
-                        spec_double(spec, "heat", parsed.params.at("heat")),
-                        spec_seed(spec, spec_param(parsed, "seed", "1")));
-  }
-  if (parsed.name == "allreduce") {
-    const std::int64_t ranks =
-        spec_int(spec, "ranks", parsed.params.at("ranks"), 2, 1000000);
-    if (ranks > n) {
-      spec_fail(spec, "ranks=" + std::to_string(ranks) +
-                          " exceeds the topology's " + std::to_string(n) +
-                          " endpoints");
-    }
-    const std::string algo = spec_param(parsed, "algo", "ring");
-    return make_dependency_replay(
-        n, make_allreduce_trace(static_cast<int>(ranks), algo),
-        "allreduce-" + algo);
-  }
-  // validate_traffic_spec leaves only trace: to reach here.
-  return make_dependency_replay(
-      n, load_workload_trace(parsed.params.at("file")), "trace");
+  return reading.make(topo);
 }
 
 std::vector<std::string> traffic_names() {
@@ -806,21 +622,7 @@ std::vector<std::string> traffic_names() {
 }
 
 std::string traffic_requirement(const std::string& spec) {
-  const std::string name = spec.substr(0, spec.find(':'));
-  for (const auto& entry : kTrafficRegistry) {
-    if (name == entry.name) return entry.requirement;
-  }
-  if (name == "burst" || name == "hotspot") {
-    // Wrappers inherit the topology restriction of their base pattern.
-    try {
-      const TrafficSpec parsed = parse_traffic_spec(spec);
-      return traffic_requirement(
-          decode_base_spec(spec_param(parsed, "base", "uniform")));
-    } catch (const std::invalid_argument&) {
-      return "";  // malformed specs fail later, in validation
-    }
-  }
-  return "";
+  return read_traffic(spec).requirement;
 }
 
 }  // namespace slimfly::sim

@@ -6,16 +6,15 @@
 // (forced core traversal).
 //
 // On top of the paper's independent-injection patterns sits the workload
-// layer (ROADMAP item 3): rate-modulated wrappers (`burst:`, `hotspot:`)
-// composable over any base pattern, and self-clocked dependency replay
-// (`trace:`, `allreduce:`) where a send becomes eligible only when the
-// message it waits on has been ejected. Both families are driven through
+// layer (docs/ARCHITECTURE.md §"Workload layer"): rate-modulated wrappers
+// (`burst:`, `hotspot:`) composable over any base pattern, and self-clocked
+// dependency replay (`trace:`, `allreduce:`) where a send becomes eligible
+// only when the message it waits on has been ejected. Both families are driven through
 // the parameterized spec grammar accepted by make_traffic (see
 // docs/SPEC_GRAMMAR.md).
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -142,26 +141,6 @@ std::unique_ptr<TrafficPattern> make_stencil3d(int num_endpoints);
 std::unique_ptr<TrafficPattern> make_trace(
     int num_endpoints, const std::vector<std::pair<int, int>>& flows);
 
-/// ON/OFF burst modulation over `base` (tenants with duty cycles): each
-/// endpoint alternates ON segments (rate = load × mult) and OFF segments
-/// (rate 0) whose lengths are uniform integers in [1, 2·mean−1] drawn from
-/// the endpoint's own burst stream (rng_stream(seed, tag, endpoint)), so
-/// endpoints desynchronize and results stay bit-identical across the
-/// thread/engine matrix. Mean offered load = load × mult × on/(on+off).
-std::unique_ptr<TrafficPattern> make_burst(std::unique_ptr<TrafficPattern> base,
-                                           int num_endpoints,
-                                           std::int64_t on_mean,
-                                           std::int64_t off_mean, double mult,
-                                           std::uint64_t seed);
-
-/// Hotspot skew over `base`: H = max(1, round(frac·N)) endpoints (chosen by
-/// a seeded Fisher–Yates shuffle) each receive `heat`× the uniform share of
-/// traffic; the rest of the load follows `base`. Redirect probability
-/// q = H(heat−1)/(N−H) must be ≤ 1 (throws otherwise, naming the bound).
-std::unique_ptr<TrafficPattern> make_hotspot(
-    std::unique_ptr<TrafficPattern> base, int num_endpoints, double frac,
-    double heat, std::uint64_t seed);
-
 // ---- string-keyed traffic registry -----------------------------------------
 // Bare names match TrafficPattern::name(): "uniform", "shuffle", "bitrev",
 // "bitcomp", "shift", "stencil3d", "worst-sf", "worst-df", "worst-ft" —
@@ -169,28 +148,32 @@ std::unique_ptr<TrafficPattern> make_hotspot(
 // topology's type (worst-df on Dragonfly, worst-ft on FatTree3, worst-sf
 // otherwise).
 //
-// Parameterized workload specs follow the routing-spec grammar
-// "name:key=value,key=value" (docs/SPEC_GRAMMAR.md):
+// Parameterized workload specs use the shared spec grammar
+// "name:key=value,key=value" (util/spec.hpp, docs/SPEC_GRAMMAR.md):
 //   burst:on=<cycles>,off=<cycles>,mult=<x>[,seed=<s>][,base=<spec>]
 //   hotspot:frac=<f>,heat=<x>[,seed=<s>][,base=<spec>]
 //   allreduce:ranks=<r>[,algo=ring|tree]
 //   trace:file=<path/to/trace.json>
-// A nested base=<spec> spells its own commas as ';'
+// A nested base=<spec> (default uniform; never self-clocked) spells its
+// own commas as ';'
 // (e.g. "hotspot:frac=0.05,heat=8,base=burst:on=50;off=450;mult=10").
+//
+// burst: each endpoint alternates ON segments (rate = load × mult) and OFF
+// segments (rate 0) whose lengths are uniform integers in [1, 2·mean−1]
+// drawn from the endpoint's own burst stream (rng_stream(seed, tag,
+// endpoint)), so endpoints desynchronize and results stay bit-identical
+// across the thread/engine matrix. Mean offered load =
+// load × mult × on/(on+off).
+//
+// hotspot: H = max(1, round(frac·N)) endpoints (chosen by a seeded
+// Fisher–Yates shuffle) each receive `heat`× the uniform share of traffic;
+// the rest of the load follows `base`. Redirect probability
+// q = H(heat−1)/(N−H) must be ≤ 1 (make_traffic throws otherwise, naming
+// the bound).
 
-/// A parsed traffic spec: bare name plus key=value parameters.
-struct TrafficSpec {
-  std::string name;
-  std::map<std::string, std::string> params;
-};
-
-/// Splits "name[:k=v,...]" into name and parameters. Grammar errors throw
-/// invalid_argument naming the spec; parameter values are not interpreted.
-TrafficSpec parse_traffic_spec(const std::string& spec);
-
-/// Full topology-independent validation: grammar, known name, required /
-/// unknown keys, value ranges, nested base specs. Never touches the
-/// filesystem (trace files are opened by make_traffic). Throws
+/// Full topology-independent validation: grammar, canonical values, known
+/// name, required / unknown keys, value ranges, nested base specs. Never
+/// touches the filesystem (trace files are opened by make_traffic). Throws
 /// invalid_argument with a named error.
 void validate_traffic_spec(const std::string& spec);
 
@@ -208,6 +191,7 @@ std::vector<std::string> traffic_names();
 /// Topology-registry family this traffic is restricted to ("dragonfly" for
 /// worst-df, "fattree" for worst-ft), or "" when it runs on any topology.
 /// Spec-aware: burst/hotspot inherit the requirement of their base pattern.
+/// Validates the spec as validate_traffic_spec does (same read).
 std::string traffic_requirement(const std::string& spec);
 
 }  // namespace slimfly::sim

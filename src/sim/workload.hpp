@@ -1,7 +1,8 @@
 #pragma once
-// Dependency-aware workload traces (ROADMAP item 3b/3c): per-endpoint
-// message lists with `after:` reply edges, replayed self-clocked — a send
-// becomes eligible only when the message it depends on has been ejected.
+// Dependency-aware workload traces (docs/ARCHITECTURE.md §"Workload
+// layer"): per-endpoint message lists with `after:` reply edges, replayed
+// self-clocked — a send becomes eligible only when the message it depends
+// on has been ejected.
 // Traces come from a JSON file (`trace:file=`) or are synthesized by the
 // collective generator (`allreduce:ranks=,algo=`). The replay pattern is a
 // TrafficPattern using the self-clocked hooks (traffic.hpp); the Network

@@ -4,8 +4,7 @@
 //   #include "slimfly.hpp"
 //
 //   slimfly::sf::SlimFlyMMS sf(19);           // N = 10830, k' = 29, D = 2
-//   auto routing = slimfly::sim::make_routing(
-//       slimfly::sim::RoutingKind::UgalL, sf);
+//   auto routing = slimfly::sim::make_routing_spec("UGAL-L:c=4", sf);
 //   auto traffic = slimfly::sim::make_uniform(sf.num_endpoints());
 //   auto result  = slimfly::sim::simulate(sf, *routing.algorithm, *traffic,
 //                                         {}, 0.5);

@@ -1,12 +1,9 @@
 #include "topo/registry.hpp"
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <limits>
-#include <sstream>
+#include <map>
 #include <stdexcept>
 
 #include "sf/mms.hpp"
@@ -18,358 +15,208 @@
 #include "topo/hypercube.hpp"
 #include "topo/longhop.hpp"
 #include "topo/torus.hpp"
+#include "util/spec.hpp"
 
 namespace slimfly::topo {
 namespace {
 
 [[noreturn]] void fail(const std::string& spec, const std::string& why) {
-  throw std::invalid_argument("topology spec \"" + spec + "\": " + why);
+  spec::fail("topology spec", spec, why);
 }
 
-// Spec values are canonical decimal digits, nothing else: std::stoi would
-// also take leading whitespace and +/- signs ("torus:dims= 8x8",
-// "hypercube:n=+6"), and such specs would not round-trip through
-// --emit-config. Range-checked here so oversized values fail as parse
-// errors instead of overflowing inside a constructor.
-std::uint64_t to_u64(const std::string& spec, const std::string& key,
-                     const std::string& value, std::uint64_t max) {
-  bool digits = !value.empty() && value.size() <= 20 &&
-                value.find_first_not_of("0123456789") == std::string::npos &&
-                // One canonical spelling per number: "seed=007" would build
-                // the same graph as "seed=7" yet hash to different
-                // per-point streams (exp::point_seed hashes the raw spec).
-                (value.size() == 1 || value[0] != '0');
-  if (digits) {
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (errno == 0 && end == value.c_str() + value.size() && v <= max) return v;
-  }
-  fail(spec, "key \"" + key + "\" needs a canonical integer in 0.." +
-                 std::to_string(max) +
-                 " (plain decimal digits: no sign, whitespace, radix prefix, "
-                 "or leading zeros), got \"" + value + "\"");
+/// Every integer key is a canonical 0..INT_MAX value; constructors and the
+/// builders below check the semantic ranges.
+int read_int(spec::Params& p, const std::string& key) {
+  return static_cast<int>(p.integer(key, 0, std::numeric_limits<int>::max()));
+}
+int read_int(spec::Params& p, const std::string& key, int fallback) {
+  return static_cast<int>(
+      p.integer(key, 0, std::numeric_limits<int>::max(), fallback));
 }
 
-int to_int(const std::string& spec, const std::string& key,
-           const std::string& value) {
-  return static_cast<int>(to_u64(
-      spec, key, value,
-      static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
-}
-
-std::vector<int> parse_dims(const std::string& spec, const std::string& key,
-                            const std::string& value) {
+/// "8x8x8" -> {8, 8, 8}.
+std::vector<int> read_dims(spec::Params& p) {
+  const std::string value = p.text("dims");
   std::vector<int> dims;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t sep = value.find('x', start);
-    std::string part = value.substr(start, sep - start);
-    if (part.empty()) fail(spec, "malformed dims \"" + value + "\"");
-    dims.push_back(to_int(spec, key, part));
-    if (sep == std::string::npos) break;
+  for (std::size_t start = 0;;) {
+    const std::size_t sep = value.find('x', start);
+    dims.push_back(static_cast<int>(spec::read_integer(
+        value.substr(start, sep - start), 0, std::numeric_limits<int>::max(),
+        p.what("dims"))));
+    if (sep == std::string::npos) return dims;
     start = sep + 1;
   }
-  return dims;
 }
 
-/// Consumes params[key]; spec strings must not carry unknown keys, so every
-/// factory pulls what it understands and then calls reject_leftovers().
-class Params {
- public:
-  Params(const std::string& spec, SpecParams params)
-      : spec_(spec), params_(std::move(params)) {}
+using Build = std::function<std::unique_ptr<Topology>()>;
 
-  int require_int(const std::string& key) {
-    auto it = params_.find(key);
-    if (it == params_.end()) fail(spec_, "missing required key \"" + key + "\"");
-    int v = to_int(spec_, key, it->second);
-    params_.erase(it);
-    return v;
-  }
+/// Reads every key of one family's spec and returns the constructor call.
+/// Reading is all validate_spec does, so a spec validates exactly when
+/// make() would get as far as constructing it.
+using Reader = Build (*)(spec::Params& p, const std::string& spec);
 
-  int optional_int(const std::string& key, int fallback) {
-    auto it = params_.find(key);
-    if (it == params_.end()) return fallback;
-    int v = to_int(spec_, key, it->second);
-    params_.erase(it);
-    return v;
-  }
-
-  /// Construction seed for the randomized families (dln, longhop,
-  /// augmented). Because the seed is part of the spec string, it is hashed
-  /// into every per-point seed (exp::point_seed hashes the whole spec), so a
-  /// spec string fully identifies the instance *and* its traffic streams.
-  std::uint64_t optional_seed(const std::string& key, std::uint64_t fallback) {
-    auto it = params_.find(key);
-    if (it == params_.end()) return fallback;
-    std::uint64_t v = to_u64(spec_, key, it->second,
-                             std::numeric_limits<std::uint64_t>::max());
-    params_.erase(it);
-    return v;
-  }
-
-  std::string optional_str(const std::string& key, std::string fallback) {
-    auto it = params_.find(key);
-    if (it == params_.end()) return fallback;
-    std::string v = it->second;
-    params_.erase(it);
-    return v;
-  }
-
-  /// "8x8x8" -> {8, 8, 8}.
-  std::vector<int> require_dims(const std::string& key) {
-    auto it = params_.find(key);
-    if (it == params_.end()) fail(spec_, "missing required key \"" + key + "\"");
-    std::vector<int> dims = parse_dims(spec_, key, it->second);
-    params_.erase(it);
-    return dims;
-  }
-
-  bool has(const std::string& key) const { return params_.count(key) != 0; }
-
-  void reject_leftovers() const {
-    if (params_.empty()) return;
-    fail(spec_, "unknown key \"" + params_.begin()->first + "\"");
-  }
-
- private:
-  const std::string& spec_;
-  SpecParams params_;
+struct Reading {
+  std::string family;
+  Build build;
 };
 
-using Factory =
-    std::function<std::unique_ptr<Topology>(const std::string& spec, Params&)>;
+Reading read(const std::string& spec);
 
-/// Nested-spec encoding for augmented's base=<spec>: the outer spec splits
-/// parameters on ',', so the inner spec spells its own ',' as ';'
-/// ("augmented:base=torus:dims=4x4;c=2,extra=3" augments
-/// "torus:dims=4x4,c=2"). ':' and '=' pass through untouched — parse_spec
-/// only splits the family at the FIRST ':' and a pair at the FIRST '='.
-std::string translate_base_spec(std::string base) {
-  std::replace(base.begin(), base.end(), ';', ',');
-  return base;
-}
-
-/// Factory plus the key names it understands, so specs can be structurally
-/// validated without paying for construction (validate_spec below).
-struct FamilyInfo {
-  std::vector<const char*> required;
-  std::vector<const char*> optional;
-  Factory make;
-  /// Keys whose values are free-form strings ("variant"); every other key
-  /// is numeric and validate_spec checks its syntax without constructing.
-  std::vector<const char*> string_keys = {};
-};
-
-const std::map<std::string, FamilyInfo>& factories() {
-  static const std::map<std::string, FamilyInfo> table = {
+const std::map<std::string, Reader>& families() {
+  static const std::map<std::string, Reader> table = {
       {"slimfly",
-       {{"q"},
-        {"p"},
-        [](const std::string&, Params& p) -> std::unique_ptr<Topology> {
-          int q = p.require_int("q");
-          int conc = p.optional_int("p", 0);
-          return std::make_unique<sf::SlimFlyMMS>(q, conc);
-        }}},
+       [](spec::Params& p, const std::string&) -> Build {
+         const int q = read_int(p, "q");
+         const int conc = read_int(p, "p", 0);
+         return [=] { return std::make_unique<sf::SlimFlyMMS>(q, conc); };
+       }},
       {"dragonfly",
-       {{"p", "a", "h"},
-        {"g"},
-        [](const std::string&, Params& p) -> std::unique_ptr<Topology> {
-          int conc = p.require_int("p");
-          int a = p.require_int("a");
-          int h = p.require_int("h");
-          int g = p.optional_int("g", a * h + 1);
-          return std::make_unique<Dragonfly>(conc, a, h, g);
-        }}},
+       [](spec::Params& p, const std::string&) -> Build {
+         const int conc = read_int(p, "p");
+         const int a = read_int(p, "a");
+         const int h = read_int(p, "h");
+         const int g = read_int(p, "g", a * h + 1);
+         return [=] { return std::make_unique<Dragonfly>(conc, a, h, g); };
+       }},
       {"fattree",
-       {{"k"},
-        {"variant"},
-        [](const std::string& spec, Params& p) -> std::unique_ptr<Topology> {
-          int k = p.require_int("k");
-          std::string variant = p.optional_str("variant", "paperslim");
-          if (variant == "paperslim")
-            return std::make_unique<FatTree3>(k, FatTreeVariant::PaperSlim);
-          if (variant == "classic")
-            return std::make_unique<FatTree3>(k, FatTreeVariant::Classic);
-          fail(spec, "variant must be classic or paperslim, got \"" + variant +
-                         "\"");
-        },
-        {"variant"}}},
+       [](spec::Params& p, const std::string& spec) -> Build {
+         const int k = read_int(p, "k");
+         const std::string variant = p.text("variant", "paperslim");
+         if (variant != "paperslim" && variant != "classic") {
+           fail(spec, "variant must be classic or paperslim, got \"" +
+                          variant + "\"");
+         }
+         const FatTreeVariant v = variant == "classic"
+                                      ? FatTreeVariant::Classic
+                                      : FatTreeVariant::PaperSlim;
+         return [=] { return std::make_unique<FatTree3>(k, v); };
+       }},
       {"torus",
-       {{"dims"},
-        {"c"},
-        [](const std::string&, Params& p) -> std::unique_ptr<Topology> {
-          auto dims = p.require_dims("dims");
-          int conc = p.optional_int("c", 1);
-          return std::make_unique<Torus>(std::move(dims), conc);
-        }}},
+       [](spec::Params& p, const std::string&) -> Build {
+         std::vector<int> dims = read_dims(p);
+         const int conc = read_int(p, "c", 1);
+         return [=] { return std::make_unique<Torus>(dims, conc); };
+       }},
       {"hypercube",
-       {{"n"},
-        {"c"},
-        [](const std::string&, Params& p) -> std::unique_ptr<Topology> {
-          int n = p.require_int("n");
-          int conc = p.optional_int("c", 1);
-          return std::make_unique<Hypercube>(n, conc);
-        }}},
+       [](spec::Params& p, const std::string&) -> Build {
+         const int n = read_int(p, "n");
+         const int conc = read_int(p, "c", 1);
+         return [=] { return std::make_unique<Hypercube>(n, conc); };
+       }},
       {"flatbutterfly",
-       {{"n", "extent"},
-        {"c"},
-        [](const std::string&, Params& p) -> std::unique_ptr<Topology> {
-          int n = p.require_int("n");
-          int extent = p.require_int("extent");
-          int conc = p.optional_int("c", 0);
-          return std::make_unique<FlattenedButterfly>(n, extent, conc);
-        }}},
+       [](spec::Params& p, const std::string&) -> Build {
+         const int n = read_int(p, "n");
+         const int extent = read_int(p, "extent");
+         const int conc = read_int(p, "c", 0);
+         return [=] {
+           return std::make_unique<FlattenedButterfly>(n, extent, conc);
+         };
+       }},
       // ---- Section 2/7 comparison topologies --------------------------------
       // Randomized constructions carry their seed in the spec, so the string
       // alone reproduces the instance (and, via exp::point_seed, its traffic).
       {"dln",
-       {{"n", "k", "p"},
-        {"seed"},
-        [](const std::string& spec, Params& p) -> std::unique_ptr<Topology> {
-          int n = p.require_int("n");
-          int k = p.require_int("k");
-          int conc = p.require_int("p");
-          std::uint64_t seed = p.optional_seed("seed", Dln::kDefaultSeed);
-          if (n < 5) fail(spec, "n must be >= 5 (ring of n routers)");
-          if (k < 3 || k >= n) {
-            fail(spec, "k must be in 3..n-1 (2 ring links + k-2 shortcuts "
-                       "per router; got k=" + std::to_string(k) + ", n=" +
-                           std::to_string(n) + ")");
-          }
-          if (conc < 1) fail(spec, "p must be >= 1 (endpoints per router)");
-          return std::make_unique<Dln>(n, k, conc, seed);
-        }}},
+       [](spec::Params& p, const std::string& spec) -> Build {
+         const int n = read_int(p, "n");
+         const int k = read_int(p, "k");
+         const int conc = read_int(p, "p");
+         const std::uint64_t seed = p.seed("seed", Dln::kDefaultSeed);
+         return [=] {
+           if (n < 5) fail(spec, "n must be >= 5 (ring of n routers)");
+           if (k < 3 || k >= n) {
+             fail(spec, "k must be in 3..n-1 (2 ring links + k-2 shortcuts "
+                        "per router; got k=" + std::to_string(k) + ", n=" +
+                            std::to_string(n) + ")");
+           }
+           if (conc < 1) fail(spec, "p must be >= 1 (endpoints per router)");
+           return std::make_unique<Dln>(n, k, conc, seed);
+         };
+       }},
       {"longhop",
-       {{"n", "extra"},
-        {"p", "seed"},
-        [](const std::string& spec, Params& p) -> std::unique_ptr<Topology> {
-          int n = p.require_int("n");
-          int extra = p.require_int("extra");
-          int conc = p.optional_int("p", 1);
-          std::uint64_t seed = p.optional_seed("seed", LongHop::kDefaultSeed);
-          if (n < 3 || n > 20) {
-            fail(spec, "n must be in 3..20 (routers = 2^n; larger Cayley "
-                       "graphs exceed the simulator's scale)");
-          }
-          if (extra < 0 || extra >= (1 << n) - n) {
-            fail(spec, "extra must be in 0.." + std::to_string((1 << n) - n - 1) +
-                           " (long-hop generators beyond the " +
-                           std::to_string(n) + " basis ones; the feasible "
-                           "maximum is lower still — the balanced-weight "
-                           "candidate pool, reported by make() when "
-                           "exceeded)");
-          }
-          if (conc < 1) fail(spec, "p must be >= 1 (endpoints per router)");
-          return std::make_unique<LongHop>(n, extra, conc, seed);
-        }}},
+       [](spec::Params& p, const std::string& spec) -> Build {
+         const int n = read_int(p, "n");
+         const int extra = read_int(p, "extra");
+         const int conc = read_int(p, "p", 1);
+         const std::uint64_t seed = p.seed("seed", LongHop::kDefaultSeed);
+         return [=] {
+           if (n < 3 || n > 20) {
+             fail(spec, "n must be in 3..20 (routers = 2^n; larger Cayley "
+                        "graphs exceed the simulator's scale)");
+           }
+           if (extra < 0 || extra >= (1 << n) - n) {
+             fail(spec, "extra must be in 0.." +
+                            std::to_string((1 << n) - n - 1) +
+                            " (long-hop generators beyond the " +
+                            std::to_string(n) + " basis ones; the feasible "
+                            "maximum is lower still — the balanced-weight "
+                            "candidate pool, reported by make() when "
+                            "exceeded)");
+           }
+           if (conc < 1) fail(spec, "p must be >= 1 (endpoints per router)");
+           return std::make_unique<LongHop>(n, extra, conc, seed);
+         };
+       }},
       {"augmented",
-       {{"extra"},
-        {"q", "p", "seed", "base"},
-        [](const std::string& spec, Params& p) -> std::unique_ptr<Topology> {
-          int extra = p.require_int("extra");
-          std::uint64_t seed = p.optional_seed("seed", AugmentedTopology::kDefaultSeed);
-          if (extra < 1) {
-            fail(spec, "extra must be >= 1 (spare ports carrying random "
-                       "cables on top of the base topology)");
-          }
-          // Two spellings of the base: base=<spec> augments any registry
-          // topology (',' spelled ';' inside the value); the legacy
-          // q=/p= shorthand augments a Slim Fly. Exactly one is required.
-          std::string base_spec = p.optional_str("base", "");
-          if (!base_spec.empty()) {
-            if (p.has("q") || p.has("p")) {
-              fail(spec, "base= cannot be combined with q/p (those "
-                         "describe the implicit Slim Fly base; fold them "
-                         "into the base spec instead)");
-            }
-            // The base is a temporary: AugmentedTopology copies the
-            // packaging (racks, concentration) it needs and owns its own
-            // graph.
-            auto base = make(translate_base_spec(base_spec));
-            return std::make_unique<AugmentedTopology>(
-                *base, extra, /*intra_rack_only=*/false, seed);
-          }
-          if (!p.has("q")) {
-            fail(spec, "missing required key \"q\" (or base=<spec> to "
-                       "augment any registry topology)");
-          }
-          int q = p.require_int("q");
-          int conc = p.optional_int("p", 0);
-          sf::SlimFlyMMS base(q, conc);
-          return std::make_unique<AugmentedTopology>(
-              base, extra, /*intra_rack_only=*/false, seed);
-        },
-        {"base"}}},
+       [](spec::Params& p, const std::string& spec) -> Build {
+         const int extra = read_int(p, "extra");
+         const std::uint64_t seed =
+             p.seed("seed", AugmentedTopology::kDefaultSeed);
+         // Two spellings of the base: base=<spec> augments any registry
+         // topology (',' spelled ';' inside the value); the legacy q=/p=
+         // shorthand augments a Slim Fly. Exactly one is required.
+         const std::string base_spec = p.nested("base", "");
+         Build base;
+         if (!base_spec.empty()) {
+           if (p.has("q") || p.has("p")) {
+             fail(spec, "base= cannot be combined with q/p (those "
+                        "describe the implicit Slim Fly base; fold them "
+                        "into the base spec instead)");
+           }
+           base = read(base_spec).build;
+         } else {
+           if (!p.has("q")) {
+             fail(spec, "missing required parameter \"q\" (or base=<spec> "
+                        "to augment any registry topology)");
+           }
+           const int q = read_int(p, "q");
+           const int conc = read_int(p, "p", 0);
+           base = [=] { return std::make_unique<sf::SlimFlyMMS>(q, conc); };
+         }
+         return [=] {
+           if (extra < 1) {
+             fail(spec, "extra must be >= 1 (spare ports carrying random "
+                        "cables on top of the base topology)");
+           }
+           // The base is a temporary: AugmentedTopology copies the
+           // packaging (racks, concentration) it needs and owns its own
+           // graph.
+           return std::make_unique<AugmentedTopology>(
+               *base(), extra, /*intra_rack_only=*/false, seed);
+         };
+       }},
   };
   return table;
 }
 
-/// Value-syntax check shared by validate_spec and the Params readers: every
-/// numeric value is canonical decimal digits ("seed" up to 2^64-1, "dims"
-/// 'x'-separated, the rest up to INT_MAX); keys the family declares in
-/// FamilyInfo::string_keys are exempt. Running this in validate_spec means
-/// non-canonical values ("n=+6", "dims= 8x8", "seed=007") are rejected even
-/// on paths that never construct — e.g. `sweep --emit-config` — so emitted
-/// suites always round-trip.
-void check_value_syntax(const std::string& spec, const FamilyInfo& info,
-                        const std::string& key, const std::string& value) {
-  for (const char* s : info.string_keys) {
-    if (key == s) return;
-  }
-  if (key == "dims") {
-    parse_dims(spec, key, value);
-  } else if (key == "seed") {
-    to_u64(spec, key, value, std::numeric_limits<std::uint64_t>::max());
-  } else {
-    to_int(spec, key, value);
-  }
+Reading read(const std::string& spec) {
+  spec::Params p("topology spec", spec);
+  const auto it = families().find(p.name());
+  if (it == families().end()) p.fail("unknown topology family");
+  Build build = it->second(p, spec);
+  p.finish();
+  return {p.name(), std::move(build)};
 }
 
 }  // namespace
 
-ParsedSpec parse_spec(const std::string& spec) {
-  ParsedSpec parsed;
-  auto colon = spec.find(':');
-  parsed.family = spec.substr(0, colon);
-  if (parsed.family.empty()) fail(spec, "empty family name");
-  if (colon == std::string::npos) return parsed;
-
-  const std::string params_str = spec.substr(colon + 1);
-  // getline would silently drop a trailing empty segment, leaving one
-  // instance with two spellings ("hypercube:n=6," vs "hypercube:n=6") that
-  // hash to different per-point streams — same hazard as non-canonical
-  // digits, so reject it here.
-  if (params_str.empty()) fail(spec, "empty parameter list after ':'");
-  if (params_str.back() == ',') fail(spec, "trailing ','");
-
-  std::stringstream ss(params_str);
-  std::string pair;
-  while (std::getline(ss, pair, ',')) {
-    auto eq = pair.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == pair.size()) {
-      fail(spec, "malformed key=value pair \"" + pair + "\"");
-    }
-    std::string key = pair.substr(0, eq);
-    if (parsed.params.count(key)) {
-      fail(spec, "duplicate key \"" + key + "\"");
-    }
-    parsed.params[key] = pair.substr(eq + 1);
-  }
-  return parsed;
-}
-
 std::unique_ptr<Topology> make(const std::string& spec) {
-  validate_spec(spec);  // catch structural errors before the (possibly
-                        // minutes-long) construction below
-  ParsedSpec parsed = parse_spec(spec);
-  auto it = factories().find(parsed.family);
-  Params params(spec, std::move(parsed.params));
+  // Reading catches structural errors before the (possibly minutes-long)
+  // construction below.
+  const Build build = read(spec).build;
   // Semantic errors thrown inside a constructor ("q must be a prime power",
   // matching exhaustion) don't know which spec asked for them; prefix the
   // spec so a 30-series suite failure names the offending cell. Messages
-  // already carrying the spec (the factories' own fail() calls) pass
+  // already carrying the spec (the builders' own fail() calls) pass
   // through untouched.
   auto with_spec = [&](const char* what) {
     std::string msg = what;
@@ -377,9 +224,7 @@ std::unique_ptr<Topology> make(const std::string& spec) {
     return "topology spec \"" + spec + "\": " + msg;
   };
   try {
-    auto topo = it->second.make(spec, params);
-    params.reject_leftovers();
-    return topo;
+    return build();
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(with_spec(e.what()));
   } catch (const std::runtime_error& e) {
@@ -387,50 +232,17 @@ std::unique_ptr<Topology> make(const std::string& spec) {
   }
 }
 
-void validate_spec(const std::string& spec) {
-  ParsedSpec parsed = parse_spec(spec);
-  auto it = factories().find(parsed.family);
-  if (it == factories().end()) fail(spec, "unknown topology family");
-  const FamilyInfo& info = it->second;
-  for (const char* key : info.required) {
-    if (!parsed.params.count(key)) {
-      fail(spec, "missing required key \"" + std::string(key) + "\"");
-    }
-  }
-  for (const auto& [key, value] : parsed.params) {
-    auto known = [&](const std::vector<const char*>& keys) {
-      return std::any_of(keys.begin(), keys.end(),
-                         [&](const char* k) { return key == k; });
-    };
-    if (!known(info.required) && !known(info.optional)) {
-      fail(spec, "unknown key \"" + key + "\"");
-    }
-    check_value_syntax(spec, info, key, value);
-  }
-  // augmented's conditional requirements: exactly one of base=<spec> (any
-  // registry topology, validated recursively) or the legacy q= Slim Fly
-  // shorthand; p= only concretizes the latter.
-  auto base_it = parsed.params.find("base");
-  if (base_it != parsed.params.end()) {
-    if (parsed.params.count("q") || parsed.params.count("p")) {
-      fail(spec, "base= cannot be combined with q/p (those describe the "
-                 "implicit Slim Fly base; fold them into the base spec "
-                 "instead)");
-    }
-    validate_spec(translate_base_spec(base_it->second));
-  } else if (parsed.family == "augmented" && !parsed.params.count("q")) {
-    fail(spec, "missing required key \"q\" (or base=<spec> to augment any "
-               "registry topology)");
-  }
+std::string validate_spec(const std::string& spec) {
+  return read(spec).family;
 }
 
 bool is_registered(const std::string& family) {
-  return factories().count(family) != 0;
+  return families().count(family) != 0;
 }
 
 std::vector<std::string> registry_names() {
   std::vector<std::string> names;
-  for (const auto& [name, factory] : factories()) names.push_back(name);
+  for (const auto& [name, reader] : families()) names.push_back(name);
   return names;
 }
 

@@ -21,13 +21,13 @@
 //
 // Randomized families (dln, longhop, augmented) default their seed, so a
 // spec string always identifies one concrete instance; pass seed=<u64> for
-// another draw. Values are canonical decimal digits — no signs, whitespace
-// or radix prefixes — so specs round-trip through `sweep --emit-config`.
+// another draw. The grammar and its one-spelling rule (canonical digits, no
+// duplicate or empty parameters) are util/spec.hpp's, shared with routing
+// and traffic specs, so specs round-trip through `sweep --emit-config`.
 //
 // Unknown families and unknown or missing keys throw std::invalid_argument
 // with a message naming the offending spec.
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,17 +36,6 @@
 
 namespace slimfly::topo {
 
-/// key=value parameters of a parsed spec string.
-using SpecParams = std::map<std::string, std::string>;
-
-struct ParsedSpec {
-  std::string family;
-  SpecParams params;
-};
-
-/// Splits "family:k=v,..." without validating the family or keys.
-ParsedSpec parse_spec(const std::string& spec);
-
 /// Builds the topology a spec describes. Throws std::invalid_argument on an
 /// unknown family, a malformed/unknown key, or parameters the topology
 /// constructor rejects. One exception to the type: dln's randomized
@@ -54,14 +43,13 @@ ParsedSpec parse_spec(const std::string& spec);
 /// exhausts its retries (the message names n, k, and seed).
 std::unique_ptr<Topology> make(const std::string& spec);
 
-/// Cheap structural validation without constructing anything: the family is
-/// registered, every required key is present, no unknown keys appear, and
-/// every value is syntactically canonical (plain digits in range — so specs
-/// round-trip through `sweep --emit-config` without ever being built).
-/// Lets callers fail fast before a minutes-long paper-scale build; semantic
+/// Reads a spec exactly as make() does, without constructing anything, and
+/// returns its family: the family is registered, every required key is
+/// present, no unknown keys appear, and every value is canonical. Lets
+/// callers fail fast before a minutes-long paper-scale build; semantic
 /// value errors (bad radix/degree pairs, non-prime-power q) still surface
 /// at make(). Throws std::invalid_argument on violation.
-void validate_spec(const std::string& spec);
+std::string validate_spec(const std::string& spec);
 
 /// True when `family` names a registered topology family.
 bool is_registered(const std::string& family);

@@ -131,7 +131,7 @@ TEST(ExperimentSpec, CrossFiltersIncompatibleCombos) {
       tiny_config());
   ASSERT_FALSE(spec.series.empty());
   for (const auto& s : spec.series) {
-    const std::string family = topo::parse_spec(s.topology).family;
+    const std::string family = topo::validate_spec(s.topology);
     const std::string need =
         sim::routing_requirement(sim::routing_kind_from_string(s.routing));
     EXPECT_TRUE(need.empty() || need == family)
@@ -144,10 +144,10 @@ TEST(ExperimentSpec, CrossFiltersIncompatibleCombos) {
   // the other topologies.
   for (const auto& s : spec.series) {
     if (s.routing == "DF-UGAL-L") {
-      EXPECT_EQ("dragonfly", topo::parse_spec(s.topology).family);
+      EXPECT_EQ("dragonfly", topo::validate_spec(s.topology));
     }
     if (s.routing == "FT-ANCA") {
-      EXPECT_EQ("fattree", topo::parse_spec(s.topology).family);
+      EXPECT_EQ("fattree", topo::validate_spec(s.topology));
     }
   }
 }
@@ -189,11 +189,11 @@ TEST(TopologyRegistry, RoundTripEveryFamily) {
   auto examples = topo::example_specs();
   ASSERT_EQ(examples.size(), topo::registry_names().size());
   for (const auto& spec : examples) {
-    auto parsed = topo::parse_spec(spec);
-    EXPECT_TRUE(topo::is_registered(parsed.family)) << spec;
+    const std::string family = topo::validate_spec(spec);
+    EXPECT_TRUE(topo::is_registered(family)) << spec;
     auto topo = topo::make(spec);
     ASSERT_NE(topo, nullptr) << spec;
-    EXPECT_EQ(topo::family_of(*topo), parsed.family) << spec;
+    EXPECT_EQ(topo::family_of(*topo), family) << spec;
     EXPECT_FALSE(topo->name().empty()) << spec;
     EXPECT_GT(topo->num_endpoints(), 0) << spec;
   }
@@ -208,30 +208,80 @@ TEST(TopologyRegistry, RejectsMalformedSpecs) {
   EXPECT_THROW(topo::make(":q=5"), std::invalid_argument);
 }
 
-TEST(TopologyRegistry, ValuesAreCanonicalDigitsOnly) {
-  // std::stoi used to wave through leading whitespace and +/- signs; such
-  // specs are not canonical and would not round-trip via --emit-config.
-  EXPECT_THROW(topo::validate_spec("hypercube:n=+6"), std::invalid_argument);
-  EXPECT_THROW(topo::make("hypercube:n=+6"), std::invalid_argument);
-  EXPECT_THROW(topo::make("hypercube:n=-6"), std::invalid_argument);
-  EXPECT_THROW(topo::make("torus:dims= 8x8"), std::invalid_argument);
-  EXPECT_THROW(topo::make("torus:dims=8x 8"), std::invalid_argument);
-  EXPECT_THROW(topo::make("slimfly:q= 5"), std::invalid_argument);
-  EXPECT_THROW(topo::make("slimfly:q=5 "), std::invalid_argument);
-  EXPECT_THROW(topo::make("slimfly:q=0x5"), std::invalid_argument);
-  // Leading zeros or a trailing comma would give one instance two
-  // spellings — and since exp::point_seed hashes the raw spec string, two
-  // different stream sets.
-  EXPECT_THROW(topo::validate_spec("hypercube:n=06"), std::invalid_argument);
-  EXPECT_THROW(topo::make("dln:n=36,k=6,p=2,seed=007"), std::invalid_argument);
-  EXPECT_THROW(topo::validate_spec("hypercube:n=6,"), std::invalid_argument);
-  EXPECT_THROW(topo::validate_spec("hypercube:"), std::invalid_argument);
-  EXPECT_NO_THROW(topo::validate_spec("augmented:q=5,extra=2,p=0"));  // bare 0 is canonical
-  // Out-of-int-range values fail at parse, before any constructor runs.
-  EXPECT_THROW(topo::make("slimfly:q=99999999999"), std::invalid_argument);
-  // The canonical forms still parse.
-  EXPECT_NO_THROW(topo::validate_spec("hypercube:n=6"));
-  EXPECT_NO_THROW(topo::validate_spec("torus:dims=8x8"));
+TEST(SpecGrammar, OneSpellingPerValue) {
+  // exp::point_seed hashes the raw spec strings, so a setting with two
+  // spellings would draw two stream sets. All three spec kinds read through
+  // util/spec.hpp: integers are plain digits (no sign, whitespace, radix
+  // prefix or leading zeros), decimals are spelled the way
+  // exp::json::number prints them, and empty, duplicate and trailing-comma
+  // parameters are rejected.
+  enum Kind { kTopology, kRouting, kTraffic };
+  struct Case {
+    Kind kind;
+    const char* spec;
+    bool canonical;
+  };
+  const Case cases[] = {
+      {kTopology, "hypercube:n=+6", false},
+      {kTopology, "hypercube:n=-6", false},
+      {kTopology, "torus:dims= 8x8", false},
+      {kTopology, "torus:dims=8x 8", false},
+      {kTopology, "slimfly:q= 5", false},
+      {kTopology, "slimfly:q=5 ", false},
+      {kTopology, "slimfly:q=0x5", false},
+      {kTopology, "hypercube:n=06", false},
+      {kTopology, "dln:n=36,k=6,p=2,seed=007", false},
+      {kTopology, "hypercube:n=6,", false},
+      {kTopology, "hypercube:n=6,n=6", false},
+      {kTopology, "hypercube:", false},
+      {kTopology, "slimfly:q=99999999999", false},  // beyond int, at parse
+      {kRouting, "UGAL-L:c=08", false},
+      {kRouting, "UGAL-L:c=2,c=8", false},
+      {kRouting, "VAL:hoplimit=3,", false},
+      {kRouting, "UGAL-G:c=+8", false},
+      {kTraffic, "burst:on=040,off=100,mult=2", false},
+      {kTraffic, "hotspot:frac=0.05,heat=8,seed=007", false},
+      {kTraffic, "burst:on=40,off=100,mult=2.50", false},
+      {kTraffic, "hotspot:frac=.05,heat=8", false},
+      {kTraffic, "hotspot:frac=5e-2,heat=8", false},
+      {kTraffic, "hotspot:frac=0.05,heat=8.0", false},
+      {kTraffic, "burst:on=40,off=100,mult=2,mult=2", false},
+      {kTraffic, "allreduce:ranks=16,", false},
+      // number() takes the shorter of plain and exponent notation.
+      {kTraffic, "burst:on=40,off=100,mult=1000000", false},
+      {kTraffic, "burst:on=40,off=100,mult=100000", false},
+      {kTraffic, "hotspot:frac=0.0001,heat=8", false},
+      {kTraffic, "burst:on=40,off=100,mult=1e4", false},
+      {kTopology, "augmented:q=5,extra=2,p=0", true},  // bare 0 is canonical
+      {kTopology, "hypercube:n=6", true},
+      {kTopology, "torus:dims=8x8", true},
+      {kTopology, "dln:n=36,k=6,p=2,seed=7", true},
+      {kRouting, "UGAL-L:c=8", true},
+      {kRouting, "VAL:hoplimit=3", true},
+      {kTraffic, "burst:on=40,off=100,mult=2.5", true},
+      {kTraffic, "hotspot:frac=0.05,heat=8,seed=7", true},
+      {kTraffic, "burst:on=40,off=100,mult=1e+06", true},
+      {kTraffic, "burst:on=40,off=100,mult=1e+05", true},
+      {kTraffic, "burst:on=40,off=100,mult=10000", true},
+      {kTraffic, "hotspot:frac=1e-04,heat=8", true},
+      {kTraffic, "hotspot:frac=0.001,heat=8", true},
+      {kTraffic, "hotspot:frac=0.05,heat=8,base=burst:on=50;off=450;mult=10",
+       true},
+  };
+  for (const Case& c : cases) {
+    auto read = [&c] {
+      switch (c.kind) {
+        case kTopology: topo::validate_spec(c.spec); break;
+        case kRouting: sim::parse_routing_spec(c.spec); break;
+        case kTraffic: sim::validate_traffic_spec(c.spec); break;
+      }
+    };
+    if (c.canonical) {
+      EXPECT_NO_THROW(read()) << c.spec;
+    } else {
+      EXPECT_THROW(read(), std::invalid_argument) << c.spec;
+    }
+  }
 }
 
 TEST(TopologyRegistry, ExoticFamiliesValidateTheirSpecs) {
@@ -400,8 +450,8 @@ TEST(RoutingRegistry, SupportMatchesRequirement) {
   EXPECT_FALSE(sim::routing_supported(sim::RoutingKind::DragonflyUgalL, sf));
   EXPECT_TRUE(sim::routing_supported(sim::RoutingKind::FatTreeAnca, ft));
   EXPECT_FALSE(sim::routing_supported(sim::RoutingKind::FatTreeAnca, df));
-  // String-keyed make_routing round-trips through the kind.
-  auto bundle = sim::make_routing("UGAL-G", sf);
+  // A bare routing spec builds the named routing.
+  auto bundle = sim::make_routing_spec("UGAL-G", sf);
   EXPECT_EQ(bundle.algorithm->name(), "UGAL-G");
 }
 

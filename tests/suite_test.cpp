@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -28,15 +30,14 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-/// Expects parse_suite (or a later expansion step) to throw an
-/// invalid_argument whose message contains every needle — the named-error
-/// contract: a user can fix the file from the message alone.
-void expect_parse_error(const std::string& text,
-                        const std::vector<std::string>& needles) {
+/// Expects `fn` to throw an invalid_argument whose message contains every
+/// needle — the named-error contract: a user can fix the input from the
+/// message alone.
+template <typename Fn>
+void expect_throws_named(Fn fn, const std::vector<std::string>& needles) {
   try {
-    exp::Suite suite = exp::parse_suite(text);
-    exp::suite_to_spec(suite);
-    FAIL() << "expected invalid_argument for: " << text;
+    fn();
+    FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     for (const auto& needle : needles) {
@@ -46,27 +47,39 @@ void expect_parse_error(const std::string& text,
   }
 }
 
+/// expect_throws_named for parse_suite (or a later expansion step).
+void expect_parse_error(const std::string& text,
+                        const std::vector<std::string>& needles) {
+  SCOPED_TRACE(text);
+  expect_throws_named([&] { exp::suite_to_spec(exp::parse_suite(text)); },
+                      needles);
+}
+
 // ---- checked-in suites ------------------------------------------------------
 
 TEST(SuiteFiles, EveryCheckedInSuiteParsesAndExpands) {
   // Every file, so a new suite is covered the day it lands; expansion
-  // validates spec strings only, so even scale_smoke's q=103 is cheap.
+  // validates spec strings only, so even scale_smoke's q=103 is cheap. The
+  // benchmark's suites are read too: a grammar change that breaks one
+  // fails here, not in the benchmark run.
   std::size_t checked = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(
-           source_path("examples/suites"))) {
-    if (entry.path().extension() != ".json") continue;
-    const std::string path = entry.path().string();
-    exp::Suite suite = exp::load_suite_file(path);
-    for (const std::string& scale : suite.scale_names()) {
-      exp::ExperimentSpec spec = exp::suite_to_spec(suite, scale);
-      EXPECT_FALSE(spec.series.empty()) << path << " scale " << scale;
+  for (const char* dir : {"examples/suites", "benchmark/suites"}) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(source_path(dir))) {
+      if (entry.path().extension() != ".json") continue;
+      const std::string path = entry.path().string();
+      exp::Suite suite = exp::load_suite_file(path);
+      for (const std::string& scale : suite.scale_names()) {
+        exp::ExperimentSpec spec = exp::suite_to_spec(suite, scale);
+        EXPECT_FALSE(spec.series.empty()) << path << " scale " << scale;
+      }
+      exp::ExperimentSpec spec = exp::suite_to_spec(suite);
+      EXPECT_FALSE(spec.series.empty()) << path;
+      EXPECT_FALSE(spec.loads.empty()) << path;
+      ++checked;
     }
-    exp::ExperimentSpec spec = exp::suite_to_spec(suite);
-    EXPECT_FALSE(spec.series.empty()) << path;
-    EXPECT_FALSE(spec.loads.empty()) << path;
-    ++checked;
   }
-  EXPECT_GE(checked, 12u);
+  EXPECT_GE(checked, 16u);
 }
 
 TEST(SuiteFiles, Fig06aScalesExpandToExpectedPointCounts) {
@@ -180,6 +193,29 @@ TEST(SuiteRoundTrip, SerializeParseReproducesSpec) {
   // Identical series + config => identical per-point seeds, hence
   // bit-identical runs without executing anything here.
   EXPECT_EQ(exp::point_seed(back, 1, 1), exp::point_seed(spec, 1, 1));
+}
+
+TEST(SuiteRoundTrip, SpecThatWouldNotLoadIsRefusedWithTheLoadersError) {
+  // `sweep --emit-config` writes suite_from_spec's output; a spec the loader
+  // would reject must fail here, with the loader's message, not be written.
+  exp::ExperimentSpec spec;
+  spec.name = "emit";
+  spec.loads = {0.5};
+  spec.series = {{"hypercube:n=06", "MIN", "uniform", "", {}}};
+  expect_throws_named([&] { exp::suite_from_spec(spec); },
+                      {"hypercube:n=06", "key \"n\" needs a canonical integer"});
+  spec.series = {{"slimfly:q=5", "FT-ANCA", "uniform", "", {}}};
+  expect_throws_named([&] { exp::suite_from_spec(spec); },
+                      {"routing FT-ANCA cannot run on topology slimfly:q=5"});
+  spec.series = {{"hypercube:n=6", "MIN", "uniform", "", {}}};
+  for (const double bad : {std::nan(""), 0.0, 1.5,
+                           std::numeric_limits<double>::infinity()}) {
+    spec.loads = {bad, 0.5};
+    expect_throws_named([&] { exp::suite_from_spec(spec); },
+                        {"loads must be positive and at most 1"});
+  }
+  spec.loads = {0.5};
+  EXPECT_NO_THROW(exp::suite_from_spec(spec));
 }
 
 // ---- negative / fuzz --------------------------------------------------------

@@ -29,6 +29,7 @@
 #include "sim/simulation.hpp"
 #include "sim/traffic.hpp"
 #include "sim/workload.hpp"
+#include "topo/registry.hpp"
 
 namespace slimfly::sim {
 namespace {
@@ -221,7 +222,9 @@ TEST(WorkloadConvergence, BurstOfferedLoadConvergesToConfiguredMean) {
 TEST(WorkloadConvergence, HotspotEndpointsAbsorbConfiguredShare) {
   // N=1000, frac=0.01 (H=10), heat=20: hot endpoints receive ~H*heat/N =
   // 20% of all traffic, each one ~20x the uniform share.
-  auto t = make_hotspot(make_uniform(1000), 1000, 0.01, 20.0, 7);
+  const auto torus = topo::make("torus:dims=10x10x10");
+  ASSERT_EQ(torus->num_endpoints(), 1000);
+  auto t = make_traffic("hotspot:frac=0.01,heat=20,seed=7", *torus);
   Rng rng(42);
   std::vector<std::int64_t> hits(1000, 0);
   const int draws = 200000;
