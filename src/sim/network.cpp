@@ -760,7 +760,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       const int src = static_cast<int>(packed >> 32);
       const std::int64_t seq = packed & 0xffffffff;
       unlocked_scratch_.clear();
-      traffic_.on_delivered(src, seq, cycle_, unlocked_scratch_);
+      traffic_.on_delivered(src, seq, unlocked_scratch_);
       for (int e : unlocked_scratch_) {
         // Called serially, so pass the owner shard: the wake goes straight
         // to its heap, never through an outbox.

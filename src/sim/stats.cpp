@@ -11,26 +11,23 @@ namespace slimfly::sim {
   if (measured) {
     ++measured_delivered_;
     latencies_.push_back(latency);  // sf-lint: allow(hot-alloc) amortized pool growth; reserve_measurement_stats() opt-in makes the guarded path allocation-free
-    network_latencies_.push_back(network_latency);  // sf-lint: allow(hot-alloc) amortized pool growth; reserve_measurement_stats() opt-in makes the guarded path allocation-free
+    network_latency_sum_ += network_latency;
   }
 }
 
 void Stats::merge(const Stats& other) {
   latencies_.insert(latencies_.end(), other.latencies_.begin(),
                     other.latencies_.end());
-  network_latencies_.insert(network_latencies_.end(),
-                            other.network_latencies_.begin(),
-                            other.network_latencies_.end());
+  network_latency_sum_ += other.network_latency_sum_;
   measured_generated_ += other.measured_generated_;
   measured_delivered_ += other.measured_delivered_;
   total_delivered_ += other.total_delivered_;
 }
 
 double Stats::average_network_latency() const {
-  if (network_latencies_.empty()) return 0.0;
-  std::int64_t sum = 0;
-  for (std::int64_t l : network_latencies_) sum += l;
-  return static_cast<double>(sum) / static_cast<double>(network_latencies_.size());
+  if (measured_delivered_ == 0) return 0.0;
+  return static_cast<double>(network_latency_sum_) /
+         static_cast<double>(measured_delivered_);
 }
 
 double Stats::average_latency() const {

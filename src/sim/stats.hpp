@@ -34,17 +34,14 @@ class Stats {
     return measured_delivered_ >= measured_generated_;
   }
 
-  /// Pre-reserves the latency pools (see Network::reserve_measurement_stats:
+  /// Pre-reserves the latency pool (see Network::reserve_measurement_stats:
   /// makes the measurement phase allocation-free when the caller can afford
   /// the upper-bound reservation).
-  void reserve(std::size_t samples) {
-    latencies_.reserve(samples);
-    network_latencies_.reserve(samples);
-  }
+  void reserve(std::size_t samples) { latencies_.reserve(samples); }
 
  private:
-  std::vector<std::int64_t> latencies_;          // measured packets only
-  std::vector<std::int64_t> network_latencies_;  // measured packets only
+  std::vector<std::int64_t> latencies_;  // measured packets only
+  std::int64_t network_latency_sum_ = 0;  // measured packets only
   std::int64_t measured_generated_ = 0;
   std::int64_t measured_delivered_ = 0;
   std::int64_t total_delivered_ = 0;

@@ -563,13 +563,8 @@ TrafficReading read_traffic(const std::string& text) {
   if (p.name() == "allreduce") {
     const std::int64_t ranks = p.integer("ranks", 2, 1000000);
     const std::string algo = p.text("algo", "ring");
-    if (algo != "ring" && algo != "tree") {
-      p.fail("algo=" + algo + " (ring or tree)");
-    }
-    if (algo == "tree" && (ranks & (ranks - 1)) != 0) {
-      p.fail("algo=tree requires power-of-two ranks (got " +
-             std::to_string(ranks) + ")");
-    }
+    const std::string error = allreduce_error(static_cast<int>(ranks), algo);
+    if (!error.empty()) p.fail(error);
     p.finish();
     return {"", true, [=](const Topology& t) {
               const int n = t.num_endpoints();

@@ -87,15 +87,14 @@ class TrafficPattern {
     return false;
   }
   /// Self-clocked only: called serially between cycles when the packet
-  /// carrying message `seq` of endpoint `src` is ejected at `cycle`.
-  /// Appends every endpoint whose blocked head just became eligible to
-  /// `unlocked` (the active engine wakes their routers). Never allocates
-  /// beyond `unlocked`'s reserved capacity of completion_fanout().
-  virtual void on_delivered(int src, std::int64_t seq, std::int64_t cycle,
+  /// carrying message `seq` of endpoint `src` has been ejected. Appends
+  /// every endpoint whose blocked head just became eligible to `unlocked`
+  /// (the active engine wakes their routers). Never allocates beyond
+  /// `unlocked`'s reserved capacity of completion_fanout().
+  virtual void on_delivered(int src, std::int64_t seq,
                             std::vector<int>& unlocked) {
     (void)src;
     (void)seq;
-    (void)cycle;
     (void)unlocked;
   }
   /// Upper bound on entries a single on_delivered call can append — the

@@ -23,30 +23,49 @@
 // Validation rejects self-sends, dangling or self-referential `after:`
 // edges, and any dependency cycle — including cycles that only close
 // through the implicit FIFO edges.
+//
+// In memory a trace is one flat table: every endpoint's list back to back
+// in `messages`, each entry 8 bytes (destination plus the flat index of the
+// message it waits on), and one (endpoint, first message) row per listed
+// endpoint. The parser, the collective generator, the cycle check and the
+// replay all index that table; the replay takes it over by move.
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/traffic.hpp"
 
 namespace slimfly::sim {
 
-/// One message of a trace: destination endpoint plus an optional
-/// dependency on message `dep_idx` of endpoint `dep_src` (−1/−1 = none).
+/// One message of a trace: its destination endpoint and the flat index
+/// (into WorkloadTrace::messages) of the message it waits on, −1 for none.
 struct TraceMessage {
-  int dst = -1;
-  int dep_src = -1;
-  std::int64_t dep_idx = -1;
+  std::int32_t dst = -1;
+  std::int32_t after = -1;
+};
+
+/// A listed endpoint and the flat index of its first message.
+struct TraceEndpoint {
+  int id = -1;
+  std::int32_t first = 0;
 };
 
 /// A parsed, validated workload trace. Endpoint ids are sparse — only
-/// endpoints with messages appear; everyone else idles.
+/// listed endpoints send; everyone else idles. Endpoint s owns messages
+/// [endpoints[s].first, end_of(s)), so at most INT32_MAX messages fit.
 struct WorkloadTrace {
   std::string name;  ///< display tag ("trace" when the file gives none)
-  std::vector<std::pair<int, std::vector<TraceMessage>>> endpoints;
+  std::vector<TraceMessage> messages;    ///< every FIFO list, back to back
+  std::vector<TraceEndpoint> endpoints;  ///< in message order
+
+  /// One past the last message of listed endpoint `s`.
+  std::int32_t end_of(std::size_t s) const {
+    return s + 1 < endpoints.size()
+               ? endpoints[s + 1].first
+               : static_cast<std::int32_t>(messages.size());
+  }
 };
 
 /// Parses and validates trace JSON. `origin` names the source in errors
@@ -69,10 +88,16 @@ WorkloadTrace load_workload_trace(const std::string& path);
 ///          ranks must be a power of two.
 WorkloadTrace make_allreduce_trace(int ranks, const std::string& algo);
 
+/// Why `allreduce:ranks=R,algo=A` cannot be generated, or "" when it can:
+/// R must be at least 2, A ring or tree, a tree needs power-of-two ranks,
+/// and a ring's 2R(R−1) messages must fit the 32-bit message index.
+std::string allreduce_error(int ranks, const std::string& algo);
+
 /// Wraps a trace in a self-clocked TrafficPattern for a topology with
-/// `num_endpoints` endpoints. Validates endpoint ids and destinations
-/// against the topology size. `display_name` becomes pattern->name().
+/// `num_endpoints` endpoints, taking the trace over by move. Validates
+/// endpoint ids and destinations against the topology size.
+/// `display_name` becomes pattern->name().
 std::unique_ptr<TrafficPattern> make_dependency_replay(
-    int num_endpoints, const WorkloadTrace& trace, std::string display_name);
+    int num_endpoints, WorkloadTrace trace, std::string display_name);
 
 }  // namespace slimfly::sim

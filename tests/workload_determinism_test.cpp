@@ -9,7 +9,8 @@
 //      duty cycle); hotspot endpoints absorb their configured share.
 //   4. Dependency stalls show up in windowed stats for replay and are
 //      identically zero for independent injection — the causality signature
-//      that independent injection cannot reproduce.
+//      that independent injection cannot reproduce. One delivery can unlock
+//      several endpoints at once (completion fan-out above 1).
 //   5. The trace JSON parser rejects malformed input with named errors:
 //      cycles (explicit and FIFO-implied), dangling references, duplicate
 //      endpoints, depth-bombed JSON — plus the spec-grammar negatives.
@@ -272,6 +273,38 @@ TEST(WorkloadWindows, DependencyStallsNonzeroForReplayZeroForInjection) {
   std::remove(path.c_str());
 }
 
+TEST(WorkloadWindows, OneDeliveryUnlocksThreeEndpoints) {
+  // Message 0.0 is the `after:` target of one message on each of endpoints
+  // 10, 20 and 30, so its delivery must unlock three heads at once: 10's
+  // only message, 20's first, and 30's second (queued behind a free send).
+  // The dependents sit on routers of their own, so under the active engine
+  // each one sends only if the delivery wakes it.
+  const std::string path = write_temp_trace("fanout", R"({"endpoints": {
+      "0": [{"dst": 40}],
+      "10": [{"dst": 41, "after": "0.0"}],
+      "20": [{"dst": 42, "after": "0.0"}, {"dst": 43}],
+      "30": [{"dst": 44}, {"dst": 45, "after": "0.0"}]}})");
+  expect_matrix_identical("trace:file=" + path);
+
+  sf::SlimFlyMMS topo(5);
+  auto routing = make_routing(RoutingKind::Minimal, topo);
+  auto traffic = make_traffic("trace:file=" + path, topo);
+  EXPECT_EQ(traffic->completion_fanout(), 3u);
+  SimConfig cfg = quick_config();
+  cfg.stats_window = 50;
+  auto r = simulate(topo, *routing.algorithm, *traffic, cfg, 0.2);
+  std::int64_t generated = 0, delivered = 0, stalled = 0;
+  for (const auto& w : r.windows) {
+    generated += w.generated;
+    delivered += w.delivered;
+    stalled += w.dep_stalled_sends;
+  }
+  EXPECT_EQ(generated, 6);
+  EXPECT_EQ(delivered, 6);
+  EXPECT_EQ(stalled, 3) << "each dependent of 0.0 waits for its delivery";
+  std::remove(path.c_str());
+}
+
 // ---- 5. parser and grammar negatives ---------------------------------------
 
 TEST(TraceParser, RejectsExplicitDependencyCycle) {
@@ -389,6 +422,12 @@ TEST(SpecGrammar, NamedErrorsForBadWorkloadSpecs) {
                      {"frac must be in (0, 1]"});
   expect_throws_with([] { validate_traffic_spec("allreduce:ranks=12,algo=tree"); },
                      {"power-of-two ranks"});
+  // A ring sends 2R(R-1) messages, indexed in 32 bits: R = 32768 is the
+  // largest ring that fits (validated only — building it would take GBs).
+  expect_throws_with(
+      [] { validate_traffic_spec("allreduce:ranks=32769,algo=ring"); },
+      {"2147549184 messages", "2147483647"});
+  EXPECT_NO_THROW(validate_traffic_spec("allreduce:ranks=32768,algo=ring"));
   expect_throws_with([] { validate_traffic_spec("trace:"); },
                      {"expected key=value parameters"});
   expect_throws_with([] { validate_traffic_spec("uniform:x=1"); },
