@@ -8,7 +8,7 @@
 //   sweep --config examples/suites/fig06a.json --scale small
 //   sweep --name t --topo slimfly:q=5 --emit-config t.json   # export, no run
 //   sweep diff tests/golden/BENCH_golden_mini.json BENCH_golden_mini.json
-//   sweep diff --against HEAD~1 BENCH_hotpath.json   # old side from git
+//   sweep diff --against HEAD~1 tests/golden/BENCH_golden_mini.json   # old side from git
 //   sweep --list
 //
 // Axes repeat; the engine runs the compatible cross-product over all cores

@@ -98,8 +98,6 @@ class DelayLine {
   bool empty() const { return items_.empty(); }
   std::size_t size() const { return items_.size(); }
   std::size_t capacity() const { return items_.capacity(); }
-  /// Slots physically backed right now (<= capacity(); RSS diagnostics).
-  std::size_t physical_capacity() const { return items_.physical_capacity(); }
 
  private:
   static constexpr std::int64_t kEmpty =

@@ -23,12 +23,4 @@ void Injector::init(int num_endpoints, int initial_credits,
   }
 }
 
-std::int64_t Injector::backlog() const {
-  std::int64_t total = 0;
-  for (const auto& q : source_queue_) {
-    total += static_cast<std::int64_t>(q.size());
-  }
-  return total;
-}
-
 }  // namespace slimfly::sim

@@ -74,9 +74,6 @@ class Injector {
   }
   int num_endpoints() const { return static_cast<int>(credits_.size()); }
 
-  /// Total packets waiting in source queues (saturation indicator).
-  std::int64_t backlog() const;
-
  private:
   std::vector<GrowRing<Packet>> source_queue_;
   std::vector<int> credits_;

@@ -262,13 +262,10 @@ void Network::wire() {
       credit_base += nvc;
       if (i < deg) {
         out.dest_router = nbrs[static_cast<std::size_t>(i)];
-        out.initial_credit = buf_vc;
         for (int& c : out.credits) c = buf_vc;
       } else {
         out.dest_router = -1;
-        out.dest_endpoint = topo_.first_endpoint(r) + (i - deg);
         // Endpoints always consume: model as unbounded credit.
-        out.initial_credit = 1 << 28;
         for (int& c : out.credits) c = 1 << 28;
       }
     }

@@ -246,14 +246,15 @@ class Network {
   /// Endpoints that can generate traffic under the pattern.
   int active_endpoints() const { return active_endpoints_; }
   /// Crossbar traversals granted so far (one per packet per router) — the
-  /// hot path's unit of work, reported by bench/hotpath as flit-hops/s.
+  /// hot path's unit of work (the benchmark's network.step_ns_per_flit_hop
+  /// divides stepping time by it).
   std::int64_t flit_hops() const;
 
   /// Pre-reserves the per-shard latency pools for the full measurement
   /// window (active endpoints x measure_cycles samples). Opt-in hook for
-  /// the allocation-guard test and bench/hotpath: it makes the measurement
-  /// phase allocation-free at the cost of an upper-bound reservation,
-  /// which would be wasteful as a default at paper scale and low load.
+  /// the allocation-guard test: it makes the measurement phase
+  /// allocation-free at the cost of an upper-bound reservation, which
+  /// would be wasteful as a default at paper scale and low load.
   void reserve_measurement_stats();
 
  private:

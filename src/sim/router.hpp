@@ -69,11 +69,9 @@ struct OutputPort {
   LazyRing<Packet> staging;        ///< ejection ports only (see `staged`)
 
   int dest_router = -1;  ///< -1 => ejection port to an endpoint
-  int dest_endpoint = -1;///< endpoint id for ejection ports
   /// Input port index at dest_router (16-bit: the constructor bounds the
   /// per-router port count far below 2^15).
   std::int16_t dest_port = -1;
-  int initial_credit = 0;
 
   int consumed_credits() const { return consumed; }
 };

@@ -105,16 +105,6 @@ class SlabPool {
     }
   }
 
-  /// Bytes currently parked on the shelves (diagnostics only).
-  std::size_t pooled_bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < shelves_.size(); ++c) {
-      total += shelves_[c].size() * (kMinBytes << c);
-    }
-    return total;
-  }
-
   // Compile-time shape of the pool, public so opt-in callers (the
   // measurement-window reserve in Network) can charge a deeper float in
   // terms of the same limits.

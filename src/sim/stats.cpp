@@ -47,9 +47,4 @@ double Stats::percentile_latency(double p) const {
   return static_cast<double>(sorted[idx]);
 }
 
-std::int64_t Stats::max_latency() const {
-  if (latencies_.empty()) return 0;
-  return *std::max_element(latencies_.begin(), latencies_.end());
-}
-
 }  // namespace slimfly::sim

@@ -28,7 +28,6 @@ class Stats {
   double average_latency() const;
   double average_network_latency() const;
   double percentile_latency(double p) const;  ///< p in (0, 1]
-  std::int64_t max_latency() const;
 
   bool all_measured_delivered() const {
     return measured_delivered_ >= measured_generated_;
@@ -89,7 +88,7 @@ struct SimResult {
   /// Cycles the stepping engine actually executed (phases run). For the
   /// cycle engine this equals `cycles`; the active engine fast-forwards
   /// globally-idle stretches, so `cycles - cycles_stepped` is the audited
-  /// skipped-cycle count (bench/hotpath prints both).
+  /// skipped-cycle count (the benchmark's per-layer trace reports both).
   std::int64_t cycles_stepped = 0;
   /// Crossbar traversals granted over the whole run (one per packet per
   /// router hop); flit_hops / wall time is the hot path's work rate.
