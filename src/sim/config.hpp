@@ -16,9 +16,10 @@ namespace slimfly::sim {
 /// Network::step_engine() and docs/ARCHITECTURE.md §"Stepping engines".
 ///
 ///   Cycle  — visit every router every cycle (full scan).
-///   Active — per-shard active-router sets plus a min-heap of future wake
-///            times: quiet routers are skipped and globally-idle stretches
-///            fast-forward the cycle counter in one jump.
+///   Active — per-shard active-router sets plus future wake times (a
+///            timing wheel for near wakes, a min-heap for far ones): quiet
+///            routers are skipped and globally-idle stretches fast-forward
+///            the cycle counter in one jump.
 ///   Auto   — Active for self-clocked traffic or a mean injection rate at
 ///            or below Network::kActiveRateThreshold, Cycle otherwise.
 enum class StepEngine : std::uint8_t { Cycle = 0, Active = 1, Auto = 2 };

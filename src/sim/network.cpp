@@ -477,8 +477,11 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
         // queue is backlogged. A hard-OFF cycle (multiplier 0) consumes no
         // draw, so the stream position depends only on ON-cycle count — the
         // invariant plan_arrival_from's batched draws rely on.
-        hit = traffic_modulated_ ? modulated_hit(e, cycle_, ep.rng)
-                                 : ep.rng.bernoulli(load_);
+        if (!traffic_modulated_) {
+          hit = ep.rng.bernoulli(load_);
+        } else if (const double m = traffic_.rate_multiplier(e, cycle_); m > 0.0) {
+          hit = rate_hit(m, ep.rng);
+        }
       } else if (cycle_ == ep.next_arrival) {
         // A planned arrival materializes. Its Bernoulli draws were consumed
         // at plan time; the destination (and any routing) draws happen now,
@@ -851,41 +854,56 @@ void Network::resize_team(int want) {
 
 void Network::init_active() {
   engine_active_ = true;
+  wheels_.assign(shards_, {});
   wake_heaps_.assign(shards_, {});
   wake_outbox_.assign(shards_, {});
   busy_.assign(shards_, {});
-  woken_.assign(shards_, {});
+  // How far ahead each line schedules its wakes: a grant's flit matures
+  // after at most output_staging - 1 queued flits plus wire and pipeline,
+  // a delivery after wire and pipeline, a credit after credit_delay.
+  const std::int64_t transit =
+      static_cast<std::int64_t>(config_.channel_latency) +
+      config_.router_pipeline;
+  const bool far_flits = config_.output_staging - 1 + transit >= kWheelSlots;
+  const bool far_ejections = transit >= kWheelSlots;
+  const bool far_credits = config_.credit_delay >= kWheelSlots;
   for (std::size_t s = 0; s < shards_; ++s) {
     auto [lo, hi] = shard_ranges_[s];
     const std::size_t owned = static_cast<std::size_t>(hi - lo);
+    const std::size_t words = (owned + 63) / 64;
     // Every router starts busy, so cycle 0 steps the whole network: each
     // endpoint's first injection pass draws live at cycle 0 and then plans
     // from cycle 1 (injection_router); self-clocked replay pops its
     // initially-eligible sends the same way. update_busy after cycle 0
     // clears every router without work.
-    busy_[s].assign((owned + 63) / 64, 0);
+    busy_[s].assign(words, 0);
     for (std::size_t local = 0; local < owned; ++local) {
       busy_[s][local / 64] |= std::uint64_t{1} << (local % 64);
     }
-    woken_[s].assign((owned + 63) / 64, 0);
+    wheels_[s].words = words;
+    wheels_[s].rows.assign(static_cast<std::size_t>(kWheelSlots) * words, 0);
     step_list_[s].reserve(owned / 2 + 1);  // runs are separated by gaps
-    // Live wakes targeting a router are bounded by the un-matured entries
-    // of its event lines (each push schedules exactly one wake at the
-    // entry's ready cycle, popped at that cycle's build) plus one per
-    // endpoint — a pending injector arrival, or for self-clocked replay a
-    // dependency-unlock wake at cycle+1 (consumed next build, and each
-    // endpoint's head unlocks at most once) — so the heap's worst case is
-    // the sum of the line capacities wire() chose. Reserving it keeps the
-    // steady-state push_heap/push_back allocation-free.
+    // Far events targeting a router: at most one pending injector arrival
+    // per endpoint (self-clocked unlock wakes are one cycle ahead, so they
+    // take the wheel), plus — only for a line whose delay can reach
+    // kWheelSlots — the un-matured entries of that line (each push
+    // schedules exactly one wake at the entry's ready cycle, popped at that
+    // cycle's build). Reserving the sum keeps the steady-state
+    // push_heap/push_back allocation-free.
     std::size_t cap = 1, inputs = 0;
     for (int r = lo; r < hi; ++r) {
       const RouterState& router = routers_[static_cast<std::size_t>(r)];
       for (int i = 0; i < router.network_ports; ++i) {
-        cap += router.inputs[static_cast<std::size_t>(i)].incoming.capacity();
-        cap += router.outputs[static_cast<std::size_t>(i)]
-                   .credit_return.capacity();
+        if (far_flits) {
+          cap += router.inputs[static_cast<std::size_t>(i)].incoming.capacity();
+        }
+        if (far_credits) {
+          cap += router.outputs[static_cast<std::size_t>(i)]
+                     .credit_return.capacity();
+        }
       }
-      cap += router.ejection.capacity() + router.ep_credits.capacity();
+      if (far_ejections) cap += router.ejection.capacity();
+      if (far_credits) cap += router.ep_credits.capacity();
       cap += static_cast<std::size_t>(topo_.endpoints_at(r));
       inputs += router.inputs.size();
     }
@@ -898,39 +916,59 @@ void Network::init_active() {
   }
 }
 
-/* SF_HOT */ void Network::schedule_wake(std::size_t shard, int router, std::int64_t at) {
-  if (!engine_active_) return;  // the full scan steps every router anyway
-  const std::int64_t event =
-      (at << 16) | static_cast<std::int64_t>(router & 0xffff);
+/* SF_HOT */ void Network::record_wake(std::size_t shard, int router, std::int64_t at) {
   const std::size_t owner = shard_of_router_[static_cast<std::size_t>(router)];
   if (owner == shard) {
-    auto& heap = wake_heaps_[owner];
-    heap.push_back(event);  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
-    std::push_heap(heap.begin(), heap.end(), std::greater<std::int64_t>{});
+    file_wake(owner, router, at);
   } else {
-    wake_outbox_[shard].push_back(event);  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
+    wake_outbox_[shard].push_back(  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
+        (at << 16) | static_cast<std::int64_t>(router & 0xffff));
   }
+}
+
+/* SF_HOT */ void Network::file_wake(std::size_t owner, int router, std::int64_t at) {
+  if (at - cycle_ < kWheelSlots) {
+    // credit_delay = 0 schedules a credit wake for the current cycle, whose
+    // slot is already consumed; like a due heap event, it wakes the router
+    // at the next cycle.
+    const std::int64_t due = std::max(at, cycle_ + 1);
+    WakeWheel& wheel = wheels_[owner];
+    const std::size_t slot = static_cast<std::size_t>(due & (kWheelSlots - 1));
+    const std::size_t local =
+        static_cast<std::size_t>(router - shard_ranges_[owner].first);
+    wheel.rows[slot * wheel.words + local / 64] |= std::uint64_t{1}
+                                                   << (local % 64);
+    wheel.occupied |= std::uint64_t{1} << slot;
+    return;
+  }
+  auto& heap = wake_heaps_[owner];
+  heap.push_back((at << 16) | static_cast<std::int64_t>(router & 0xffff));  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
+  std::push_heap(heap.begin(), heap.end(), std::greater<std::int64_t>{});
 }
 
 /* SF_HOT */ void Network::drain_wake_outboxes() {
   for (auto& box : wake_outbox_) {
     for (std::int64_t event : box) {
-      auto& heap = wake_heaps_[shard_of_router_[static_cast<std::size_t>(
-          event & 0xffff)]];
-      heap.push_back(event);  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
-      std::push_heap(heap.begin(), heap.end(), std::greater<std::int64_t>{});
+      const int router = static_cast<int>(event & 0xffff);
+      file_wake(shard_of_router_[static_cast<std::size_t>(router)], router,
+                event >> 16);
     }
     box.clear();
   }
 }
 
 /* SF_HOT */ void Network::build_step_list(std::size_t shard) {
-  auto [lo, hi] = shard_ranges_[shard];
-  auto& woken = woken_[shard];
-  std::fill(woken.begin(), woken.end(), 0);
-  // Pop every event due at or before this cycle. Stale events (a busy
-  // router stepped at its wake cycle anyway) just re-activate a router —
-  // stepping a quiet router is a no-op, so duplicates are harmless.
+  const int lo = shard_ranges_[shard].first;
+  // This cycle's wheel row is the woken mask; the step list consumes it
+  // below, leaving the slot empty for cycle_ + kWheelSlots.
+  WakeWheel& wheel = wheels_[shard];
+  const std::size_t slot =
+      static_cast<std::size_t>(cycle_ & (kWheelSlots - 1));
+  std::uint64_t* woken = wheel.rows.data() + slot * wheel.words;
+  wheel.occupied &= ~(std::uint64_t{1} << slot);
+  // Far events due now. Stale or duplicate wakes (a busy router stepped at
+  // its wake cycle anyway) just re-activate a router — stepping a quiet
+  // router is a no-op, so they are harmless.
   auto& heap = wake_heaps_[shard];
   const std::int64_t limit = (cycle_ + 1) << 16;
   while (!heap.empty() && heap.front() < limit) {
@@ -943,8 +981,9 @@ void Network::init_active() {
   auto& runs = step_list_[shard];
   runs.clear();
   const auto& busy = busy_[shard];
-  for (std::size_t w = 0; w < woken.size(); ++w) {
+  for (std::size_t w = 0; w < wheel.words; ++w) {
     std::uint64_t mask = woken[w] | busy[w];
+    woken[w] = 0;
     while (mask) {
       const int r = lo + static_cast<int>(w) * 64 + ctz64(mask);
       mask &= mask - 1;
@@ -1006,11 +1045,21 @@ void Network::init_active() {
                             config_.drain_cycles;
   std::int64_t t = from;
   if (traffic_modulated_) {
-    // Modulated stream: query the multiplier cycle by cycle so OFF cycles
-    // consume no draw — the exact per-cycle sequence injection_router
-    // produces (rate_multiplier tolerates the monotone-with-gaps cycles
+    // Modulated stream: ON cycles draw one by one, the exact sequence
+    // injection_router's live draws produce; an OFF cycle consumes no draw,
+    // so the walk jumps to the pattern's off_until instead of querying each
+    // silent cycle (rate_multiplier tolerates the monotone-with-gaps cycles
     // this batch walks).
-    while (t < last && !modulated_hit(e, t, ep.rng)) ++t;
+    while (t < last) {
+      const double m = traffic_.rate_multiplier(e, t);
+      if (m <= 0.0) {
+        t = traffic_.off_until(e, t);
+      } else if (rate_hit(m, ep.rng)) {
+        break;
+      } else {
+        ++t;
+      }
+    }
   } else {
     while (t < last && !ep.rng.bernoulli(load_)) ++t;
   }
@@ -1029,9 +1078,20 @@ void Network::init_active() {
       if (w) return;  // someone has work every cycle: no idle stretch
     }
   }
+  // Earliest pending wake: each far heap's top, and each wheel's first
+  // occupied slot at or after cycle_ (rotate cycle_'s slot to bit 0; every
+  // wheel event lies in [cycle_, cycle_ + kWheelSlots)).
   std::int64_t next = bound;
-  for (const auto& heap : wake_heaps_) {
+  const int slot = static_cast<int>(cycle_ & (kWheelSlots - 1));
+  for (std::size_t s = 0; s < shards_; ++s) {
+    const auto& heap = wake_heaps_[s];
     if (!heap.empty()) next = std::min(next, heap.front() >> 16);
+    const std::uint64_t occupied = wheels_[s].occupied;
+    if (occupied) {
+      const std::uint64_t from_now =
+          slot == 0 ? occupied : (occupied >> slot) | (occupied << (64 - slot));
+      next = std::min(next, cycle_ + ctz64(from_now));
+    }
   }
   if (next > cycle_) cycle_ = next;
 }

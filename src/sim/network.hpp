@@ -81,9 +81,10 @@
 //   * rate modulation (burst:) — the injection phase asks the pattern for a
 //     per-endpoint multiplier each cycle; a zero multiplier consumes NO
 //     Bernoulli draw, which keeps live draws (querying every cycle) and
-//     active mode's planned draws (querying inside plan_arrival_from's
-//     batched loop) bit-identical. The unmodulated path is byte-for-byte
-//     the pre-workload code (the flag is cached at construction).
+//     active mode's planned draws (plan_arrival_from's batched loop, which
+//     jumps to off_until past each silent cycle) bit-identical. The
+//     unmodulated path is byte-for-byte the pre-workload code (the flag is
+//     cached at construction).
 //   * self-clocked replay (trace:/allreduce:) — injection pops eligible
 //     sends from the pattern instead of drawing coins; deliveries flow back
 //     through per-shard completion outboxes (drained serially, above), and
@@ -105,23 +106,28 @@
 //           nothing is recorded or planned (the full scan).
 //   active  Each shard keeps (a) a busy bitmask over its routers — busy iff
 //           any input VC is occupied, any staging counter is nonzero, or an
-//           attached endpoint's source queue is nonempty — and (b) a
-//           min-heap of future wake times fed by every event with a known
-//           maturity cycle: granted flits (downstream incoming-line ready),
-//           returning credits (upstream credit_return ready — keeps UGAL's
-//           remote queue_estimate reads exact on sleeping routers),
-//           ejection-line readies, endpoint uplink credits, and injector
-//           next-arrival cycles (planned: the Bernoulli draws a sleeping
-//           endpoint would have made are batched at plan time, the
-//           destination/routing draws stay at the materialize cycle, so
-//           every stream consumes values in exactly the cycle-mode order).
-//           Every router starts busy, so cycle 0 steps them all: the first
-//           injection pass draws live and then plans from cycle 1. Arrivals
-//           rebuild the list from busy|woken routers and transmission
-//           refreshes the busy bits; run() fast-forwards cycle_ to the
-//           earliest heap entry when every shard is idle. step() itself
-//           always advances exactly one cycle, so step-level
-//           instrumentation sees identical state.
+//           attached endpoint's source queue is nonempty — and (b) its
+//           future wakes, fed by every event with a known maturity cycle:
+//           granted flits (downstream incoming-line ready), returning
+//           credits (upstream credit_return ready — keeps UGAL's remote
+//           queue_estimate reads exact on sleeping routers), ejection-line
+//           readies, endpoint uplink credits, and injector next-arrival
+//           cycles (planned: the Bernoulli draws a sleeping endpoint would
+//           have made are batched at plan time, jumping over OFF segments
+//           via TrafficPattern::off_until; the destination/routing draws
+//           stay at the materialize cycle, so every stream consumes values
+//           in exactly the cycle-mode order). Wakes fewer than kWheelSlots
+//           cycles ahead go into a timing wheel of per-cycle bitmask rows
+//           (one OR each, duplicates merged); farther ones — planned
+//           arrivals, and line events only under very long delays — into a
+//           min-heap. Every router starts busy, so cycle 0 steps them all:
+//           the first injection pass draws live and then plans from cycle
+//           1. Arrivals rebuild the list from the busy mask, the current
+//           wheel row and the due heap events, and transmission refreshes
+//           the busy bits; run() fast-forwards cycle_ to the earliest of
+//           the heap tops and the first occupied wheel slots when every
+//           shard is idle. step() itself always advances exactly one
+//           cycle, so step-level instrumentation sees identical state.
 //
 // The active set pays for its bookkeeping only when most routers are idle
 // most cycles, so SimConfig::engine = Auto picks it for self-clocked replay
@@ -167,9 +173,9 @@ class Network {
 
   /// Mean per-endpoint injection rate (load × the pattern's
   /// mean_rate_multiplier()) at or below which the active set beats the
-  /// full scan: the measured crossover on slimfly q=7 and q=19 under
-  /// uniform MIN traffic (active/cycle wall 0.67–0.78× at 0.005, 0.93–1.06×
-  /// at 0.01, 1.18–1.30× at 0.02; README has the table).
+  /// full scan, measured on slimfly q=7 and q=19 under uniform MIN traffic
+  /// (active/cycle wall 0.52–0.77× at 0.005, 0.75–0.89× at 0.01,
+  /// 0.96–1.11× from 0.02 to 0.1; README has the table).
   static constexpr double kActiveRateThreshold = 0.01;
   /// The mode StepEngine::Auto resolves to: Active for self-clocked traffic
   /// or a mean injection rate at or below kActiveRateThreshold, else Cycle.
@@ -307,13 +313,11 @@ class Network {
   /// counters.
   void generate_packet(std::size_t shard, int e, int dst, bool in_measurement,
                        std::int64_t dep_stall);
-  /// Injection decision for a rate-modulated pattern at the current cycle
-  /// (multiplier query + at most one Bernoulli draw; zero multiplier draws
-  /// nothing). Shared verbatim by injection_router's live draw and
-  /// plan_arrival_from's batched draws.
-  /* SF_HOT */ bool modulated_hit(int e, std::int64_t t, Rng& rng) {
-    const double m = traffic_.rate_multiplier(e, t);
-    return m > 0.0 && rng.bernoulli(std::min(1.0, load_ * m));
+  /// The one Bernoulli draw of a cycle whose rate multiplier m is positive
+  /// (a zero multiplier draws nothing). Shared verbatim by
+  /// injection_router's live draw and plan_arrival_from's batched draws.
+  /* SF_HOT */ bool rate_hit(double m, Rng& rng) const {
+    return rng.bernoulli(std::min(1.0, load_ * m));
   }
   /// Drains the per-shard completion outboxes into the traffic pattern
   /// (serially, between cycles) and wakes unlocked endpoints' routers.
@@ -325,14 +329,27 @@ class Network {
 
   // ---- active-mode bookkeeping (step_engine() == StepEngine::Active) ----
   void init_active();
-  /// Ensures `router` is stepped at cycle `at` (no-op in cycle mode).
-  /// Own-shard events go straight into the producing shard's heap (single
-  /// writer during phases); cross-shard events land in the producer's
-  /// outbox, merged serially by step() after the parallel region.
-  void schedule_wake(std::size_t shard, int router, std::int64_t at);
+  /// Ensures `router` is stepped at cycle `at` (no-op in cycle mode; a
+  /// wake for the current cycle, from credit_delay = 0, lands on the
+  /// next). Own-shard events go straight into the producing shard's wheel
+  /// or far heap (single writer during phases); cross-shard events land in
+  /// the producer's outbox, merged serially by step() after the parallel
+  /// region. Only the mode test is inline: the full scan's grant loop pays
+  /// one predictable branch, and the wake body stays out of line (noinline:
+  /// link-time optimization would otherwise fold it into that loop).
+  /* SF_HOT */ void schedule_wake(std::size_t shard, int router,
+                                  std::int64_t at) {
+    if (engine_active_) record_wake(shard, router, at);
+  }
+  [[gnu::noinline]] void record_wake(std::size_t shard, int router,
+                                     std::int64_t at);
+  /// Files an event into its owner's wheel (less than kWheelSlots cycles
+  /// ahead) or far heap.
+  void file_wake(std::size_t owner, int router, std::int64_t at);
   void drain_wake_outboxes();
-  /// Pops every due heap event and merges with the busy mask into the
-  /// shard's index-ordered step list.
+  /// Takes the current wheel slot's row as the woken mask, adds every due
+  /// far-heap event, and merges it with the busy mask into the shard's
+  /// index-ordered step list.
   void build_step_list(std::size_t shard);
   /// Recomputes busy bits for the routers this shard just stepped.
   void update_busy(std::size_t shard);
@@ -446,16 +463,33 @@ class Network {
   /// refresh, wake recording, arrival planning and fast_forward.
   bool engine_active_ = false;
   std::int64_t cycles_stepped_ = 0;
-  /// Per-shard min-heap (std::push_heap/pop_heap with std::greater) of
-  /// packed (cycle << 16) | router events. Router ids fit 16 bits (the
-  /// constructor enforces <= 65536 routers), cycles fit 31 (ditto).
+  /// Near wakes (fewer than kWheelSlots cycles ahead) go into a per-shard
+  /// timing wheel (Varghese & Lauck, SOSP '87): slot `at % kWheelSlots` is
+  /// a bitmask row over the shard's routers, so scheduling is one OR and a
+  /// router woken twice for one cycle is stored once; `occupied` marks the
+  /// nonempty slots. Stored events always lie in [cycle_, cycle_ +
+  /// kWheelSlots), so a slot never mixes two cycles. alignas keeps each
+  /// shard's `occupied` word off its neighbours' cache lines.
+  static constexpr std::int64_t kWheelSlots = 64;
+  struct alignas(64) WakeWheel {
+    std::uint64_t occupied = 0;       ///< bit k: slot k's row is nonzero
+    std::size_t words = 0;            ///< row width, ceil(owned routers / 64)
+    std::vector<std::uint64_t> rows;  ///< kWheelSlots rows of `words` words
+  };
+  static_assert(kWheelSlots == 64, "WakeWheel::occupied is one 64-bit word");
+  std::vector<WakeWheel> wheels_;
+  /// Far wakes: per-shard min-heap (std::push_heap/pop_heap with
+  /// std::greater) of packed (cycle << 16) | router events — planned
+  /// arrivals, and line events only under delays of kWheelSlots cycles or
+  /// more. Router ids fit 16 bits (the constructor enforces <= 65536
+  /// routers), cycles fit 31 (ditto).
   std::vector<std::vector<std::int64_t>> wake_heaps_;
   /// Cross-shard wake events, indexed by the *producing* shard.
   std::vector<std::vector<std::int64_t>> wake_outbox_;
-  /// Busy/woken bitmasks over shard-LOCAL router indices (local indexing
-  /// keeps shard-boundary routers out of shared words).
+  /// Busy bitmasks over shard-LOCAL router indices (local indexing keeps
+  /// shard-boundary routers out of shared words; the wheel rows use the
+  /// same indexing).
   std::vector<std::vector<std::uint64_t>> busy_;
-  std::vector<std::vector<std::uint64_t>> woken_;
 
   // ---- workload-layer state (sized once at construction; the steady-state
   // loop stays allocation-free) -------------------------------------------

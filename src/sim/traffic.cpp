@@ -334,6 +334,12 @@ class BurstTraffic final : public TrafficPattern {
     }
     return (s.on ? mult_ : 0.0) * base_->rate_multiplier(src, t);
   }
+  /// An OFF segment lasts to its end; an ON one is silent only where the
+  /// base pattern is.
+  /* SF_HOT */ std::int64_t off_until(int src, std::int64_t t) override {
+    const State& s = states_[static_cast<std::size_t>(src)];
+    return s.on ? base_->off_until(src, t) : s.segment_end;
+  }
   /// mult · on/(on+off): ON and OFF segment lengths have means on_ and off_.
   double mean_rate_multiplier() const override {
     return mult_ * static_cast<double>(on_) / static_cast<double>(on_ + off_) *
@@ -406,6 +412,9 @@ class HotspotTraffic final : public TrafficPattern {
   bool modulates_rate() const override { return base_->modulates_rate(); }
   /* SF_HOT */ double rate_multiplier(int src, std::int64_t t) override {
     return base_->rate_multiplier(src, t);
+  }
+  /* SF_HOT */ std::int64_t off_until(int src, std::int64_t t) override {
+    return base_->off_until(src, t);
   }
   double mean_rate_multiplier() const override {
     return base_->mean_rate_multiplier();

@@ -58,6 +58,17 @@ class TrafficPattern {
     (void)t;
     return 1.0;
   }
+  /// First cycle after t at which rate_multiplier(e, ·) can be nonzero
+  /// again. Called right after rate_multiplier(e, t) returned 0, so the
+  /// pattern's state is already at t; it must draw nothing, and every cycle
+  /// in (t, result) must have multiplier 0. The active engine's arrival
+  /// planner jumps straight to the result: skipped OFF cycles consume no
+  /// Bernoulli draw either way, so the jump is exact. The default, t + 1,
+  /// skips nothing.
+  virtual std::int64_t off_until(int src_endpoint, std::int64_t t) {
+    (void)src_endpoint;
+    return t + 1;
+  }
   /// Long-run mean of rate_multiplier() — the factor between the configured
   /// load and the mean per-endpoint injection rate. The Network reads it
   /// once, at construction, to choose its stepping mode.

@@ -43,10 +43,10 @@ void expect_same_result(const SimResult& a, const SimResult& b,
 }
 
 SimResult run_point(const Topology& topo, RoutingKind kind, double load,
-                    StepEngine engine, int intra_threads = 1) {
+                    StepEngine engine, int intra_threads = 1,
+                    SimConfig cfg = quick_config()) {
   auto bundle = make_routing(kind, topo);
   auto traffic = make_uniform(topo.num_endpoints());
-  SimConfig cfg = quick_config();
   cfg.engine = engine;
   cfg.intra_threads = intra_threads;
   return simulate(topo, *bundle.algorithm, *traffic, cfg, load);
@@ -101,15 +101,41 @@ TEST(Engine, SaturatedWorstCaseBitIdentical) {
 
 TEST(Engine, ActiveEngineBitIdenticalAcrossIntraThreadCounts) {
   // The active engine composes with router-parallel stepping: per-shard
-  // heaps plus cross-shard wake outboxes must keep the full
-  // engine x worker-count matrix on one trajectory.
+  // wake wheels and far heaps plus cross-shard wake outboxes must keep the
+  // full engine x worker-count matrix on one trajectory. Two configs move
+  // wakes off the default path: a 70-cycle wire puts every flit and
+  // delivery wake 64 or more cycles ahead, past the wheel, so line events
+  // take the far heap (and, at intra > 1, the outboxes into it); and
+  // credit_delay = 0 files each credit wake for the current cycle, whose
+  // wheel slot is already consumed — it must still wake the next cycle, or
+  // UGAL-G's remote queue reads see a stale credit count.
   sf::SlimFlyMMS sf(5);
-  SimResult want = run_point(sf, RoutingKind::UgalL, 0.3, StepEngine::Cycle);
-  for (int intra : {1, 2, 4}) {
-    expect_same_result(want,
-                       run_point(sf, RoutingKind::UgalL, 0.3,
-                                 StepEngine::Active, intra),
-                       "active intra=" + std::to_string(intra));
+  SimConfig far = quick_config();
+  far.channel_latency = 70;
+  SimConfig zero_credit = quick_config();
+  zero_credit.credit_delay = 0;
+  struct Case {
+    SimConfig cfg;
+    RoutingKind kind;
+    double load;
+    std::string what;
+  };
+  for (const Case& c :
+       {Case{quick_config(), RoutingKind::UgalL, 0.3, "default"},
+        Case{far, RoutingKind::Minimal, 0.1, "channel_latency=70"},
+        Case{far, RoutingKind::UgalG, 0.1, "channel_latency=70"},
+        Case{zero_credit, RoutingKind::Minimal, 0.1, "credit_delay=0"},
+        Case{zero_credit, RoutingKind::UgalG, 0.1, "credit_delay=0"}}) {
+    SimResult want =
+        run_point(sf, c.kind, c.load, StepEngine::Cycle, 1, c.cfg);
+    EXPECT_GT(want.delivered, 0) << c.what;
+    for (int intra : {1, 2, 4}) {
+      expect_same_result(want,
+                         run_point(sf, c.kind, c.load, StepEngine::Active,
+                                   intra, c.cfg),
+                         c.what + " " + to_string(c.kind) +
+                             " active intra=" + std::to_string(intra));
+    }
   }
 }
 

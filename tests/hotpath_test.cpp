@@ -62,15 +62,15 @@ SimConfig guard_config() {
 // use), then asserts the next `measured` cycles allocate nothing. The
 // window straddles warmup -> measurement, covering every phase plus stats
 // recording. Both stepping modes must hold the guarantee: the step lists
-// are sized at wire() and active mode's wake heaps and outboxes at
-// init_active() for their worst case, so steady-state scheduling never
+// are sized at wire() and active mode's wake wheels, far heaps and outboxes
+// at init_active() for their worst case, so steady-state scheduling never
 // grows them.
 void expect_allocation_free_steady_state(RoutingKind kind, double load,
-                                         StepEngine engine) {
+                                         StepEngine engine,
+                                         SimConfig cfg = guard_config()) {
   sf::SlimFlyMMS topo(5);
   auto routing = make_routing(kind, topo);
   auto traffic = make_uniform(topo.num_endpoints());
-  SimConfig cfg = guard_config();
   cfg.engine = engine;
   Network net(topo, *routing.algorithm, *traffic, cfg, load);
   net.reserve_measurement_stats();
@@ -136,10 +136,18 @@ TEST(HotPathAllocationGuard, LazyRingGrowthIsPoolServed) {
 
 TEST(HotPathAllocationGuard, ActiveEngineLowLoadIsAllocationFree) {
   // Low load is the active engine's hot regime: routers sleep, injector
-  // arrivals are batch-planned, and the wake heaps churn constantly — all
+  // arrivals are batch-planned, and the wake wheels churn constantly — all
   // of it must run out of the capacity reserved at construction.
   expect_allocation_free_steady_state(RoutingKind::Minimal, 0.05,
                                       StepEngine::Active);
+  // A 70-cycle wire sends every flit and delivery wake past the wheel into
+  // the far heap, whose reserve must then cover the line events too. Load
+  // 0.1, not 0.3: with this wire the queues keep deepening past the settle
+  // phase at 0.3, and both modes then allocate alike.
+  SimConfig far = guard_config();
+  far.channel_latency = 70;
+  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.1,
+                                      StepEngine::Active, far);
 }
 
 // Workload-layer variant of the guard: a traffic spec string instead of a
@@ -175,7 +183,7 @@ TEST(HotPathAllocationGuard, BurstModulationIsAllocationFree) {
 
 TEST(HotPathAllocationGuard, DependencyReplayIsAllocationFree) {
   // Self-clocked replay: completion outboxes, the unlock scratch and the
-  // wake heap budget must all run out of their construction-time reserves.
+  // wake budgets must all run out of their construction-time reserves.
   // 128 ring ranks give 2*127*128 = 32512 messages — the replay spans the
   // whole 500-step guard window.
   expect_workload_allocation_free("allreduce:ranks=128,algo=ring", 0.3,

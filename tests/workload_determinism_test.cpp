@@ -6,7 +6,8 @@
 //   2. Trace-replay ordering is independent of shard count and stepping
 //      mode down to the windowed-stats rows.
 //   3. Burst offered load converges to the configured mean (load x mult x
-//      duty cycle); hotspot endpoints absorb their configured share.
+//      duty cycle); hotspot endpoints absorb their configured share; the
+//      off_until hook skips only silent cycles and draws nothing.
 //   4. Dependency stalls show up in windowed stats for replay and are
 //      identically zero for independent injection — the causality signature
 //      that independent injection cannot reproduce. One delivery can unlock
@@ -203,6 +204,48 @@ TEST(WorkloadConvergence, BurstMultiplierAveragesToDutyCycleTimesMult) {
   }
   const double mean = sum / (static_cast<double>(horizon) * endpoints);
   EXPECT_NEAR(mean, 1.0, 0.05);
+}
+
+TEST(WorkloadHooks, OffUntilSkipsOnlySilentCyclesAndDrawsNothing) {
+  // The off_until contract the arrival planner's jumps rely on. Twin
+  // patterns with one seed: `skip` is walked the planner's way (jump to
+  // off_until after every zero multiplier), `twin` is queried on every
+  // cycle. Each skipped cycle must be silent on the twin, and after the
+  // walk both segment streams must be at the same position — the hook drew
+  // nothing — so their futures agree cycle for cycle.
+  sf::SlimFlyMMS topo(5);
+  for (const std::string spec :
+       {"burst:on=40,off=400,mult=5,seed=3,base=uniform",
+        "hotspot:frac=0.05,heat=4,seed=3,base=burst:on=40;off=400;mult=5"}) {
+    auto skip = make_traffic(spec, topo);
+    auto twin = make_traffic(spec, topo);
+    const std::int64_t horizon = 20000;
+    std::int64_t jumped = 0;
+    for (int e = 0; e < 8; ++e) {
+      std::int64_t t = 0;
+      while (t < horizon) {
+        const double m = skip->rate_multiplier(e, t);
+        ASSERT_EQ(m, twin->rate_multiplier(e, t)) << spec << " e=" << e;
+        if (m > 0.0) {
+          ++t;
+          continue;
+        }
+        const std::int64_t next = skip->off_until(e, t);
+        ASSERT_GT(next, t) << spec;
+        for (std::int64_t c = t + 1; c < next; ++c) {
+          ASSERT_EQ(twin->rate_multiplier(e, c), 0.0)
+              << spec << " e=" << e << " skipped cycle " << c;
+        }
+        jumped += next - t - 1;
+        t = next;
+      }
+      for (std::int64_t c = t; c < t + 5000; ++c) {
+        ASSERT_EQ(skip->rate_multiplier(e, c), twin->rate_multiplier(e, c))
+            << spec << " e=" << e << " cycle " << c;
+      }
+    }
+    EXPECT_GT(jumped, 8 * horizon / 2) << spec << ": OFF segments skipped";
+  }
 }
 
 TEST(WorkloadConvergence, BurstOfferedLoadConvergesToConfiguredMean) {
