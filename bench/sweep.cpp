@@ -108,10 +108,9 @@ int usage(const char* argv0, int exit_code) {
          "diff: join two BENCH_*.json trajectories on run-point identity\n"
          "  and exit 1 on any out-of-tolerance delta or missing point\n"
          "  (defaults demand exact equality; wall time is never gated).\n"
-         "Each point picks its own stepping mode: the active set (skips\n"
-         "  quiet routers, fast-forwards idle stretches) for self-clocked\n"
-         "  replay or mean injection rates <= 0.01, a full scan otherwise.\n"
-         "  Bit-identical results either way.\n"
+         "Every point steps the active set: quiet routers are skipped and\n"
+         "  idle stretches fast-forwarded, with the results of stepping\n"
+         "  every router every cycle.\n"
          "The distance oracle is picked per topology: the dense BFS table\n"
          "  up to 4096 routers (cheapest to query), the per-family oracle\n"
          "  beyond (no O(N^2) table). Bit-identical results either way.\n"

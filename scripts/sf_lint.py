@@ -2,7 +2,7 @@
 """sf_lint.py — repo-specific determinism and hot-path invariant linter.
 
 The simulator's load-bearing invariants (bit-identical results for every
-SF_THREADS value and every team size the point scheduler hands a point, and under every forced stepping mode and
+SF_THREADS value and every team size the point scheduler hands a point, and under every forced
 distance oracle, zero steady-state heap allocations in
 Network::step(), per-endpoint/per-router PCG32 streams) are enforced dynamically by the golden byte-equality tests
 and the allocator-counting hotpath_test. This linter enforces the *static*

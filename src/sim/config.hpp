@@ -10,27 +10,13 @@
 
 namespace slimfly::sim {
 
-/// Stepping mode of a Network. Both modes produce bit-identical results;
-/// which one is faster depends only on how busy the network is, so the
-/// Network picks it itself (Auto) from its traffic and offered load — see
-/// Network::step_engine() and docs/ARCHITECTURE.md §"Stepping engines".
-///
-///   Cycle  — visit every router every cycle (full scan).
-///   Active — per-shard active-router sets plus future wake times (a
-///            timing wheel for near wakes, a min-heap for far ones): quiet
-///            routers are skipped and globally-idle stretches fast-forward
-///            the cycle counter in one jump.
-///   Auto   — Active for self-clocked traffic or a mean injection rate at
-///            or below Network::kActiveRateThreshold, Cycle otherwise.
-enum class StepEngine : std::uint8_t { Cycle = 0, Active = 1, Auto = 2 };
+/// The one stepping mode a Network has: the active set (per-shard busy
+/// masks plus future wake times; quiet routers are skipped and idle
+/// stretches fast-forward — see docs/ARCHITECTURE.md §"Stepping"). Kept as
+/// a type only because the benchmark driver prints SimConfig::engine.
+enum class StepEngine : std::uint8_t { Active = 1 };
 
-inline const char* to_string(StepEngine engine) {
-  switch (engine) {
-    case StepEngine::Cycle: return "cycle";
-    case StepEngine::Active: return "active";
-    default: return "auto";
-  }
-}
+inline const char* to_string(StepEngine) { return "active"; }
 
 /// Distance-oracle selection. Every oracle returns exactly the BFS
 /// distances (certified by tests/oracle_test.cpp) and consumes the RNG
@@ -82,10 +68,8 @@ struct SimConfig {
   /// bit-identical for every value: the field only trades wall-clock time.
   int intra_threads = 1;
 
-  /// Stepping mode. Auto (the default) lets the Network choose; forcing
-  /// Cycle or Active is a test and benchmark hook that certifies both
-  /// modes. Never changes results; see StepEngine.
-  StepEngine engine = StepEngine::Auto;
+  /// Stepping mode: always the active set, so not settable (StepEngine).
+  static constexpr StepEngine engine = StepEngine::Active;
 
   /// Distance-oracle backend. Auto (the default) lets the program choose;
   /// forcing Table or Family is a test hook that certifies both backends.

@@ -38,11 +38,11 @@ struct EndpointRef {
   int& credits;                    ///< slots free in the injection buffer
   Rng& rng;                        ///< private stream, seeded from (seed, id)
   std::int64_t& next_seq;          ///< per-endpoint packet sequence number
-  /// Active stepping mode only: the planned cycle of the next Bernoulli
-  /// arrival while the source queue is empty (kUnplanned = not planned —
-  /// the first injection pass at cycle 0 and backlog mode draw live per
-  /// cycle; INT64_MAX = never, for load 0). The full scan ignores it, so
-  /// the field is pure scheduling state and never observable in results.
+  /// The planned cycle of the next Bernoulli arrival while the source
+  /// queue is empty (kUnplanned = not planned — the first injection pass
+  /// at cycle 0 and backlog mode draw live per cycle; INT64_MAX = never,
+  /// for load 0). Pure scheduling state: planned draws are the live draws,
+  /// batched, so it is never observable in results.
   std::int64_t& next_arrival;
   // (Returning uplink credits ride the owning router's ep_credits event
   // line — see sim/router.hpp — so idle endpoints are never polled.)

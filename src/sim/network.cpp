@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace slimfly::sim {
 
@@ -25,10 +27,26 @@ inline int ctz64(std::uint64_t mask) {
 #endif
 }
 
-// EndpointRef::next_arrival sentinels. Only active mode ever plans, so in
-// full-scan mode every endpoint stays unplanned and draws live each cycle.
+// EndpointRef::next_arrival sentinels. An endpoint is unplanned at cycle 0
+// and while its source queue is backlogged; otherwise it holds a plan.
 constexpr std::int64_t kUnplannedArrival = -1;  // draw live this cycle
 constexpr std::int64_t kNeverArrives = std::numeric_limits<std::int64_t>::max();
+
+// Appends to a vector sized for its worst case at construction (the far
+// heaps, wake and completion outboxes and step-list runs). A push past that
+// capacity is a sizing bug, so it throws a named error instead of silently
+// reallocating — a growth inside a settle phase would otherwise pass
+// hotpath_test's allocation guard unseen.
+template <class T, class... Args>
+/* SF_HOT */ void push_reserved(std::vector<T>& v, const char* what,
+                                Args&&... args) {
+  if (v.size() == v.capacity()) {
+    throw std::logic_error(std::string("Network: ") + what +
+                           " overflow at reserved capacity " +
+                           std::to_string(v.capacity()));
+  }
+  v.emplace_back(std::forward<Args>(args)...);  // sf-lint: allow(hot-alloc) size < capacity, checked above: never reallocates
+}
 
 // Values below 1 mean sequential; the router count caps the shard count.
 std::size_t resolve_intra_threads(int requested, int num_routers) {
@@ -118,18 +136,7 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
     }
     unlocked_scratch_.reserve(traffic_.completion_fanout());
   }
-  const StepEngine mode = config_.engine == StepEngine::Auto
-                              ? auto_step_engine(traffic_, load_)
-                              : config_.engine;
-  if (mode == StepEngine::Active) init_active();
-}
-
-StepEngine Network::auto_step_engine(const TrafficPattern& traffic,
-                                     double offered_load) {
-  if (traffic.self_clocked()) return StepEngine::Active;
-  return offered_load * traffic.mean_rate_multiplier() <= kActiveRateThreshold
-             ? StepEngine::Active
-             : StepEngine::Cycle;
+  init_active();
 }
 
 void Network::wire() {
@@ -309,16 +316,12 @@ void Network::wire() {
   }
   shard_totals_.assign(shards_, ShardTotals{});
   shard_errors_.assign(shards_, nullptr);
-  // Each step list starts as one run over the whole shard: the full scan's
-  // fixed list. Active mode rebuilds it every cycle (init_active).
   shard_of_router_.assign(static_cast<std::size_t>(nr), 0);
-  step_list_.assign(shards_, {});
   for (std::size_t s = 0; s < shards_; ++s) {
     for (int r = shard_ranges_[s].first; r < shard_ranges_[s].second; ++r) {
       shard_of_router_[static_cast<std::size_t>(r)] =
           static_cast<std::uint16_t>(s);
     }
-    step_list_[s].push_back(shard_ranges_[s]);
   }
 
   // Persistent allocation scratch, sized for the widest router per shard.
@@ -427,7 +430,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 }
 
 /* SF_HOT */ void Network::phase_arrivals(std::size_t shard) {
-  if (engine_active_) build_step_list(shard);
+  build_step_list(shard);
   for_each_stepped(shard, [&](int r) { arrivals_router(shard, r); });
 }
 
@@ -464,7 +467,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       // Self-clocked replay: the pattern decides when the next message is
       // eligible (FIFO order plus `after:` dependency delivery); no load
       // coin is consumed — the workload itself is the clock, so nothing is
-      // planned: in active mode pending_eligible keeps this router busy and
+      // planned: pending_eligible keeps this router busy and
       // apply_completions wakes it when a dependency delivers.
       std::int64_t dep_stall = 0;
       int dst = traffic_.next_send(e, cycle_, &dep_stall);
@@ -472,11 +475,10 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
     } else {
       bool hit = false;
       if (ep.next_arrival == kUnplannedArrival) {
-        // Live draw from the endpoint's own stream: every cycle in
-        // full-scan mode; in active mode at cycle 0 and while the source
-        // queue is backlogged. A hard-OFF cycle (multiplier 0) consumes no
-        // draw, so the stream position depends only on ON-cycle count — the
-        // invariant plan_arrival_from's batched draws rely on.
+        // Live draw from the endpoint's own stream, at cycle 0 and while
+        // the source queue is backlogged. A hard-OFF cycle (multiplier 0)
+        // consumes no draw, so the stream position depends only on ON-cycle
+        // count — the invariant plan_arrival_from's batched draws rely on.
         if (!traffic_modulated_) {
           hit = ep.rng.bernoulli(load_);
         } else if (const double m = traffic_.rate_multiplier(e, cycle_); m > 0.0) {
@@ -509,9 +511,9 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       router.inputs[static_cast<std::size_t>(port)].vcs[0].push(pkt);
       router.vc_occupied[static_cast<std::size_t>(port)] |= 1;
     }
-    // Active mode keeps an empty queue planned (or never-arriving), so a
-    // sleeping endpoint's next arrival is a heap event, not a poll.
-    if (engine_active_ && !traffic_self_clocked_ && ep.source_queue.empty() &&
+    // An empty queue stays planned (or never-arriving), so a sleeping
+    // endpoint's next arrival is a wake event, not a poll.
+    if (!traffic_self_clocked_ && ep.source_queue.empty() &&
         ep.next_arrival == kUnplannedArrival) {
       plan_arrival_from(shard, r, e, cycle_ + 1);
     }
@@ -719,10 +721,10 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 
 /* SF_HOT */ void Network::phase_transmission(std::size_t shard) {
   for_each_stepped(shard, [&](int r) { transmission_router(shard, r); });
-  // Active mode's shard-local busy refresh: reads only state this shard's
-  // phases wrote (VC masks, staging counters, endpoint queues), so it
-  // needs no barrier.
-  if (engine_active_) update_busy(shard);
+  // The shard-local busy refresh reads only state this shard's phases
+  // wrote (VC masks, staging counters, endpoint queues), so it needs no
+  // barrier.
+  update_busy(shard);
 }
 
 /* SF_HOT */ void Network::deliver(std::size_t shard, const Packet& pkt) {
@@ -742,18 +744,18 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
     // Record the completion for the serial between-cycles pass. The message
     // sequence number is recovered from the packet id (seq * N + src), so
     // no Packet field is spent on it.
-    completion_outbox_[shard].push_back(  // sf-lint: allow(hot-alloc) capacity reserved in wire(); steady state never reallocates
-        (static_cast<std::int64_t>(pkt.src_endpoint) << 32) |
-        (pkt.id / topo_.num_endpoints()));
+    push_reserved(completion_outbox_[shard], "completion outbox",
+                  (static_cast<std::int64_t>(pkt.src_endpoint) << 32) |
+                      (pkt.id / topo_.num_endpoints()));
   }
 }
 
 // Serial between-cycles completion pass: every delivery recorded during this
 // cycle's arrivals unlocks its dependents in the pattern before the next
 // cycle begins. Running it serially — even with one shard, where deliver()
-// could have applied completions inline — gives every (shards, mode)
-// configuration the same uniform one-cycle eligibility deferral, which is
-// what makes replay schedules bit-identical across the whole matrix.
+// could have applied completions inline — gives every shard count the same
+// uniform one-cycle eligibility deferral, which is what makes replay
+// schedules bit-identical across them.
 /* SF_HOT */ void Network::apply_completions() {
   for (std::size_t s = 0; s < shards_; ++s) {
     for (std::int64_t packed : completion_outbox_[s]) {
@@ -763,7 +765,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       traffic_.on_delivered(src, seq, unlocked_scratch_);
       for (int e : unlocked_scratch_) {
         // Called serially, so pass the owner shard: the wake goes straight
-        // to its heap, never through an outbox.
+        // to its wheel, never through an outbox.
         const int r = topo_.endpoint_router(e);
         schedule_wake(shard_of_router_[static_cast<std::size_t>(r)], r,
                       cycle_ + 1);
@@ -841,19 +843,19 @@ void Network::resize_team(int want) {
   for (auto& err : shard_errors_) {
     if (err) std::rethrow_exception(err);
   }
-  // Merge cross-shard wake events serially, before ++cycle_, so every heap
-  // is complete when fast_forward inspects the tops between steps.
-  if (engine_active_ && shards_ > 1) drain_wake_outboxes();
+  // Merge cross-shard wake events serially, before ++cycle_, so every wheel
+  // and heap is complete when fast_forward inspects them between steps.
+  if (shards_ > 1) drain_wake_outboxes();
   if (traffic_self_clocked_) apply_completions();
   ++cycle_;
   ++cycles_stepped_;
   stats_dirty_ = true;
 }
 
-// ---- active-mode bookkeeping -----------------------------------------------
+// ---- active-set bookkeeping -------------------------------------------------
 
 void Network::init_active() {
-  engine_active_ = true;
+  step_list_.assign(shards_, {});
   wheels_.assign(shards_, {});
   wake_heaps_.assign(shards_, {});
   wake_outbox_.assign(shards_, {});
@@ -890,10 +892,13 @@ void Network::init_active() {
     // schedules exactly one wake at the entry's ready cycle, popped at that
     // cycle's build). Reserving the sum keeps the steady-state
     // push_heap/push_back allocation-free.
-    std::size_t cap = 1, inputs = 0;
+    std::size_t cap = 1, remote_ports = 0;
     for (int r = lo; r < hi; ++r) {
       const RouterState& router = routers_[static_cast<std::size_t>(r)];
       for (int i = 0; i < router.network_ports; ++i) {
+        const int neighbour =
+            router.outputs[static_cast<std::size_t>(i)].dest_router;
+        if (neighbour < lo || neighbour >= hi) ++remote_ports;
         if (far_flits) {
           cap += router.inputs[static_cast<std::size_t>(i)].incoming.capacity();
         }
@@ -905,24 +910,28 @@ void Network::init_active() {
       if (far_ejections) cap += router.ejection.capacity();
       if (far_credits) cap += router.ep_credits.capacity();
       cap += static_cast<std::size_t>(topo_.endpoints_at(r));
-      inputs += router.inputs.size();
     }
     wake_heaps_[s].reserve(cap);
-    // Outbox: cleared every cycle; bounded by this shard's grant count per
-    // cycle (one flit wake + one credit wake per grant, <= inputs per
-    // allocation iteration).
-    wake_outbox_[s].reserve(
-        inputs * static_cast<std::size_t>(config_.alloc_iterations) * 2 + 1);
+    // Outbox: cleared every cycle. Only allocation pushes into it — a flit
+    // wake per grant to a neighbour in another shard, a credit wake per
+    // grant from one — and per iteration each port grants at most once, so
+    // it holds at most alloc_iterations x 2 x (ports whose neighbour lies
+    // in another shard) events. A single shard has none and reserves
+    // nothing.
+    wake_outbox_[s].reserve(remote_ports *
+                            static_cast<std::size_t>(config_.alloc_iterations) *
+                            2);
   }
 }
 
-/* SF_HOT */ void Network::record_wake(std::size_t shard, int router, std::int64_t at) {
+/* SF_HOT */ void Network::schedule_wake(std::size_t shard, int router,
+                                         std::int64_t at) {
   const std::size_t owner = shard_of_router_[static_cast<std::size_t>(router)];
   if (owner == shard) {
     file_wake(owner, router, at);
   } else {
-    wake_outbox_[shard].push_back(  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
-        (at << 16) | static_cast<std::int64_t>(router & 0xffff));
+    push_reserved(wake_outbox_[shard], "wake outbox",
+                  (at << 16) | static_cast<std::int64_t>(router & 0xffff));
   }
 }
 
@@ -942,7 +951,8 @@ void Network::init_active() {
     return;
   }
   auto& heap = wake_heaps_[owner];
-  heap.push_back((at << 16) | static_cast<std::int64_t>(router & 0xffff));  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
+  push_reserved(heap, "far wake heap",
+                (at << 16) | static_cast<std::int64_t>(router & 0xffff));
   std::push_heap(heap.begin(), heap.end(), std::greater<std::int64_t>{});
 }
 
@@ -987,11 +997,11 @@ void Network::init_active() {
     while (mask) {
       const int r = lo + static_cast<int>(w) * 64 + ctz64(mask);
       mask &= mask - 1;
-      // Ascending, so the phases visit routers in full-scan order.
+      // Ascending, so the phases visit routers in index order.
       if (!runs.empty() && runs.back().second == r) {
         ++runs.back().second;
       } else {
-        runs.emplace_back(r, r + 1);  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
+        push_reserved(runs, "step list", r, r + 1);
       }
     }
   }
@@ -1072,7 +1082,6 @@ void Network::init_active() {
 }
 
 /* SF_HOT */ void Network::fast_forward(std::int64_t bound) {
-  if (!engine_active_) return;
   for (const auto& words : busy_) {
     for (std::uint64_t w : words) {
       if (w) return;  // someone has work every cycle: no idle stretch
@@ -1182,10 +1191,9 @@ void Network::reserve_measurement_stats() {
 }
 
 SimResult Network::run() {
-  // fast_forward runs at the top of each iteration (a no-op in full-scan
-  // mode): jumping before the bounds check keeps result.cycles identical
-  // between modes — a jump straight to the bound ends the loop exactly
-  // where per-cycle stepping would have.
+  // fast_forward runs at the top of each iteration, before the bounds
+  // check: a jump straight to the bound ends the loop exactly where
+  // per-cycle stepping would have, so result.cycles never depends on it.
   std::int64_t horizon = config_.warmup_cycles + config_.measure_cycles;
   while (cycle_ < horizon) {
     fast_forward(horizon);

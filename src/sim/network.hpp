@@ -70,8 +70,8 @@
 // self-clocked traffic — apply_completions(): deliveries recorded by each
 // shard during arrivals are fed back into the traffic pattern's dependency
 // state here, even when shards_ == 1, so a message delivered at cycle T
-// unlocks its dependents for injection at T+1 regardless of shard count or
-// stepping mode. Anything not listed as writable in a phase must not be
+// unlocks its dependents for injection at T+1 regardless of shard count.
+// Anything not listed as writable in a phase must not be
 // written there; widening a phase's write set requires re-auditing every
 // cross-shard read above.
 //
@@ -80,63 +80,52 @@
 // TrafficPattern's workload hooks (traffic.hpp) plug in here:
 //   * rate modulation (burst:) — the injection phase asks the pattern for a
 //     per-endpoint multiplier each cycle; a zero multiplier consumes NO
-//     Bernoulli draw, which keeps live draws (querying every cycle) and
-//     active mode's planned draws (plan_arrival_from's batched loop, which
-//     jumps to off_until past each silent cycle) bit-identical. The
-//     unmodulated path is byte-for-byte the pre-workload code (the flag is
-//     cached at construction).
+//     Bernoulli draw, which keeps live draws (cycle 0 and backlogged
+//     endpoints, querying every cycle) and planned draws (plan_arrival_from's
+//     batched loop, which jumps to off_until past each silent cycle) on one
+//     stream. The unmodulated path never asks (the flag is cached at
+//     construction).
 //   * self-clocked replay (trace:/allreduce:) — injection pops eligible
 //     sends from the pattern instead of drawing coins; deliveries flow back
-//     through per-shard completion outboxes (drained serially, above), and
-//     active mode treats an endpoint with an eligible head as busy and
-//     wakes the routers of endpoints a delivery unlocks.
+//     through per-shard completion outboxes (drained serially, above); an
+//     endpoint with an eligible head counts as busy, and a delivery wakes
+//     the routers of the endpoints it unlocks.
 //   * windowed stats (SimConfig::stats_window) — per-shard WindowStats rows
 //     (preallocated; merged by elementwise sums) giving the time-resolved
 //     generated/delivered/latency/dependency-stall view.
 //
-// ---- Stepping modes ---------------------------------------------------------
+// ---- Stepping: the active set ----------------------------------------------
 //
 // There is one set of phase functions: each phase walks its shard's step
-// list. The mode, chosen once at construction (auto_step_engine), decides
-// only what that list holds and which bookkeeping runs beside it; results
-// are bit-identical either way (golden_test + engine_test force each mode
-// and enforce it):
-//
-//   cycle   The list is one run over the whole shard, fixed at wire();
-//           nothing is recorded or planned (the full scan).
-//   active  Each shard keeps (a) a busy bitmask over its routers — busy iff
-//           any input VC is occupied, any staging counter is nonzero, or an
-//           attached endpoint's source queue is nonempty — and (b) its
-//           future wakes, fed by every event with a known maturity cycle:
-//           granted flits (downstream incoming-line ready), returning
-//           credits (upstream credit_return ready — keeps UGAL's remote
-//           queue_estimate reads exact on sleeping routers), ejection-line
-//           readies, endpoint uplink credits, and injector next-arrival
-//           cycles (planned: the Bernoulli draws a sleeping endpoint would
-//           have made are batched at plan time, jumping over OFF segments
-//           via TrafficPattern::off_until; the destination/routing draws
-//           stay at the materialize cycle, so every stream consumes values
-//           in exactly the cycle-mode order). Wakes fewer than kWheelSlots
-//           cycles ahead go into a timing wheel of per-cycle bitmask rows
-//           (one OR each, duplicates merged); farther ones — planned
-//           arrivals, and line events only under very long delays — into a
-//           min-heap. Every router starts busy, so cycle 0 steps them all:
-//           the first injection pass draws live and then plans from cycle
-//           1. Arrivals rebuild the list from the busy mask, the current
-//           wheel row and the due heap events, and transmission refreshes
-//           the busy bits; run() fast-forwards cycle_ to the earliest of
-//           the heap tops and the first occupied wheel slots when every
-//           shard is idle. step() itself always advances exactly one
-//           cycle, so step-level instrumentation sees identical state.
-//
-// The active set pays for its bookkeeping only when most routers are idle
-// most cycles, so SimConfig::engine = Auto picks it for self-clocked replay
-// and for mean injection rates at or below kActiveRateThreshold, the full
-// scan otherwise (README's crossover table has the measurements).
+// list, the routers with work this cycle. Each shard keeps (a) a busy
+// bitmask over its routers — busy iff any input VC is occupied, any staging
+// counter is nonzero, or an attached endpoint's source queue is nonempty —
+// and (b) its future wakes, fed by every event with a known maturity cycle:
+// granted flits (downstream incoming-line ready), returning credits
+// (upstream credit_return ready — keeps UGAL's remote queue_estimate reads
+// exact on sleeping routers), ejection-line readies, endpoint uplink
+// credits, and injector next-arrival cycles (planned: the Bernoulli draws a
+// sleeping endpoint would make are batched at plan time, jumping over OFF
+// segments via TrafficPattern::off_until; the destination/routing draws stay
+// at the materialize cycle, so every stream consumes values in exactly the
+// order of a per-cycle live draw). Wakes fewer than kWheelSlots cycles ahead
+// go into a timing wheel of per-cycle bitmask rows (one OR each, duplicates
+// merged); farther ones — planned arrivals, and line events only under very
+// long delays — into a min-heap. Every router starts busy, so cycle 0 steps
+// them all: the first injection pass draws live and then plans from cycle 1.
+// Arrivals rebuild the list from the busy mask, the current wheel row and
+// the due heap events, and transmission refreshes the busy bits; run()
+// fast-forwards cycle_ to the earliest of the heap tops and the first
+// occupied wheel slots when every shard is idle. step() itself always
+// advances exactly one cycle, so step-level instrumentation sees every
+// cycle.
 //
 // Stepping a quiet router is always a no-op, so spurious wakes are safe;
-// only a *missed* wake could break equivalence — which is why every remote
-// push above doubles as a wake-event source in active mode.
+// only a *missed* wake could change results — which is why every remote
+// push above doubles as a wake-event source. The pinned stepping-stress
+// suite (examples/suites/golden_stepping.json) holds the outputs a
+// visit-every-router scan produced on the cases that stress this
+// bookkeeping hardest.
 
 #include <algorithm>
 #include <cstdint>
@@ -171,24 +160,9 @@ class Network {
   /// Runs warmup + measurement + drain and returns the summary.
   SimResult run();
 
-  /// Mean per-endpoint injection rate (load × the pattern's
-  /// mean_rate_multiplier()) at or below which the active set beats the
-  /// full scan, measured on slimfly q=7 and q=19 under uniform MIN traffic
-  /// (active/cycle wall 0.52–0.77× at 0.005, 0.75–0.89× at 0.01,
-  /// 0.96–1.11× from 0.02 to 0.1; README has the table).
-  static constexpr double kActiveRateThreshold = 0.01;
-  /// The mode StepEngine::Auto resolves to: Active for self-clocked traffic
-  /// or a mean injection rate at or below kActiveRateThreshold, else Cycle.
-  static StepEngine auto_step_engine(const TrafficPattern& traffic,
-                                     double offered_load);
-  /// The mode this Network steps in (never Auto).
-  StepEngine step_engine() const {
-    return engine_active_ ? StepEngine::Active : StepEngine::Cycle;
-  }
-
   std::int64_t cycle() const { return cycle_; }
   /// Cycles whose phases actually executed; cycle() - cycles_stepped() is
-  /// the fast-forwarded count (always 0 in cycle mode).
+  /// the fast-forwarded count.
   std::int64_t cycles_stepped() const { return cycles_stepped_; }
   /// Aggregated measurement view (per-shard accumulators merged on demand).
   const Stats& stats() const;
@@ -327,22 +301,16 @@ class Network {
     return idx < count ? idx : count - 1;
   }
 
-  // ---- active-mode bookkeeping (step_engine() == StepEngine::Active) ----
+  // ---- active-set bookkeeping -------------------------------------------
+  /// Sizes the busy masks, wake wheels, far heaps, outboxes and step lists
+  /// for their worst case (once, at construction).
   void init_active();
-  /// Ensures `router` is stepped at cycle `at` (no-op in cycle mode; a
-  /// wake for the current cycle, from credit_delay = 0, lands on the
-  /// next). Own-shard events go straight into the producing shard's wheel
-  /// or far heap (single writer during phases); cross-shard events land in
-  /// the producer's outbox, merged serially by step() after the parallel
-  /// region. Only the mode test is inline: the full scan's grant loop pays
-  /// one predictable branch, and the wake body stays out of line (noinline:
-  /// link-time optimization would otherwise fold it into that loop).
-  /* SF_HOT */ void schedule_wake(std::size_t shard, int router,
-                                  std::int64_t at) {
-    if (engine_active_) record_wake(shard, router, at);
-  }
-  [[gnu::noinline]] void record_wake(std::size_t shard, int router,
-                                     std::int64_t at);
+  /// Ensures `router` is stepped at cycle `at` (a wake for the current
+  /// cycle, from credit_delay = 0, lands on the next). Own-shard events go
+  /// straight into the producing shard's wheel or far heap (single writer
+  /// during phases); cross-shard events land in the producer's outbox,
+  /// merged serially by step() after the parallel region.
+  void schedule_wake(std::size_t shard, int router, std::int64_t at);
   /// Files an event into its owner's wheel (less than kWheelSlots cycles
   /// ahead) or far heap.
   void file_wake(std::size_t owner, int router, std::int64_t at);
@@ -421,11 +389,9 @@ class Network {
   std::size_t team_ = 1;
   std::vector<std::pair<int, int>> shard_ranges_;
   std::vector<std::uint16_t> shard_of_router_;
-  /// Routers each phase visits this cycle [shard], as ascending [first,
-  /// last) runs of global ids: one run over the whole shard in full-scan
-  /// mode, the busy|woken routers in active mode. Runs rather than single
-  /// ids keep the full scan a counted loop; a list of ids measured about 5%
-  /// more CPU on the busy fig06_uniform benchmark workload.
+  /// Routers each phase visits this cycle [shard] — the busy|woken ones —
+  /// as ascending [first, last) runs of global ids. Runs rather than single
+  /// ids keep a busy stretch a counted loop.
   std::vector<std::vector<std::pair<int, int>>> step_list_;
   std::vector<ShardTotals> shard_totals_;
   std::vector<std::exception_ptr> shard_errors_;
@@ -457,11 +423,8 @@ class Network {
   };
   std::vector<AllocScratch> alloc_scratch_;  // [shard]
 
-  // ---- active-mode state (sized once by init_active; the steady-state
-  // loop pushes/pops within the reserved capacities and never allocates) --
-  /// The one stepping-policy flag: gates the step-list rebuild, the busy
-  /// refresh, wake recording, arrival planning and fast_forward.
-  bool engine_active_ = false;
+  // ---- active-set state (sized once by init_active; the steady-state loop
+  // pushes within the reserved capacities, and a push past one throws) ----
   std::int64_t cycles_stepped_ = 0;
   /// Near wakes (fewer than kWheelSlots cycles ahead) go into a per-shard
   /// timing wheel (Varghese & Lauck, SOSP '87): slot `at % kWheelSlots` is

@@ -78,9 +78,9 @@ struct OutputPort {
 
 struct InputPort {
   /// Per-VC buffers — a full num_vcs span for network inputs, a single-VC
-  /// span for injection inputs (endpoint uplinks only ever enter on VC 0,
-  /// in both engines; paying num_vcs worst-case slabs per endpoint was
-  /// pure capacity slack).
+  /// span for injection inputs (endpoint uplinks only ever enter on VC 0;
+  /// paying num_vcs worst-case slabs per endpoint was pure capacity
+  /// slack).
   Span<VcBuffer> vcs;
   /// Flits on (or staged for) the network link ending here. Filled by the
   /// upstream router's allocation phase (its sole producer) at grant time

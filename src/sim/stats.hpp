@@ -85,8 +85,7 @@ struct SimResult {
   /// Cycles actually simulated (warmup + measurement + drain used) — the
   /// deterministic numerator of the per-point throughput trajectory.
   std::int64_t cycles = 0;
-  /// Cycles the stepping engine actually executed (phases run). For the
-  /// cycle engine this equals `cycles`; the active engine fast-forwards
+  /// Cycles the Network actually executed (phases run). It fast-forwards
   /// globally-idle stretches, so `cycles - cycles_stepped` is the audited
   /// skipped-cycle count (the benchmark's per-layer trace reports both).
   std::int64_t cycles_stepped = 0;

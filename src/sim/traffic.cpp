@@ -249,39 +249,6 @@ class Stencil3dTraffic final : public TrafficPattern {
   std::vector<int> next_face_;  // round-robin over the 6 neighbours
 };
 
-class TraceTraffic final : public TrafficPattern {
- public:
-  TraceTraffic(int n, const std::vector<std::pair<int, int>>& flows)
-      : flows_(static_cast<std::size_t>(n)), cursor_(static_cast<std::size_t>(n), 0) {
-    for (const auto& [src, dst] : flows) {
-      if (src < 0 || src >= n || dst < 0 || dst >= n || src == dst) {
-        throw std::invalid_argument("make_trace: bad flow endpoint");
-      }
-      // Duplicates are kept by design: k copies of (src, dst) give dst k
-      // slots in src's round-robin, i.e. k× the flow's weight (see the
-      // make_trace contract in traffic.hpp).
-      flows_[static_cast<std::size_t>(src)].push_back(dst);
-    }
-  }
-  std::string name() const override { return "trace"; }
-  /* SF_HOT */ int destination(int src, Rng& rng) override {
-    (void)rng;
-    const auto& list = flows_[static_cast<std::size_t>(src)];
-    if (list.empty()) return -1;
-    auto& cur = cursor_[static_cast<std::size_t>(src)];
-    int dst = list[static_cast<std::size_t>(cur)];
-    cur = (cur + 1) % static_cast<int>(list.size());
-    return dst;
-  }
-  bool is_active(int src) const override {
-    return !flows_[static_cast<std::size_t>(src)].empty();
-  }
-
- private:
-  std::vector<std::vector<int>> flows_;
-  std::vector<int> cursor_;
-};
-
 // ---- workload-layer wrappers ------------------------------------------------
 
 /// Dedicated RNG stream tags, disjoint from the injector's endpoint streams
@@ -296,8 +263,8 @@ constexpr std::uint64_t kHotspotStreamTag = 0x3fa8d17b;
 /// of its current segment and rolls forward while t passes it, drawing each
 /// segment length as a uniform integer in [1, 2·mean−1] from the endpoint's
 /// own burst stream. Draw consumption therefore depends only on the largest
-/// t queried — which is what keeps the cycle engine (querying every cycle)
-/// and the active engine (querying with gaps while planning) bit-identical.
+/// t queried — which is what keeps live draws (querying every cycle) and
+/// planned draws (querying with gaps) bit-identical.
 class BurstTraffic final : public TrafficPattern {
  public:
   BurstTraffic(std::unique_ptr<TrafficPattern> base, int n, std::int64_t on,
@@ -339,11 +306,6 @@ class BurstTraffic final : public TrafficPattern {
   /* SF_HOT */ std::int64_t off_until(int src, std::int64_t t) override {
     const State& s = states_[static_cast<std::size_t>(src)];
     return s.on ? base_->off_until(src, t) : s.segment_end;
-  }
-  /// mult · on/(on+off): ON and OFF segment lengths have means on_ and off_.
-  double mean_rate_multiplier() const override {
-    return mult_ * static_cast<double>(on_) / static_cast<double>(on_ + off_) *
-           base_->mean_rate_multiplier();
   }
 
  private:
@@ -416,9 +378,6 @@ class HotspotTraffic final : public TrafficPattern {
   /* SF_HOT */ std::int64_t off_until(int src, std::int64_t t) override {
     return base_->off_until(src, t);
   }
-  double mean_rate_multiplier() const override {
-    return base_->mean_rate_multiplier();
-  }
 
  private:
   std::unique_ptr<TrafficPattern> base_;
@@ -431,12 +390,6 @@ class HotspotTraffic final : public TrafficPattern {
 std::unique_ptr<TrafficPattern> make_stencil3d(int n) {
   if (n < 8) throw std::invalid_argument("make_stencil3d: need >= 8 endpoints");
   return std::make_unique<Stencil3dTraffic>(n);
-}
-
-std::unique_ptr<TrafficPattern> make_trace(
-    int n, const std::vector<std::pair<int, int>>& flows) {
-  if (n < 2) throw std::invalid_argument("make_trace: need >= 2 endpoints");
-  return std::make_unique<TraceTraffic>(n, flows);
 }
 
 std::unique_ptr<TrafficPattern> make_uniform(int n) {

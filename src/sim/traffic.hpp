@@ -48,11 +48,11 @@ class TrafficPattern {
   virtual bool modulates_rate() const { return false; }
   /// Rate multiplier for endpoint e at cycle t. A multiplier of exactly 0
   /// means hard-off: the engine consumes NO Bernoulli draw from e's stream
-  /// that cycle (this is what keeps the cycle and active engines' draw
-  /// sequences identical). Called with nondecreasing t per endpoint — the
-  /// pattern may advance internal per-endpoint state, and must tolerate
-  /// gaps in t (the active engine never queries cycles it fast-forwards,
-  /// and plans batches of future cycles ahead of time).
+  /// that cycle (this is what keeps live and planned draw sequences
+  /// identical). Called with nondecreasing t per endpoint — the pattern may
+  /// advance internal per-endpoint state, and must tolerate gaps in t (the
+  /// Network never queries cycles it fast-forwards, and plans batches of
+  /// future cycles ahead of time).
   virtual double rate_multiplier(int src_endpoint, std::int64_t t) {
     (void)src_endpoint;
     (void)t;
@@ -61,18 +61,14 @@ class TrafficPattern {
   /// First cycle after t at which rate_multiplier(e, ·) can be nonzero
   /// again. Called right after rate_multiplier(e, t) returned 0, so the
   /// pattern's state is already at t; it must draw nothing, and every cycle
-  /// in (t, result) must have multiplier 0. The active engine's arrival
-  /// planner jumps straight to the result: skipped OFF cycles consume no
+  /// in (t, result) must have multiplier 0. The Network's arrival planner
+  /// jumps straight to the result: skipped OFF cycles consume no
   /// Bernoulli draw either way, so the jump is exact. The default, t + 1,
   /// skips nothing.
   virtual std::int64_t off_until(int src_endpoint, std::int64_t t) {
     (void)src_endpoint;
     return t + 1;
   }
-  /// Long-run mean of rate_multiplier() — the factor between the configured
-  /// load and the mean per-endpoint injection rate. The Network reads it
-  /// once, at construction, to choose its stepping mode.
-  virtual double mean_rate_multiplier() const { return 1.0; }
 
   /// True when the pattern is self-clocked (dependency replay): sends come
   /// from per-endpoint message lists gated by delivery of their `after:`
@@ -92,7 +88,7 @@ class TrafficPattern {
     return -1;
   }
   /// Self-clocked only: endpoint e has an eligible head right now. Keeps
-  /// e's router in the active engine's busy set.
+  /// e's router in the Network's busy set.
   virtual bool pending_eligible(int src_endpoint) const {
     (void)src_endpoint;
     return false;
@@ -100,7 +96,7 @@ class TrafficPattern {
   /// Self-clocked only: called serially between cycles when the packet
   /// carrying message `seq` of endpoint `src` has been ejected. Appends
   /// every endpoint whose blocked head just became eligible to `unlocked`
-  /// (the active engine wakes their routers). Never allocates beyond
+  /// (the Network wakes their routers). Never allocates beyond
   /// `unlocked`'s reserved capacity of completion_fanout().
   virtual void on_delivered(int src, std::int64_t seq,
                             std::vector<int>& unlocked) {
@@ -141,15 +137,6 @@ std::unique_ptr<TrafficPattern> make_worst_case_ft(const FatTree3& topo);
 /// sends to its six nearest neighbours (periodic boundaries) round-robin.
 /// Endpoints beyond the largest complete grid idle.
 std::unique_ptr<TrafficPattern> make_stencil3d(int num_endpoints);
-
-/// Trace replay: a fixed list of (src, dst) flows; each generation event at
-/// src picks the next dst from src's flow list round-robin. Lets users
-/// replay application communication matrices. Sources without flows idle.
-/// Duplicate (src, dst) entries are deliberately kept: listing a flow k
-/// times gives it k slots in src's round-robin, i.e. k× the weight — this
-/// is how a communication matrix with unequal flow volumes is expressed.
-std::unique_ptr<TrafficPattern> make_trace(
-    int num_endpoints, const std::vector<std::pair<int, int>>& flows);
 
 // ---- string-keyed traffic registry -----------------------------------------
 // Bare names match TrafficPattern::name(): "uniform", "shuffle", "bitrev",

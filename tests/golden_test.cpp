@@ -3,7 +3,10 @@
 // *exactly* against tests/golden/golden_mini.trajectory. Bit-identical
 // determinism (PR 1/2) makes exact comparison valid; the thread matrix
 // re-checks it under the worker budgets the CI regression matrix uses
-// (1, 4 and 32 threads: sequential, across-point, and teams of 2).
+// (1, 4 and 32 threads: sequential, across-point, and teams of 2). The
+// sibling examples/suites/golden_stepping.json — active-set stepping stress
+// cases pinned from the full scan — is diffed against
+// tests/golden/BENCH_golden_stepping.json under the same thread matrix.
 //
 // Regenerating after an intentional simulator change:
 //   SF_UPDATE_GOLDEN=1 ./build/golden_test
@@ -84,32 +87,25 @@ TEST(GoldenTrajectory, MatchesCheckedInTrajectoryExactly) {
          "regenerate with SF_UPDATE_GOLDEN=1 (see tests/golden/README.md)";
 }
 
-TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndEngineMatrix) {
+TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndOracleMatrix) {
   exp::ExperimentSpec spec = golden_spec();
   const std::string want = read_file(source_path(kTrajectoryPath));
-  // SF_THREADS x forced stepping mode x forced distance oracle matrix,
-  // constructed directly so the test is hermetic against the environment.
-  // The 16 points run sequentially at 1 thread, one per worker at 4, and
-  // as 16 teams of 2 at 32, so both parallel levels are engaged. The
-  // program normally picks the stepping mode and the oracle itself;
-  // forcing each one here keeps every backend certified on every series
-  // (the family cells run DLN-UGAL-L on the compressed-BFS fallback).
-  // Every cell reproduces the same pinned trajectory.
+  // SF_THREADS x forced distance oracle matrix, constructed directly so the
+  // test is hermetic against the environment. The 16 points run
+  // sequentially at 1 thread, one per worker at 4, and as 16 teams of 2 at
+  // 32, so both parallel levels are engaged. The program normally picks
+  // the oracle itself; forcing each one here keeps both backends certified
+  // on every series (the family cells run DLN-UGAL-L on the compressed-BFS
+  // fallback). Every cell reproduces the same pinned trajectory.
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
-    for (sim::StepEngine step_engine :
-         {sim::StepEngine::Cycle, sim::StepEngine::Active}) {
-      for (sim::OracleMode oracle :
-           {sim::OracleMode::Table, sim::OracleMode::Family}) {
-        exp::ExperimentSpec run = spec;
-        run.config.engine = step_engine;
-        run.config.oracle = oracle;
-        exp::ExperimentEngine engine(threads);
-        const std::string got = exp::golden_trajectory(run, engine.run(run));
-        EXPECT_EQ(want, got)
-            << "SF_THREADS=" << threads
-            << " engine=" << sim::to_string(step_engine)
-            << " oracle=" << sim::to_string(oracle);
-      }
+    for (sim::OracleMode oracle :
+         {sim::OracleMode::Table, sim::OracleMode::Family}) {
+      exp::ExperimentSpec run = spec;
+      run.config.oracle = oracle;
+      exp::ExperimentEngine engine(threads);
+      const std::string got = exp::golden_trajectory(run, engine.run(run));
+      EXPECT_EQ(want, got) << "SF_THREADS=" << threads
+                           << " oracle=" << sim::to_string(oracle);
     }
   }
 }
@@ -130,32 +126,54 @@ TEST(GoldenTrajectory, ThreadAxisIsByteIdentical) {
   }
 }
 
-TEST(GoldenTrajectory, DiffAgainstCheckedInBenchPasses) {
-  // The `sweep --config` + `sweep diff` path: a freshly written BENCH file
-  // (stepping mode chosen per point, so its header carries no "engine"
-  // field) against the checked-in one, whose header still records the
-  // "engine": "cycle" of the run that pinned it. Header config is never
-  // compared, so the two must diff clean.
-  exp::ExperimentSpec spec = golden_spec();
-  exp::ExperimentEngine engine(2);
+// Runs `spec` on `threads` workers and diffs its fresh BENCH output against
+// the checked-in file at `bench_rel` — the `sweep --config` + `sweep diff`
+// path, exact on every result field. Returns the fresh BENCH text.
+std::string expect_matches_bench(const exp::ExperimentSpec& spec,
+                                 std::size_t threads,
+                                 const std::string& bench_rel,
+                                 const std::string& what) {
+  exp::ExperimentEngine engine(threads);
   std::ostringstream fresh;
   exp::write_json(fresh, spec, engine.run(spec), engine.threads());
-  EXPECT_EQ(fresh.str().find("\"engine\""), std::string::npos);
-  const std::string golden_path =
-      source_path("tests/golden/BENCH_golden_mini.json");
-  EXPECT_NE(read_file(golden_path).find("\"engine\": \"cycle\""),
-            std::string::npos);
   exp::Trajectory now = exp::parse_bench_json(fresh.str(), "fresh");
-  exp::Trajectory golden = exp::load_bench_file(golden_path);
+  exp::Trajectory golden = exp::load_bench_file(source_path(bench_rel));
   exp::DiffReport report = exp::diff_trajectories(golden, now);
-  if (!report.passed) {
-    std::ostringstream os;
-    exp::print_diff(os, report, false);
-    FAIL() << "sweep-diff regression against tests/golden/"
-              "BENCH_golden_mini.json:\n"
-           << os.str();
+  std::ostringstream os;
+  exp::print_diff(os, report, false);
+  EXPECT_TRUE(report.passed) << what << ": sweep-diff regression against "
+                             << bench_rel << ":\n"
+                             << os.str();
+  // Every pinned point compared: no truncation, nothing missing.
+  EXPECT_EQ(report.compared, golden.points.size()) << what;
+  return fresh.str();
+}
+
+TEST(GoldenTrajectory, DiffAgainstCheckedInBenchPasses) {
+  // A freshly written BENCH file (its header carries no "engine" field)
+  // against the checked-in one, whose header still records the "engine":
+  // "cycle" of the run that pinned it. Header config is never compared, so
+  // the two must diff clean.
+  const std::string fresh = expect_matches_bench(
+      golden_spec(), 2, "tests/golden/BENCH_golden_mini.json", "golden_mini");
+  EXPECT_EQ(fresh.find("\"engine\""), std::string::npos);
+  EXPECT_NE(read_file(source_path("tests/golden/BENCH_golden_mini.json"))
+                .find("\"engine\": \"cycle\""),
+            std::string::npos);
+}
+
+TEST(GoldenStepping, MatchesCheckedInBenchAcrossThreadMatrix) {
+  // The stepping-stress rows (every Slim Fly routing at a low and a
+  // saturating load, worst-sf, a 70-cycle wire, credit_delay 0) under the
+  // CI worker budgets. The rows hold a visit-every-router full scan's
+  // outputs, pinned while that mode existed and reproduced by both modes.
+  exp::ExperimentSpec spec = exp::suite_to_spec(exp::load_suite_file(
+      source_path("examples/suites/golden_stepping.json")));
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
+    expect_matches_bench(spec, threads,
+                         "tests/golden/BENCH_golden_stepping.json",
+                         "SF_THREADS=" + std::to_string(threads));
   }
-  EXPECT_EQ(report.compared, 16u);  // 8 series x 2 loads, no truncation
 }
 
 // The analysis/cost layers' outputs for every distinct golden_mini

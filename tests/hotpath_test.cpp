@@ -61,17 +61,14 @@ SimConfig guard_config() {
 // Steps `settle` cycles (allocations allowed: source rings grow on first
 // use), then asserts the next `measured` cycles allocate nothing. The
 // window straddles warmup -> measurement, covering every phase plus stats
-// recording. Both stepping modes must hold the guarantee: the step lists
-// are sized at wire() and active mode's wake wheels, far heaps and outboxes
-// at init_active() for their worst case, so steady-state scheduling never
-// grows them.
+// recording. The step lists, wake wheels, far heaps and outboxes are sized
+// at init_active() for their worst case (a push past it throws), so
+// steady-state scheduling never grows them.
 void expect_allocation_free_steady_state(RoutingKind kind, double load,
-                                         StepEngine engine,
                                          SimConfig cfg = guard_config()) {
   sf::SlimFlyMMS topo(5);
   auto routing = make_routing(kind, topo);
   auto traffic = make_uniform(topo.num_endpoints());
-  cfg.engine = engine;
   Network net(topo, *routing.algorithm, *traffic, cfg, load);
   net.reserve_measurement_stats();
   for (int i = 0; i < 300; ++i) net.step();
@@ -79,23 +76,17 @@ void expect_allocation_free_steady_state(RoutingKind kind, double load,
   for (int i = 0; i < 200; ++i) net.step();
   const long long during =
       g_allocations.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(during, 0) << to_string(kind) << " engine=" << to_string(engine)
+  EXPECT_EQ(during, 0) << to_string(kind)
                        << ": steady-state stepping must not allocate";
   EXPECT_GT(net.flit_hops(), 0);  // the guard window did real work
 }
 
 TEST(HotPathAllocationGuard, MinimalRoutingSteadyStateIsAllocationFree) {
-  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.3,
-                                      StepEngine::Cycle);
-  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.3,
-                                      StepEngine::Active);
+  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.3);
 }
 
 TEST(HotPathAllocationGuard, UgalSteadyStateIsAllocationFree) {
-  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.3,
-                                      StepEngine::Cycle);
-  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.3,
-                                      StepEngine::Active);
+  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.3);
 }
 
 TEST(HotPathAllocationGuard, DeepQueueHighLoadIsAllocationFree) {
@@ -106,10 +97,7 @@ TEST(HotPathAllocationGuard, DeepQueueHighLoadIsAllocationFree) {
   // guard window churns the deepest queues the flow control admits at a
   // stable operating point. Growth past the settle phase must come from
   // the SlabPool's preloaded float, never the allocator.
-  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.7,
-                                      StepEngine::Cycle);
-  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.7,
-                                      StepEngine::Active);
+  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.7);
 }
 
 TEST(HotPathAllocationGuard, LazyRingGrowthIsPoolServed) {
@@ -134,20 +122,19 @@ TEST(HotPathAllocationGuard, LazyRingGrowthIsPoolServed) {
   EXPECT_EQ(ring.physical_capacity(), 2048u);
 }
 
-TEST(HotPathAllocationGuard, ActiveEngineLowLoadIsAllocationFree) {
-  // Low load is the active engine's hot regime: routers sleep, injector
-  // arrivals are batch-planned, and the wake wheels churn constantly — all
-  // of it must run out of the capacity reserved at construction.
-  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.05,
-                                      StepEngine::Active);
+TEST(HotPathAllocationGuard, LowLoadIsAllocationFree) {
+  // Low load is the active set's busiest bookkeeping regime: routers sleep,
+  // injector arrivals are batch-planned, and the wake wheels churn
+  // constantly — all of it must run out of the capacity reserved at
+  // construction.
+  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.05);
   // A 70-cycle wire sends every flit and delivery wake past the wheel into
   // the far heap, whose reserve must then cover the line events too. Load
   // 0.1, not 0.3: with this wire the queues keep deepening past the settle
-  // phase at 0.3, and both modes then allocate alike.
+  // phase at 0.3, so their growth would allocate inside the guard window.
   SimConfig far = guard_config();
   far.channel_latency = 70;
-  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.1,
-                                      StepEngine::Active, far);
+  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.1, far);
 }
 
 // Workload-layer variant of the guard: a traffic spec string instead of a
@@ -155,12 +142,11 @@ TEST(HotPathAllocationGuard, ActiveEngineLowLoadIsAllocationFree) {
 // replay (allreduce) run under the counting allocator. Windowed stats are
 // enabled too — the rows are preallocated at construction.
 void expect_workload_allocation_free(const std::string& traffic_spec,
-                                     double load, StepEngine engine) {
+                                     double load) {
   sf::SlimFlyMMS topo(5);
   auto routing = make_routing(RoutingKind::Minimal, topo);
   auto traffic = make_traffic(traffic_spec, topo);
   SimConfig cfg = guard_config();
-  cfg.engine = engine;
   cfg.stats_window = 50;
   Network net(topo, *routing.algorithm, *traffic, cfg, load);
   net.reserve_measurement_stats();
@@ -168,17 +154,14 @@ void expect_workload_allocation_free(const std::string& traffic_spec,
   const long long before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 200; ++i) net.step();
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
-      << traffic_spec << " engine=" << to_string(engine)
-      << ": steady-state stepping must not allocate";
+      << traffic_spec << ": steady-state stepping must not allocate";
 }
 
 TEST(HotPathAllocationGuard, BurstModulationIsAllocationFree) {
-  // ON/OFF modulation exercises per-endpoint segment state in the cycle
-  // engine and the modulated batch planner in the active engine.
+  // ON/OFF modulation exercises per-endpoint segment state and the
+  // modulated batch planner.
   expect_workload_allocation_free("burst:on=50,off=150,mult=4,base=uniform",
-                                  0.3, StepEngine::Cycle);
-  expect_workload_allocation_free("burst:on=50,off=150,mult=4,base=uniform",
-                                  0.3, StepEngine::Active);
+                                  0.3);
 }
 
 TEST(HotPathAllocationGuard, DependencyReplayIsAllocationFree) {
@@ -186,29 +169,21 @@ TEST(HotPathAllocationGuard, DependencyReplayIsAllocationFree) {
   // wake budgets must all run out of their construction-time reserves.
   // 128 ring ranks give 2*127*128 = 32512 messages — the replay spans the
   // whole 500-step guard window.
-  expect_workload_allocation_free("allreduce:ranks=128,algo=ring", 0.3,
-                                  StepEngine::Cycle);
-  expect_workload_allocation_free("allreduce:ranks=128,algo=ring", 0.3,
-                                  StepEngine::Active);
+  expect_workload_allocation_free("allreduce:ranks=128,algo=ring", 0.3);
 }
 
 TEST(HotPathAllocationGuard, FatTreeGatherPathIsAllocationFree) {
   // FT-ANCA takes the non-cacheable allocator path (per-iteration
   // re-derivation), which must be just as allocation-free.
-  for (StepEngine engine : {StepEngine::Cycle, StepEngine::Active}) {
-    FatTree3 topo(4);
-    auto routing = make_routing(RoutingKind::FatTreeAnca, topo);
-    auto traffic = make_uniform(topo.num_endpoints());
-    SimConfig cfg = guard_config();
-    cfg.engine = engine;
-    Network net(topo, *routing.algorithm, *traffic, cfg, 0.3);
-    net.reserve_measurement_stats();
-    for (int i = 0; i < 300; ++i) net.step();
-    const long long before = g_allocations.load(std::memory_order_relaxed);
-    for (int i = 0; i < 200; ++i) net.step();
-    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
-        << "engine=" << to_string(engine);
-  }
+  FatTree3 topo(4);
+  auto routing = make_routing(RoutingKind::FatTreeAnca, topo);
+  auto traffic = make_uniform(topo.num_endpoints());
+  Network net(topo, *routing.algorithm, *traffic, guard_config(), 0.3);
+  net.reserve_measurement_stats();
+  for (int i = 0; i < 300; ++i) net.step();
+  const long long before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 200; ++i) net.step();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
 }
 
 TEST(HotPathStorage, BitIdenticalAcrossThreadMatrix) {
@@ -222,13 +197,9 @@ TEST(HotPathStorage, BitIdenticalAcrossThreadMatrix) {
   exp::ExperimentEngine reference(1);
   const std::string want = exp::golden_trajectory(spec, reference.run(spec));
   for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    for (StepEngine step_engine : {StepEngine::Cycle, StepEngine::Active}) {
-      exp::ExperimentSpec run = spec;
-      run.config.engine = step_engine;
-      exp::ExperimentEngine engine(threads);
-      EXPECT_EQ(want, exp::golden_trajectory(run, engine.run(run)))
-          << "threads=" << threads << " engine=" << to_string(step_engine);
-    }
+    exp::ExperimentEngine engine(threads);
+    EXPECT_EQ(want, exp::golden_trajectory(spec, engine.run(spec)))
+        << "threads=" << threads;
   }
 }
 

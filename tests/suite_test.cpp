@@ -283,8 +283,8 @@ TEST(SuiteParser, StructuralErrorsAreNamed) {
       "\"series\": [{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
       "\"traffic\": \"uniform\"}]}",
       {"unknown config key \"zz\"", "buffer_per_port"});
-  // The stepping mode is the Network's own choice, not a suite key: an
-  // "engine" key (base or per series) is an unknown config key, named.
+  // There is one stepping mode, so no suite key picks it: an "engine" key
+  // (base or per series) is an unknown config key, named.
   expect_parse_error(
       "{\"suite\": \"x\", \"loads\": [0.1], \"config\": "
       "{\"engine\": \"active\"}, \"series\": [{\"topology\": "

@@ -1,10 +1,10 @@
 // Property-test harness for the workload layer (burst/hotspot modulation,
 // dependency-aware trace replay, allreduce collectives):
 //   1. Every parameterized pattern is byte-identical across the full
-//      SF_THREADS x forced stepping mode x forced distance oracle matrix
-//      (one point, so the thread count is its stepping team).
-//   2. Trace-replay ordering is independent of shard count and stepping
-//      mode down to the windowed-stats rows.
+//      SF_THREADS x forced distance oracle matrix (one point, so the thread
+//      count is its stepping team).
+//   2. Trace-replay ordering is independent of shard count down to the
+//      windowed-stats rows.
 //   3. Burst offered load converges to the configured mean (load x mult x
 //      duty cycle); hotspot endpoints absorb their configured share; the
 //      off_until hook skips only silent cycles and draws nothing.
@@ -107,18 +107,13 @@ void expect_matrix_identical(const std::string& traffic_spec) {
   EXPECT_NE(want.find(traffic_spec), std::string::npos);
   // One point, so the engine gives it the whole budget: teams of 1, 2, 4.
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (StepEngine step_engine : {StepEngine::Cycle, StepEngine::Active}) {
+    for (OracleMode oracle : {OracleMode::Auto, OracleMode::Family}) {
       exp::ExperimentSpec run = spec;
-      run.config.engine = step_engine;
-      // Fold the oracle axis in without doubling the matrix: the family
-      // oracle rides on the active-engine cells.
-      run.config.oracle = step_engine == StepEngine::Active
-                              ? OracleMode::Family
-                              : OracleMode::Auto;
+      run.config.oracle = oracle;
       exp::ExperimentEngine engine(threads);
       EXPECT_EQ(want, exp::golden_trajectory(run, engine.run(run)))
           << traffic_spec << " threads=" << threads
-          << " engine=" << to_string(step_engine);
+          << " oracle=" << to_string(oracle);
     }
   }
 }
@@ -153,25 +148,22 @@ TEST(WorkloadMatrix, TraceReplayIsByteIdentical) {
 
 // ---- 2. replay ordering independent of shards, down to the windows ---------
 
-TEST(WorkloadWindows, TraceReplayWindowsIdenticalAcrossShardsAndEngines) {
+TEST(WorkloadWindows, TraceReplayWindowsIdenticalAcrossShards) {
   const std::string path =
       write_temp_trace("windows", reqreply_trace_text(10, 20));
   sf::SlimFlyMMS topo(5);
   SimConfig base = quick_config();
   base.stats_window = 50;
   std::vector<std::vector<WindowStats>> runs;
-  for (int intra : {1, 4}) {
-    for (StepEngine engine : {StepEngine::Cycle, StepEngine::Active}) {
-      auto routing = make_routing(RoutingKind::Minimal, topo);
-      auto traffic = make_traffic("trace:file=" + path, topo);
-      SimConfig cfg = base;
-      cfg.intra_threads = intra;
-      cfg.engine = engine;
-      auto r = simulate(topo, *routing.algorithm, *traffic, cfg, 0.2);
-      EXPECT_EQ(r.stats_window, 50);
-      EXPECT_FALSE(r.windows.empty());
-      runs.push_back(r.windows);
-    }
+  for (int intra : {1, 2, 4}) {
+    auto routing = make_routing(RoutingKind::Minimal, topo);
+    auto traffic = make_traffic("trace:file=" + path, topo);
+    SimConfig cfg = base;
+    cfg.intra_threads = intra;
+    auto r = simulate(topo, *routing.algorithm, *traffic, cfg, 0.2);
+    EXPECT_EQ(r.stats_window, 50);
+    EXPECT_FALSE(r.windows.empty());
+    runs.push_back(r.windows);
   }
   for (std::size_t i = 1; i < runs.size(); ++i) {
     ASSERT_EQ(runs[0].size(), runs[i].size()) << "run " << i;
@@ -320,8 +312,8 @@ TEST(WorkloadWindows, OneDeliveryUnlocksThreeEndpoints) {
   // Message 0.0 is the `after:` target of one message on each of endpoints
   // 10, 20 and 30, so its delivery must unlock three heads at once: 10's
   // only message, 20's first, and 30's second (queued behind a free send).
-  // The dependents sit on routers of their own, so under the active engine
-  // each one sends only if the delivery wakes it.
+  // The dependents sit on routers of their own, so each one sends only if
+  // the delivery wakes it.
   const std::string path = write_temp_trace("fanout", R"({"endpoints": {
       "0": [{"dst": 40}],
       "10": [{"dst": 41, "after": "0.0"}],

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "sf/mms.hpp"
 #include "sim/simulation.hpp"
 #include "sim/traffic.hpp"
+#include "sim/workload.hpp"
 
 namespace slimfly::sim {
 namespace {
@@ -67,58 +69,35 @@ TEST(Stencil3d, RunsOnSlimFly) {
   EXPECT_GT(r.delivered, 0);
 }
 
-TEST(Trace, RoundRobinOverFlows) {
-  auto t = make_trace(8, {{0, 1}, {0, 2}, {0, 3}});
-  Rng rng(1);
-  EXPECT_EQ(t->destination(0, rng), 1);
-  EXPECT_EQ(t->destination(0, rng), 2);
-  EXPECT_EQ(t->destination(0, rng), 3);
-  EXPECT_EQ(t->destination(0, rng), 1);  // wraps
-}
-
-TEST(Trace, DuplicateFlowsWeightTheRoundRobin) {
-  // Listing a flow k times gives it k slots in the source's round-robin —
-  // the documented way to express unequal flow volumes in a communication
-  // matrix (see make_trace in sim/traffic.hpp). This pins the contract so
-  // the duplicates are never "deduplicated" as a cleanup.
-  auto t = make_trace(8, {{0, 1}, {0, 2}, {0, 1}});
-  Rng rng(1);
-  EXPECT_EQ(t->destination(0, rng), 1);
-  EXPECT_EQ(t->destination(0, rng), 2);
-  EXPECT_EQ(t->destination(0, rng), 1);
-  EXPECT_EQ(t->destination(0, rng), 1);  // wraps: 1 has 2 of 3 slots
-  int ones = 0;
-  for (int i = 0; i < 300; ++i) ones += t->destination(0, rng) == 1;
-  EXPECT_EQ(ones, 200);
-}
-
-TEST(Trace, SourcesWithoutFlowsIdle) {
-  auto t = make_trace(4, {{0, 1}});
-  Rng rng(1);
-  EXPECT_EQ(t->destination(2, rng), -1);
-  EXPECT_FALSE(t->is_active(2));
-  EXPECT_TRUE(t->is_active(0));
-}
-
-TEST(Trace, ValidatesFlows) {
-  EXPECT_THROW(make_trace(4, {{0, 4}}), std::invalid_argument);
-  EXPECT_THROW(make_trace(4, {{2, 2}}), std::invalid_argument);
-  EXPECT_THROW(make_trace(4, {{-1, 0}}), std::invalid_argument);
-}
-
-TEST(Trace, ReplayOnNetwork) {
-  // All-to-one incast trace: heavy load on one router's ejection ports.
+TEST(Trace, IncastReplayOnNetwork) {
+  // All-to-one incast as a dependency trace: every 7th endpoint sends a
+  // FIFO burst to endpoint 0, so one ejection port (one flit per cycle) is
+  // the bottleneck. It congests but must keep moving until every message
+  // lands.
   sf::SlimFlyMMS topo(5);
-  std::vector<std::pair<int, int>> flows;
-  for (int e = 4; e < topo.num_endpoints(); e += 7) flows.emplace_back(e, 0);
+  const int per_source = 40;
+  std::string text = "{\"trace\": \"incast\", \"endpoints\": {";
+  int messages = 0;
+  for (int e = 4; e < topo.num_endpoints(); e += 7) {
+    text += (messages ? ", \"" : "\"") + std::to_string(e) + "\": [";
+    for (int k = 0; k < per_source; ++k) {
+      text += k ? ", {\"dst\": 0}" : "{\"dst\": 0}";
+    }
+    text += "]";
+    messages += per_source;
+  }
+  text += "}}";
   auto routing = make_routing(RoutingKind::Minimal, topo);
-  auto traffic = make_trace(topo.num_endpoints(), flows);
+  auto traffic = make_dependency_replay(
+      topo.num_endpoints(), parse_workload_trace(text, "incast"), "trace");
   SimConfig cfg;
-  cfg.warmup_cycles = 300;
+  cfg.warmup_cycles = 0;  // every message is measured, so run() drains all
   cfg.measure_cycles = 400;
   cfg.drain_cycles = 3000;
   auto r = simulate(topo, *routing.algorithm, *traffic, cfg, 0.3);
-  EXPECT_GT(r.delivered, 0);  // incast congests but must keep moving
+  EXPECT_FALSE(r.saturated);
+  EXPECT_EQ(r.delivered, messages);
+  EXPECT_GE(r.cycles, messages);  // one ejection port drains them all
 }
 
 }  // namespace
