@@ -1,5 +1,5 @@
 #pragma once
-// Fixed-latency FIFO delay line modelling wires: flit channels and credit
+// Fixed-latency FIFO delay lines modelling wires: flit channels and credit
 // return paths. Items pushed with ready cycle t become visible at t.
 //
 // CONTRACT: a producer must push NON-DECREASING ready cycles (asserted in
@@ -20,15 +20,21 @@
 // it means the occupancy argument was violated, not that the line needs to
 // grow.
 //
-// ReadyT is the stored width of the ready cycle: int64 by default, int32
-// for the high-multiplicity credit/ejection event lines — the Network
-// constructor already bounds the cycle horizon below 2^31 (the PR 5
-// field-width precedent), so the narrow form halves a Timed<int> slot.
+// Ready cycles are stored in 32 bits: the Network constructor bounds the
+// cycle horizon below 2^31.
 //
-// The head's ready cycle is mirrored in the header (head_ready_): the
-// arrivals phase polls every line every cycle, and the mirror keeps a
-// not-ready/empty poll to a single header read instead of chasing the
-// slot array.
+// The head's ready cycle (kLineIdle when the line is empty) lives in one
+// int32 "head slot" outside the items, so a not-ready or empty poll is one
+// read that never chases the slab. A TimedLine keeps no slot of its own:
+// the caller passes it to every call that can change the head. The
+// Network's per-port lines — a network input's incoming flits and a
+// network output's credit returns — keep their slots in two contiguous
+// per-router arrays (RouterState::incoming_ready / credit_ready), so the
+// arrivals phase finds the due ports by scanning a few int32s and touches
+// a line only when its head is due; the producer (remote allocation)
+// writes the slot when it pushes into an empty line. A DelayLine is a
+// TimedLine with its own slot, for standalone lines (the per-router
+// ejection and endpoint-credit lines).
 
 #include <cassert>
 #include <cstdint>
@@ -41,55 +47,48 @@
 
 namespace slimfly::sim {
 
-template <typename T, typename ReadyT = std::int64_t>
-class DelayLine {
- public:
-  DelayLine() = default;
-  explicit DelayLine(std::size_t capacity) { init(capacity); }
+/// Head slot of an empty line: later than every cycle a Network reaches.
+inline constexpr std::int32_t kLineIdle =
+    std::numeric_limits<std::int32_t>::max();
 
+template <typename T>
+class TimedLine {
+ public:
   /// Sets the line's logical capacity (and the slab pool lazy growth draws
-  /// from); must be called before the first push.
+  /// from); must be called before the first push. The caller resets the
+  /// line's head slot to kLineIdle.
   void init(std::size_t capacity, SlabPool* pool = nullptr) {
     items_.reset(capacity, pool);
-    head_ready_ = kEmpty;
-  }
-
-  /* SF_HOT */ void push(std::int64_t ready_cycle, T item) {
-    push_slot(ready_cycle) = std::move(item);
   }
 
   /// Claims the next slot for in-place assignment (zero-copy push): the
-  /// caller writes the payload through the returned reference. Ready
-  /// cycles must be non-decreasing per line (see the header contract).
-  /* SF_HOT */ T& push_slot(std::int64_t ready_cycle) {
+  /// caller writes the payload through the returned reference. Writes
+  /// `head` when the line was empty. Ready cycles must be non-decreasing
+  /// per line (see the header contract).
+  /* SF_HOT */ T& push_slot(std::int64_t ready_cycle, std::int32_t& head) {
 #ifndef NDEBUG
     assert(items_.empty() || ready_cycle >= last_push_ready_);
     last_push_ready_ = ready_cycle;
 #endif
-    if (items_.empty()) head_ready_ = ready_cycle;
+    if (items_.empty()) head = static_cast<std::int32_t>(ready_cycle);
     Timed& slot = items_.push_slot();
-    slot.ready = static_cast<ReadyT>(ready_cycle);
+    slot.ready = static_cast<std::int32_t>(ready_cycle);
     return slot.item;
   }
 
-  /// Pops the front item if it is ready at `cycle`.
-  /* SF_HOT */ std::optional<T> pop_ready(std::int64_t cycle) {
-    if (head_ready_ > cycle) return std::nullopt;
-    T item = std::move(items_.pop_front().item);
-    head_ready_ = items_.empty() ? kEmpty : items_.front().ready;
-    return item;
-  }
+  /// The head item; the caller checked its head slot first.
+  /* SF_HOT */ const T& front() const { return items_.front().item; }
 
-  /// Copy-free variant of pop_ready: a pointer to the front payload when
-  /// it is ready at `cycle` (consume with drop_front()), else nullptr.
-  /* SF_HOT */ const T* front_ready(std::int64_t cycle) const {
-    if (head_ready_ > cycle) return nullptr;
-    return &items_.front().item;
-  }
-
-  /* SF_HOT */ void drop_front() {
+  /// Discards the head and moves `head` to the next item's ready cycle.
+  /* SF_HOT */ void drop_front(std::int32_t& head) {
     items_.drop_front();
-    head_ready_ = items_.empty() ? kEmpty : items_.front().ready;
+    head = head_ready();
+  }
+
+  /// The head's ready cycle read from the items (kLineIdle when empty):
+  /// the value the line's head slot must hold.
+  std::int32_t head_ready() const {
+    return items_.empty() ? kLineIdle : items_.front().ready;
   }
 
   /// Backs the first slab eagerly (see LazyRing::prewarm).
@@ -100,18 +99,60 @@ class DelayLine {
   std::size_t capacity() const { return items_.capacity(); }
 
  private:
-  static constexpr std::int64_t kEmpty =
-      std::numeric_limits<std::int64_t>::max();
-
   struct Timed {
-    ReadyT ready = 0;
+    std::int32_t ready = 0;
     T item{};
   };
   LazyRing<Timed> items_;
-  std::int64_t head_ready_ = kEmpty;
 #ifndef NDEBUG
   std::int64_t last_push_ready_ = 0;
 #endif
+};
+
+template <typename T>
+class DelayLine {
+ public:
+  DelayLine() = default;
+  explicit DelayLine(std::size_t capacity) { init(capacity); }
+
+  void init(std::size_t capacity, SlabPool* pool = nullptr) {
+    line_.init(capacity, pool);
+    head_ = kLineIdle;
+  }
+
+  /* SF_HOT */ void push(std::int64_t ready_cycle, T item) {
+    push_slot(ready_cycle) = std::move(item);
+  }
+
+  /* SF_HOT */ T& push_slot(std::int64_t ready_cycle) {
+    return line_.push_slot(ready_cycle, head_);
+  }
+
+  /// Pops the front item if it is ready at `cycle`.
+  /* SF_HOT */ std::optional<T> pop_ready(std::int64_t cycle) {
+    if (head_ > cycle) return std::nullopt;
+    T item = line_.front();
+    line_.drop_front(head_);
+    return item;
+  }
+
+  /// Copy-free variant of pop_ready: a pointer to the front payload when
+  /// it is ready at `cycle` (consume with drop_front()), else nullptr.
+  /* SF_HOT */ const T* front_ready(std::int64_t cycle) const {
+    return head_ > cycle ? nullptr : &line_.front();
+  }
+
+  /* SF_HOT */ void drop_front() { line_.drop_front(head_); }
+
+  void prewarm() { line_.prewarm(); }
+
+  bool empty() const { return line_.empty(); }
+  std::size_t size() const { return line_.size(); }
+  std::size_t capacity() const { return line_.capacity(); }
+
+ private:
+  TimedLine<T> line_;
+  std::int32_t head_ = kLineIdle;
 };
 
 }  // namespace slimfly::sim

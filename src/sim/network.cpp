@@ -69,12 +69,12 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
   }
   if (config_.num_vcs > 64) {
     throw std::invalid_argument(
-        "Network: num_vcs above 64 is unsupported (the per-input VC "
-        "occupancy bitmask is 64 bits wide)");
+        "Network: num_vcs above 64 is unsupported (each input's stride in "
+        "the occupancy bitmask is at most 64 bits)");
   }
-  // Margin: credit/ejection event lines store READY cycles (cycle + delay)
-  // in 32-bit slots (sim/router.hpp CreditLine), so the horizon must leave
-  // headroom for the largest delay any push adds to cycle_.
+  // Margin: delay lines store READY cycles (cycle + delay) in 32-bit slots
+  // below kLineIdle (sim/channel.hpp), so the horizon must leave headroom
+  // for the largest delay any push adds to cycle_.
   const std::int64_t horizon_margin =
       static_cast<std::int64_t>(config_.channel_latency) +
       config_.router_pipeline + config_.output_staging + config_.credit_delay +
@@ -187,7 +187,14 @@ void Network::wire() {
   // carved out of it in router order. Ring payload slabs stay lazy (the
   // shared SlabPool), so the arenas hold exactly the always-resident state.
   const std::size_t nvc = static_cast<std::size_t>(config_.num_vcs);
-  std::size_t total_ports = 0, total_vcs = 0, total_cache = 0, total_words = 0;
+  vc_shift_ = 0;
+  while ((std::size_t{1} << vc_shift_) < nvc) ++vc_shift_;
+  // Occupancy bitmask words of a router with `ports` inputs.
+  auto occupied_words = [&](std::size_t ports) {
+    return ((ports << vc_shift_) + 63) / 64;
+  };
+  std::size_t total_ports = 0, total_vcs = 0, total_cache = 0,
+              total_words = 0, total_ready = 0;
   for (int r = 0; r < nr; ++r) {
     const std::size_t deg = static_cast<std::size_t>(g.degree(r));
     const std::size_t eps = static_cast<std::size_t>(topo_.endpoints_at(r));
@@ -202,7 +209,8 @@ void Network::wire() {
     // spans instead of num_vcs worst-case buffers.
     total_vcs += deg * nvc + eps;
     total_cache += ports * nvc;
-    total_words += ports + (ports + 63) / 64;  // vc_occupied + staging_nonempty
+    total_words += occupied_words(ports) + (ports + 63) / 64;  // + staging_nonempty
+    total_ready += 2 * deg;  // incoming_ready + credit_ready
   }
   input_arena_.clear();
   input_arena_.resize(total_ports);
@@ -212,13 +220,14 @@ void Network::wire() {
   vc_arena_.resize(total_vcs);
   credit_arena_.assign(total_ports * nvc, 0);
   mask_arena_.assign(total_words, 0);
+  ready_arena_.assign(total_ready, kLineIdle);
   route_arena_.assign(total_cache, RouteDecision{});
   // Charge the pool's reserve float so a straggler ring growing late (in
   // the zero-allocation guard window) pops a shelf instead of allocating.
   slab_pool_.preload();
 
   std::size_t port_base = 0, vc_base = 0, credit_base = 0, word_base = 0,
-              cache_base = 0;
+              cache_base = 0, ready_base = 0;
   for (int r = 0; r < nr; ++r) {
     RouterState& router = routers_[static_cast<std::size_t>(r)];
     int deg = g.degree(r);
@@ -227,9 +236,16 @@ void Network::wire() {
     router.network_ports = deg;
     router.inputs = Span<InputPort>(input_arena_.data() + port_base, ports);
     router.outputs = Span<OutputPort>(output_arena_.data() + port_base, ports);
-    router.vc_occupied =
-        Span<std::uint64_t>(mask_arena_.data() + word_base, ports);
-    word_base += ports;
+    const std::size_t udeg = static_cast<std::size_t>(deg);
+    router.incoming_ready =
+        Span<std::int32_t>(ready_arena_.data() + ready_base, udeg);
+    ready_base += udeg;
+    router.credit_ready =
+        Span<std::int32_t>(ready_arena_.data() + ready_base, udeg);
+    ready_base += udeg;
+    router.occupied = Span<std::uint64_t>(mask_arena_.data() + word_base,
+                                          occupied_words(ports));
+    word_base += occupied_words(ports);
     router.staging_nonempty =
         Span<std::uint64_t>(mask_arena_.data() + word_base, (ports + 63) / 64);
     word_base += (ports + 63) / 64;
@@ -392,28 +408,33 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 
 /* SF_HOT */ void Network::arrivals_router(std::size_t shard, int r) {
   RouterState& router = routers_[static_cast<std::size_t>(r)];
-  // Credits coming back from downstream consumption of my outputs.
+  const auto deg = static_cast<std::size_t>(router.network_ports);
+  // Credits coming back from downstream consumption of my outputs, found by
+  // scanning the contiguous head slots: a line is touched only when due.
   // Network ports only: nothing ever returns credits to an ejection port
-  // (endpoints always consume), so polling them would be pure overhead.
-  for (int p = 0; p < router.network_ports; ++p) {
-    OutputPort& out = router.outputs[static_cast<std::size_t>(p)];
-    while (auto vc = out.credit_return.pop_ready(cycle_)) {
-      ++out.credits[static_cast<std::size_t>(*vc)];
+  // (endpoints always consume).
+  for (std::size_t p = 0; p < deg; ++p) {
+    std::int32_t& head = router.credit_ready[p];
+    if (head > cycle_) continue;
+    OutputPort& out = router.outputs[p];
+    do {
+      ++out.credits[static_cast<std::size_t>(out.credit_return.front())];
       --out.consumed;
-    }
+      out.credit_return.drop_front(head);
+    } while (head <= cycle_);
   }
-  // Flit lines ending at my inputs live *in* my inputs, so the readiness
-  // poll walks my own contiguous state; front_ready/drop_front is the
-  // copy-free path: the packet is copied exactly once, line slot to VC
-  // buffer slot.
-  for (int i = 0; i < router.network_ports; ++i) {
-    InputPort& in = router.inputs[static_cast<std::size_t>(i)];
-    if (const Packet* pkt = in.incoming.front_ready(cycle_)) {
-      int vc = pkt->wire_vc;  // VC used on the link just traversed
-      in.vcs[static_cast<std::size_t>(vc)].push(*pkt);
-      router.vc_occupied[static_cast<std::size_t>(i)] |= std::uint64_t{1} << vc;
-      in.incoming.drop_front();
-    }
+  // Flit lines ending at my inputs live *in* my inputs (at most one flit
+  // matures per line per cycle). The packet is copied exactly once, line
+  // slot to VC buffer slot.
+  for (std::size_t i = 0; i < deg; ++i) {
+    std::int32_t& head = router.incoming_ready[i];
+    if (head > cycle_) continue;
+    InputPort& in = router.inputs[i];
+    const Packet& pkt = in.incoming.front();
+    const int vc = pkt.wire_vc;  // VC used on the link just traversed
+    in.vcs[static_cast<std::size_t>(vc)].push(pkt);
+    set_occupied(router, static_cast<int>(i), vc);
+    in.incoming.drop_front(head);
   }
   // My aggregated ejection line completes deliveries to my endpoints
   // (same per-cycle delivery set as per-port lines: at most one flit per
@@ -460,9 +481,14 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 }
 
 /* SF_HOT */ void Network::injection_router(std::size_t shard, int r, bool in_measurement) {
+  RouterState& router = routers_[static_cast<std::size_t>(r)];
+  // Recorded for router_is_busy: after this pass, only the serial
+  // completion pass can add endpoint work (and it sets the byte itself).
+  bool work = false;
   for (int j = 0; j < topo_.endpoints_at(r); ++j) {
     int e = topo_.first_endpoint(r) + j;
     auto ep = injector_.endpoint(e);  // reference bundle over the SoA columns
+    bool popped = false;
     if (traffic_self_clocked_) {
       // Self-clocked replay: the pattern decides when the next message is
       // eligible (FIFO order plus `after:` dependency delivery); no load
@@ -471,7 +497,8 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       // apply_completions wakes it when a dependency delivers.
       std::int64_t dep_stall = 0;
       int dst = traffic_.next_send(e, cycle_, &dep_stall);
-      if (dst >= 0) generate_packet(shard, e, dst, in_measurement, dep_stall);
+      popped = dst >= 0;
+      if (popped) generate_packet(shard, e, dst, in_measurement, dep_stall);
     } else {
       bool hit = false;
       if (ep.next_arrival == kUnplannedArrival) {
@@ -506,10 +533,9 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       --ep.credits;
       pkt.t_injected = static_cast<std::int32_t>(cycle_);
       routing_.route_at_injection(*this, pkt, ep.rng);
-      RouterState& router = routers_[static_cast<std::size_t>(r)];
       int port = router.network_ports + j;
       router.inputs[static_cast<std::size_t>(port)].vcs[0].push(pkt);
-      router.vc_occupied[static_cast<std::size_t>(port)] |= 1;
+      set_occupied(router, port, 0);
     }
     // An empty queue stays planned (or never-arriving), so a sleeping
     // endpoint's next arrival is a wake event, not a poll.
@@ -517,7 +543,13 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
         ep.next_arrival == kUnplannedArrival) {
       plan_arrival_from(shard, r, e, cycle_ + 1);
     }
+    // A send that next_send refused was not eligible, so only a pop can
+    // leave an eligible head behind (the FIFO gate allows one pop per
+    // endpoint per cycle, so eligibility can outlive the queues).
+    work = work || !ep.source_queue.empty() ||
+           (popped && traffic_.pending_eligible(e));
   }
+  router.endpoint_work = work ? 1 : 0;
 }
 
 /* SF_HOT */ void Network::phase_injection(std::size_t shard) {
@@ -535,32 +567,33 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
   for_each_stepped(shard, [&](int r) { allocate_router(shard, r); });
 }
 
-// Requests are gathered per occupied input VC (the vc_occupied bitmask
-// skips empty buffers without touching them) and counting-sorted by output
-// port. For cacheable routings the (output port, link VC) decision is read
-// from the flat per-router route cache — computed once when a packet
-// becomes head, invalidated on pop — so next_router runs once per packet
-// per router instead of once per waiting cycle; per-hop adaptive routings
-// (FT-ANCA) re-derive it every iteration because their decision reads live
-// queue state.
+// Requests are gathered per occupied input VC (the router's occupancy
+// bitmask skips empty buffers without touching them) and counting-sorted
+// by output port. For cacheable routings the (output port, link VC)
+// decision is read from the flat per-router route cache — computed once
+// when a packet becomes head, invalidated on pop — so next_router runs once
+// per packet per router instead of once per waiting cycle; per-hop adaptive
+// routings (FT-ANCA) re-derive it every iteration because their decision
+// reads live queue state.
 /* SF_HOT */ void Network::allocate_router(std::size_t shard, int r) {
   RouterState& router = routers_[static_cast<std::size_t>(r)];
   AllocScratch& scratch = alloc_scratch_[shard];
   const int num_inputs = static_cast<int>(router.inputs.size());
   const int num_outputs = static_cast<int>(router.outputs.size());
   const int nvc = config_.num_vcs;
+  const std::size_t vc_mask = (std::size_t{1} << vc_shift_) - 1;
   for (int iter = 0; iter < config_.alloc_iterations; ++iter) {
-    std::fill(scratch.offsets.begin(),
-              scratch.offsets.begin() + num_outputs + 1, 0);
     int n_heads = 0;
-    for (int ip = 0; ip < num_inputs; ++ip) {
-      // Visit only occupied VCs (ascending — the same order a full scan
-      // would use). For cached decisions the gather touches just the
+    for (std::size_t w = 0; w < router.occupied.size(); ++w) {
+      // Occupied VCs in ascending (port, VC) order — the order a full scan
+      // would use. For cached decisions the gather touches just the
       // occupancy word and the flat route cache, never the buffer.
-      std::uint64_t mask = router.vc_occupied[static_cast<std::size_t>(ip)];
+      std::uint64_t mask = router.occupied[w];
       while (mask) {
-        const int vc = ctz64(mask);
+        const std::size_t b = w * 64 + static_cast<std::size_t>(ctz64(mask));
         mask &= mask - 1;
+        const int ip = static_cast<int>(b >> vc_shift_);
+        const int vc = static_cast<int>(b & vc_mask);
         const std::size_t ci =
             static_cast<std::size_t>(ip) * static_cast<std::size_t>(nvc) +
             static_cast<std::size_t>(vc);
@@ -574,7 +607,6 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
         }
         scratch.heads[static_cast<std::size_t>(n_heads++)] =
             Request{ip, vc, d.port, d.vc_link};
-        ++scratch.offsets[static_cast<std::size_t>(d.port) + 1];
       }
     }
     // No heads at all: nothing can be granted this iteration, and an
@@ -585,6 +617,14 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
     // within each output). After the prefix sum, offsets[op] is the begin
     // of op's range; the scatter advances it in place, leaving offsets[op]
     // == end of op's range (= begin of op+1's).
+    std::fill(scratch.offsets.begin(),
+              scratch.offsets.begin() + num_outputs + 1, 0);
+    for (int i = 0; i < n_heads; ++i) {
+      ++scratch.offsets[static_cast<std::size_t>(
+                            scratch.heads[static_cast<std::size_t>(i)]
+                                .output_port) +
+                        1];
+    }
     for (int op = 0; op < num_outputs; ++op) {
       scratch.offsets[static_cast<std::size_t>(op) + 1] +=
           scratch.offsets[static_cast<std::size_t>(op)];
@@ -597,19 +637,21 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
     std::fill(scratch.granted.begin(),
               scratch.granted.begin() + num_inputs, std::uint8_t{0});
     int grants = 0;
-    for (int op = 0; op < num_outputs; ++op) {
-      // Candidate check first: it reads only scratch-local offsets, so
-      // outputs nobody requested never touch their OutputPort at all.
-      int begin = op == 0 ? 0 : scratch.offsets[static_cast<std::size_t>(op) - 1];
-      int n_req = scratch.offsets[static_cast<std::size_t>(op)] - begin;
-      if (n_req == 0) continue;
+    // Each run of `sorted` is one requested output's candidates, in
+    // ascending output order, and offsets[op] is the end of op's run: the
+    // walk visits only the outputs somebody requested.
+    for (int next = 0; next < n_heads;) {
+      const int begin = next;
+      const int op = scratch.sorted[static_cast<std::size_t>(begin)].output_port;
+      next = scratch.offsets[static_cast<std::size_t>(op)];
+      const int n_req = next - begin;
       OutputPort& out = router.outputs[static_cast<std::size_t>(op)];
       if (out.staged >= config_.output_staging) continue;
-      // Round-robin over this output's candidates.
-      int start = out.rr_pointer % n_req;
-      for (int k = 0; k < n_req; ++k) {
-        const Request& req = scratch.sorted[static_cast<std::size_t>(
-            begin + (start + k) % n_req)];
+      // Round-robin over this output's candidates, from rr_pointer on.
+      int idx = out.rr_pointer % n_req;
+      for (int k = 0; k < n_req; ++k, idx = idx + 1 == n_req ? 0 : idx + 1) {
+        const Request& req =
+            scratch.sorted[static_cast<std::size_t>(begin + idx)];
         if (scratch.granted[static_cast<std::size_t>(req.input_port)]) continue;
         if (out.credits[static_cast<std::size_t>(req.vc_link)] <= 0) continue;
         InputPort& in =
@@ -633,9 +675,10 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
           const std::int64_t ready = cycle_ + out.staged +
                                      config_.channel_latency +
                                      config_.router_pipeline;
-          staged_pkt = &routers_[static_cast<std::size_t>(out.dest_router)]
-                            .inputs[static_cast<std::size_t>(out.dest_port)]
-                            .incoming.push_slot(ready);
+          RouterState& down = routers_[static_cast<std::size_t>(out.dest_router)];
+          const auto dp = static_cast<std::size_t>(out.dest_port);
+          staged_pkt = &down.inputs[dp].incoming.push_slot(
+              ready, down.incoming_ready[dp]);
           // The downstream router must run arrivals when this flit matures,
           // even if it is asleep by then.
           schedule_wake(shard, out.dest_router, ready);
@@ -649,10 +692,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
                                static_cast<std::size_t>(nvc) +
                            static_cast<std::size_t>(req.vc)]
             .port = -1;
-        if (buf.empty()) {
-          router.vc_occupied[static_cast<std::size_t>(req.input_port)] &=
-              ~(std::uint64_t{1} << req.vc);
-        }
+        if (buf.empty()) clear_occupied(router, req.input_port, req.vc);
         --out.credits[static_cast<std::size_t>(req.vc_link)];
         ++out.consumed;
         staged.wire_vc = static_cast<std::int8_t>(req.vc_link);
@@ -663,11 +703,12 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
         ++grants;
         ++shard_totals_[shard].flit_hops;
         scratch.granted[static_cast<std::size_t>(req.input_port)] = 1;
-        out.rr_pointer = (start + k + 1) % n_req;
+        out.rr_pointer = idx + 1 == n_req ? 0 : idx + 1;
         if (req.input_port < router.network_ports) {
-          routers_[static_cast<std::size_t>(in.src_router)]
-              .outputs[static_cast<std::size_t>(in.src_port)]
-              .credit_return.push(cycle_ + config_.credit_delay, req.vc);
+          RouterState& up = routers_[static_cast<std::size_t>(in.src_router)];
+          const auto sp = static_cast<std::size_t>(in.src_port);
+          up.outputs[sp].credit_return.push_slot(
+              cycle_ + config_.credit_delay, up.credit_ready[sp]) = req.vc;
           // Credit maturation must run on time even on a sleeping upstream
           // router: UGAL's queue_estimate reads `consumed` remotely, so a
           // stale counter would change adaptive decisions.
@@ -765,8 +806,10 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       traffic_.on_delivered(src, seq, unlocked_scratch_);
       for (int e : unlocked_scratch_) {
         // Called serially, so pass the owner shard: the wake goes straight
-        // to its wheel, never through an outbox.
+        // to its wheel, never through an outbox. The unlocked head is
+        // eligible now, which keeps the router's endpoint_work byte exact.
         const int r = topo_.endpoint_router(e);
+        routers_[static_cast<std::size_t>(r)].endpoint_work = 1;
         schedule_wake(shard_of_router_[static_cast<std::size_t>(r)], r,
                       cycle_ + 1);
       }
@@ -881,6 +924,9 @@ void Network::init_active() {
     busy_[s].assign(words, 0);
     for (std::size_t local = 0; local < owned; ++local) {
       busy_[s][local / 64] |= std::uint64_t{1} << (local % 64);
+      const int r = lo + static_cast<int>(local);
+      routers_[static_cast<std::size_t>(r)].endpoint_work =
+          endpoint_work_of(r) ? 1 : 0;
     }
     wheels_[s].words = words;
     wheels_[s].rows.assign(static_cast<std::size_t>(kWheelSlots) * words, 0);
@@ -1009,21 +1055,68 @@ void Network::init_active() {
 
 /* SF_HOT */ bool Network::router_is_busy(int r) const {
   const RouterState& router = routers_[static_cast<std::size_t>(r)];
+  if (router.endpoint_work) return true;
   for (std::uint64_t w : router.staging_nonempty) {
     if (w) return true;
   }
-  for (std::uint64_t w : router.vc_occupied) {
+  for (std::uint64_t w : router.occupied) {
     if (w) return true;
   }
+  return false;
+}
+
+bool Network::endpoint_work_of(int r) const {
   for (int j = 0; j < topo_.endpoints_at(r); ++j) {
     const int e = topo_.first_endpoint(r) + j;
     if (!injector_.source_queue(e).empty()) return true;
-    // Self-clocked replay: an eligible pending send is work — the router
-    // must step so injection can pop it (the FIFO gate allows at most one
-    // pop per endpoint per cycle, so eligibility can outlive the queues).
     if (traffic_self_clocked_ && traffic_.pending_eligible(e)) return true;
   }
   return false;
+}
+
+void Network::audit_summaries() const {
+  auto fail = [&](int r, const char* what, std::size_t port) {
+    throw std::logic_error("Network::audit_summaries: router " +
+                           std::to_string(r) + " port " +
+                           std::to_string(port) + " cycle " +
+                           std::to_string(cycle_) + ": " + what);
+  };
+  for (int r = 0; r < num_routers_; ++r) {
+    const RouterState& router = routers_[static_cast<std::size_t>(r)];
+    const auto deg = static_cast<std::size_t>(router.network_ports);
+    for (std::size_t p = 0; p < deg; ++p) {
+      if (router.incoming_ready[p] != router.inputs[p].incoming.head_ready()) {
+        fail(r, "incoming_ready differs from the incoming line's head", p);
+      }
+      if (router.credit_ready[p] !=
+          router.outputs[p].credit_return.head_ready()) {
+        fail(r, "credit_ready differs from the credit_return line's head", p);
+      }
+    }
+    // Every bit of the occupancy mask, padding included, against its buffer.
+    for (std::size_t b = 0; b < router.occupied.size() * 64; ++b) {
+      const std::size_t ip = b >> vc_shift_;
+      const std::size_t vc = b & ((std::size_t{1} << vc_shift_) - 1);
+      const bool bit = (router.occupied[b / 64] >> (b % 64)) & 1;
+      const bool nonempty = ip < router.inputs.size() &&
+                            vc < router.inputs[ip].vcs.size() &&
+                            !router.inputs[ip].vcs[vc].empty();
+      if (bit != nonempty) {
+        fail(r, nonempty ? "occupancy bit clear on a non-empty VC buffer"
+                         : "occupancy bit set on an empty VC buffer",
+             ip);
+      }
+    }
+    for (std::size_t op = 0; op < router.staging_nonempty.size() * 64; ++op) {
+      const bool bit = (router.staging_nonempty[op / 64] >> (op % 64)) & 1;
+      const bool staged =
+          op < router.outputs.size() && router.outputs[op].staged > 0;
+      if (bit != staged) fail(r, "staging bit differs from the stage", op);
+    }
+    if ((router.endpoint_work != 0) != endpoint_work_of(r)) {
+      fail(r, "endpoint_work differs from its endpoints", deg);
+    }
+  }
 }
 
 /* SF_HOT */ void Network::update_busy(std::size_t shard) {

@@ -19,15 +19,17 @@
 // count (docs/ARCHITECTURE.md spells out the full argument; the ctest
 // network_parallel_test enforces it).
 //
-//   1. arrivals      Local: router r pops the credit_return lines of its
-//                    own network outputs, pops the incoming flit line
-//                    stored at each of its own inputs (filled by the
-//                    upstream router's allocation — see sim/router.hpp
-//                    for the receiver-side placement), delivers from its
-//                    own aggregated ejection line into its shard's Stats,
-//                    and drains its ep_credits event line.
-//                      writes: r's credits/inputs (incl. occupied_vcs
-//                              masks), shard stats, ep credits.
+//   1. arrivals      Local: router r scans its own head-ready arrays and
+//                    pops only the due lines — the credit_return lines of
+//                    its network outputs and the incoming flit line stored
+//                    at each of its inputs (filled by the upstream router's
+//                    allocation — see sim/router.hpp for the receiver-side
+//                    placement) — delivers from its own aggregated
+//                    ejection line into its shard's Stats, and drains its
+//                    ep_credits event line.
+//                      writes: r's credits/inputs (incl. the occupancy
+//                              mask and head-ready slots), shard stats,
+//                              ep credits.
 //                      reads:  cycle_.
 //   2. injection     Per endpoint of r: Bernoulli generation and uplink
 //                    into r's injection buffer, drawing only from the
@@ -36,8 +38,9 @@
 //                    arbitrary routers — legal because no output queue or
 //                    credit count mutates during this phase, so any
 //                    endpoint order sees identical snapshots.
-//                      writes: ep state, r's injection-port buffers, packet
-//                              ids/seq, shard measured_generated.
+//                      writes: ep state, r's injection-port buffers and
+//                              endpoint_work byte, packet ids/seq, shard
+//                              measured_generated.
 //                      reads:  any router's outputs (frozen), cycle_.
 //   3. allocation    Both alloc_iterations for router r back-to-back: pops
 //                    r's input buffers, spends r's output credits and
@@ -55,8 +58,9 @@
 //                      writes: r's inputs/credits/staged/rr/route caches/
 //                              masks, ejection-port staging rings, r's
 //                              ep_credits line, upstream credit_return
-//                              lines (sole producer), downstream incoming
-//                              lines (sole producer).
+//                              lines and their credit_ready slots (sole
+//                              producer), downstream incoming lines and
+//                              their incoming_ready slots (sole producer).
 //                      reads:  r's outputs, cycle_.
 //   4. transmission  Advances r's staging counters (one flit per output
 //                    per cycle; network packets already sit in the
@@ -70,7 +74,8 @@
 // self-clocked traffic — apply_completions(): deliveries recorded by each
 // shard during arrivals are fed back into the traffic pattern's dependency
 // state here, even when shards_ == 1, so a message delivered at cycle T
-// unlocks its dependents for injection at T+1 regardless of shard count.
+// unlocks its dependents for injection at T+1 regardless of shard count
+// (it also sets the unlocked endpoints' routers' endpoint_work bytes).
 // Anything not listed as writable in a phase must not be
 // written there; widening a phase's write set requires re-auditing every
 // cross-shard read above.
@@ -99,7 +104,10 @@
 // There is one set of phase functions: each phase walks its shard's step
 // list, the routers with work this cycle. Each shard keeps (a) a busy
 // bitmask over its routers — busy iff any input VC is occupied, any staging
-// counter is nonzero, or an attached endpoint's source queue is nonempty —
+// counter is nonzero, or an attached endpoint has work left (a nonempty
+// source queue or an eligible self-clocked head; read from the router's
+// occupancy and staging masks and its endpoint_work byte, never by walking
+// ports or endpoints) —
 // and (b) its future wakes, fed by every event with a known maturity cycle:
 // granted flits (downstream incoming-line ready), returning credits
 // (upstream credit_return ready — keeps UGAL's remote queue_estimate reads
@@ -230,6 +238,13 @@ class Network {
   /// divides stepping time by it).
   std::int64_t flit_hops() const;
 
+  /// Test hook: throws std::logic_error naming the router, port and cycle
+  /// when a stepping summary disagrees with the state it summarizes — a
+  /// readiness slot with its line's head, an occupancy or staging bit with
+  /// its buffer or stage, or an endpoint-work byte with a recomputation.
+  /// Walks every router; call it between steps.
+  void audit_summaries() const;
+
   /// Pre-reserves the per-shard latency pools for the full measurement
   /// window (active endpoints x measure_cycles samples). Opt-in hook for
   /// the allocation-guard test: it makes the measurement phase
@@ -274,6 +289,19 @@ class Network {
   void arrivals_router(std::size_t shard, int r);
   void transmission_router(std::size_t shard, int r);
   void injection_router(std::size_t shard, int r, bool in_measurement);
+  /// Index of input `ip`'s VC `vc` in RouterState::occupied.
+  /* SF_HOT */ std::size_t occupancy_bit(int ip, int vc) const {
+    return (static_cast<std::size_t>(ip) << vc_shift_) +
+           static_cast<std::size_t>(vc);
+  }
+  /* SF_HOT */ void set_occupied(RouterState& router, int ip, int vc) const {
+    const std::size_t b = occupancy_bit(ip, vc);
+    router.occupied[b / 64] |= std::uint64_t{1} << (b % 64);
+  }
+  /* SF_HOT */ void clear_occupied(RouterState& router, int ip, int vc) const {
+    const std::size_t b = occupancy_bit(ip, vc);
+    router.occupied[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  }
   /// One router's allocator (both internal-speedup iterations).
   void allocate_router(std::size_t shard, int r);
   void deliver(std::size_t shard, const Packet& pkt);
@@ -322,6 +350,9 @@ class Network {
   /// Recomputes busy bits for the routers this shard just stepped.
   void update_busy(std::size_t shard);
   bool router_is_busy(int r) const;
+  /// Recomputes RouterState::endpoint_work from the endpoints themselves
+  /// (construction and audit_summaries only; stepping keeps the byte).
+  bool endpoint_work_of(int r) const;
   /// Batches the endpoint's Bernoulli draws for cycles >= `from` until the
   /// first hit, records it in EndpointState::next_arrival, and schedules
   /// the wake. Draws past the run's absolute end are capped (unobservable).
@@ -348,7 +379,8 @@ class Network {
   std::vector<OutputPort> output_arena_;
   std::vector<VcBuffer> vc_arena_;        ///< num_vcs per network input, 1 per injection input
   std::vector<int> credit_arena_;         ///< num_vcs per output port
-  std::vector<std::uint64_t> mask_arena_; ///< vc_occupied + staging_nonempty words
+  std::vector<std::int32_t> ready_arena_;  ///< incoming_ready + credit_ready slots
+  std::vector<std::uint64_t> mask_arena_; ///< occupied + staging_nonempty words
   std::vector<RouteDecision> route_arena_;
 
   std::vector<RouterState> routers_;
@@ -357,6 +389,9 @@ class Network {
   std::int64_t cycle_ = 0;
   int active_endpoints_ = 0;
   int num_routers_ = 0;
+  /// log2 of the occupancy bitmask's per-input VC stride (num_vcs rounded
+  /// up to a power of two; see RouterState::occupied).
+  int vc_shift_ = 0;
   /// Dense neighbor->port table: neighbor_port_[r * num_routers_ + n] is
   /// the output port of r toward n, or -1 when not adjacent.
   std::vector<std::int16_t> neighbor_port_;

@@ -9,26 +9,34 @@
 // chosen so each phase's *polling* is local and only *real traffic* pays a
 // remote touch:
 //   * the flit line of a network link lives at the RECEIVING InputPort
-//     (`incoming`): arrivals polls its own contiguous inputs instead of
-//     chasing a pointer into the upstream router's outputs every cycle,
-//     and the upstream allocation (the sole producer of that line, in a
-//     phase where nobody reads it) does one remote write per granted
-//     flit — with its final ready time, since the staging stage drains
-//     exactly one flit per cycle (see OutputPort::staged);
+//     (`incoming`): arrivals polls its own inputs instead of chasing a
+//     pointer into the upstream router's outputs every cycle, and the
+//     upstream allocation (the sole producer of that line, in a phase where
+//     nobody reads it) does one remote write per granted flit — with its
+//     final ready time, since the staging stage drains exactly one flit per
+//     cycle (see OutputPort::staged);
 //   * an OutputPort's credit_return line is filled by the one downstream
 //     router its link feeds (allocation) and drained locally by the owner
 //     (arrivals).
 // That single-producer/single-consumer structure is what makes
 // router-sharded stepping race-free without any locking.
 //
+// What a stepped router polls is summarized so that the poll costs per
+// event, not per port: the head ready cycles of its per-port lines sit in
+// two int32 arrays (incoming_ready, credit_ready — written by the line's
+// producer, see sim/channel.hpp), its non-empty input VCs in one bitmask,
+// its non-empty staging stages in another, and its endpoints' pending work
+// in one byte. Network::audit_summaries() checks every summary against the
+// state it summarizes.
+//
 // Layout (docs/ARCHITECTURE.md, "hot-path memory layout"): the variable-
 // length families — input ports, output ports, per-VC buffers, per-VC
-// credit counters, route cache, occupancy bitmasks — are Spans into
-// Network-owned SoA arenas sized capacity-exact at wire(), one allocation
-// per family for the whole fleet instead of one std::vector per port.
-// Queue capacities are fixed at wire() too, but their slabs are LazyRing-
-// backed: steady-state stepping performs zero heap allocations, while RSS
-// tracks occupancy instead of worst-case capacity.
+// credit counters, route cache, readiness arrays, bitmasks — are Spans
+// into Network-owned SoA arenas sized capacity-exact at wire(), one
+// allocation per family for the whole fleet instead of one std::vector per
+// port. Queue capacities are fixed at wire() too, but their slabs are
+// LazyRing-backed: steady-state stepping performs zero heap allocations,
+// while RSS tracks occupancy instead of worst-case capacity.
 
 #include <cstdint>
 #include <vector>
@@ -42,16 +50,13 @@
 
 namespace slimfly::sim {
 
-/// Credit and endpoint-credit event lines store their ready cycle in 32
-/// bits — the Network constructor bounds the cycle horizon below 2^31, so
-/// the narrow slot halves the dominant fleet-scale event-line footprint.
-using CreditLine = DelayLine<int, std::int32_t>;
-
 struct OutputPort {
   // Hot members first: the arrivals credit poll and the allocation grant
   // path touch credit_return / credits / consumed / staging every cycle;
   // wiring metadata trails behind.
-  CreditLine credit_return;        ///< VCs credited back to this port
+  /// VCs credited back to this port (network ports only); its head slot
+  /// is RouterState::credit_ready[port].
+  TimedLine<int> credit_return;
   Span<int> credits;               ///< per-VC slots free downstream
   /// Credits consumed downstream across all VCs, maintained incrementally
   /// (+1 on every grant that spends a credit, -1 on every credit return) so
@@ -85,10 +90,10 @@ struct InputPort {
   /// Flits on (or staged for) the network link ending here. Filled by the
   /// upstream router's allocation phase (its sole producer) at grant time
   /// with the packet's final ready cycle, drained by this router's
-  /// arrivals — placing the line at the receiver makes the every-cycle
-  /// readiness poll a local, contiguous access. Unused (capacity 0) on
-  /// injection ports.
-  DelayLine<Packet> incoming;
+  /// arrivals — placing the line at the receiver keeps the readiness poll
+  /// local. Its head slot is RouterState::incoming_ready[port]. Unused
+  /// (capacity 0) on injection ports.
+  TimedLine<Packet> incoming;
   /// Upstream (router, output port) feeding this input, or (-1, -1) for
   /// injection ports.
   int src_router = -1;
@@ -115,20 +120,33 @@ struct RouterState {
   Span<OutputPort> outputs;  ///< [0,deg) network + [deg, deg+p) ejection
   int network_ports = 0;     ///< router degree in the graph
 
-  /// vc_occupied[ip] bit vc set <=> inputs[ip].vcs[vc] is non-empty
-  /// (bounds SimConfig::num_vcs to 64). Lets the allocation gather visit
-  /// only occupied buffers.
-  Span<std::uint64_t> vc_occupied;
+  /// Head ready cycle of each network input's incoming line and of each
+  /// network output's credit_return line ([0, network_ports) each;
+  /// kLineIdle when the line is empty): the lines' one copy of their head
+  /// state. Arrivals scans them and touches a line only when it is due.
+  Span<std::int32_t> incoming_ready;
+  Span<std::int32_t> credit_ready;
+  /// Bit (ip << vc_shift) + vc set <=> inputs[ip].vcs[vc] is non-empty,
+  /// where 1 << vc_shift is num_vcs rounded up to a power of two (bounds
+  /// SimConfig::num_vcs to 64). The allocation gather and the busy check
+  /// read these few words instead of one word per input port.
+  Span<std::uint64_t> occupied;
   /// route_cache[ip * num_vcs + vc]: cached decision of that buffer's head
   /// (see RouteDecision). Invalidated on pop; only written for routings
   /// with cacheable_decisions().
   Span<RouteDecision> route_cache;
 
-  /// staging_nonempty[op / 64] bit (op % 64) set <=> outputs[op].staging
-  /// is non-empty: transmission walks set bits instead of touching every
+  /// staging_nonempty[op / 64] bit (op % 64) set <=> outputs[op].staged
+  /// is nonzero: transmission walks set bits instead of touching every
   /// OutputPort every cycle. Set on grant (allocation), cleared when the
-  /// staging ring drains (transmission) — both phases of the owning router.
+  /// staging stage drains (transmission) — both phases of the owning router.
   Span<std::uint64_t> staging_nonempty;
+  /// 1 <=> an attached endpoint has work left: a non-empty source queue,
+  /// or (self-clocked replay) an eligible head message. Written by this
+  /// router's injection pass and by the serial completion pass, which
+  /// wakes the router when a delivery makes a head eligible — the only
+  /// other way eligibility changes.
+  std::uint8_t endpoint_work = 0;
 
   /// Flits in flight to this router's endpoints, aggregated across its
   /// ejection ports (transmission pushes in port order; arrivals drains
@@ -139,7 +157,7 @@ struct RouterState {
   /// endpoint-local index j, pushed by this router's own allocation when
   /// it drains an injection buffer, drained by its own arrivals. Replaces
   /// a per-endpoint delay line that had to be polled every cycle.
-  CreditLine ep_credits;
+  DelayLine<int> ep_credits;
 
   /// Congestion estimate for UGAL: staging occupancy plus credits consumed
   /// downstream (an upper bound on the downstream queue for this port).

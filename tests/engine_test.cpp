@@ -4,7 +4,8 @@
 // These cases hold that full scan's outputs as pinned values — recorded
 // while it still existed, when both modes reproduced them — and check the
 // invariants that need no second mode: bit-identity across intra-thread
-// counts, fast-forward over idle stretches, and cycles_stepped <= cycles.
+// counts, fast-forward over idle stretches, cycles_stepped <= cycles, and
+// the stepping summaries against the state they summarize.
 // The heavier pinned cases (every Slim Fly routing at a saturating load,
 // worst-sf, a 70-cycle wire, credit_delay 0) live in
 // examples/suites/golden_stepping.json, which golden_test diffs.
@@ -252,6 +253,93 @@ TEST(Engine, FirstPlanInStepMatchesPinnedFullScan) {
       EXPECT_EQ(r.windows[w].delivered, c.delivered[w]) << what << " window " << w;
       EXPECT_EQ(r.windows[w].latency_sum, c.latency_sum[w])
           << what << " window " << w;
+    }
+  }
+}
+
+TEST(Engine, VcStrideLayoutsMatchPinnedResults) {
+  // The occupancy bitmask gives each input a power-of-two stride of VC
+  // bits (sim/router.hpp), so num_vcs 3 pads to 4 and 5 or 6 pad to 8, and
+  // a q=11 router's 26 ports x stride span two or four words. These values
+  // were pinned from the per-input-word layout the bitmask replaced; the
+  // gather order, and hence every result, must not depend on the layout.
+  struct Case {
+    std::string topo;
+    RoutingKind kind;
+    int num_vcs;
+    double load;
+    Pinned want;
+  };
+  for (const Case& c :
+       {Case{"slimfly:q=5", RoutingKind::Minimal, 3, 0.8,
+             {24.799390672603703, 23.192016248730567, 71, 0.78641249999999996,
+              109681, false, 714, 314808}},
+        Case{"slimfly:q=5", RoutingKind::UgalL, 5, 0.3,
+             {10.40857190137349, 10.40857190137349, 18, 0.30198750000000002,
+              36800, false, 619, 119506}},
+        Case{"slimfly:q=5", RoutingKind::Valiant, 6, 0.3,
+             {17.143924923179139, 17.143924923179139, 26, 0.30145, 36820,
+              false, 627, 174140}},
+        Case{"slimfly:q=11", RoutingKind::Minimal, 4, 0.4,
+             {9.8002426446546469, 9.8002426446546469, 14, 0.40008838383838385,
+              528325, false, 616, 1560178}},
+        Case{"slimfly:q=11", RoutingKind::UgalL, 6, 0.3,
+             {11.141554167557496, 11.141554167557496, 19, 0.30062213039485769,
+              399182, false, 621, 1376674}}}) {
+    auto topo = topo::make(c.topo);
+    SimConfig cfg = quick_config();
+    cfg.num_vcs = c.num_vcs;
+    expect_pinned(run_point(*topo, c.kind, c.load, 1, cfg), c.want,
+                  c.topo + " " + to_string(c.kind) +
+                      " num_vcs=" + std::to_string(c.num_vcs));
+  }
+}
+
+TEST(Engine, SummariesMatchTheirStateAfterEveryStep) {
+  // Stepping polls summaries instead of state: the head-ready slots of the
+  // per-port lines, the occupancy and staging bitmasks, and the
+  // endpoint-work byte (sim/router.hpp). audit_summaries() recomputes each
+  // from the state it summarizes and throws, naming router, port and cycle,
+  // on a slot a producer forgot to write or a bit a pop forgot to clear.
+  // The configs move the writers off the default path: credit_delay = 0
+  // (credits due the next cycle), a 70-cycle wire (long lines), UGAL-G
+  // (remote queue reads), bursts (long idle stretches), and ring and tree
+  // allreduce (endpoint work set by the serial completion pass).
+  sf::SlimFlyMMS sf(5);
+  SimConfig far = quick_config();
+  far.channel_latency = 70;
+  SimConfig zero_credit = quick_config();
+  zero_credit.credit_delay = 0;
+  struct Case {
+    SimConfig cfg;
+    RoutingKind kind;
+    std::string traffic;
+    double load;
+  };
+  for (const Case& c :
+       {Case{zero_credit, RoutingKind::UgalG, "uniform", 0.4},
+        Case{far, RoutingKind::Minimal, "uniform", 0.3},
+        Case{quick_config(), RoutingKind::UgalG, "uniform", 0.7},
+        Case{quick_config(), RoutingKind::Minimal,
+             "burst:on=40,off=2000,mult=25,base=uniform", 0.02},
+        Case{quick_config(), RoutingKind::UgalL, "allreduce:ranks=64,algo=ring",
+             0.1},
+        Case{quick_config(), RoutingKind::UgalL, "allreduce:ranks=64,algo=tree",
+             0.1}}) {
+    for (int intra : {1, 2, 4}) {
+      const std::string what = c.traffic + " " + to_string(c.kind) +
+                               " intra=" + std::to_string(intra);
+      auto bundle = make_routing(c.kind, sf);
+      auto traffic = make_traffic(c.traffic, sf);
+      SimConfig cfg = c.cfg;
+      cfg.intra_threads = intra;
+      Network net(sf, *bundle.algorithm, *traffic, cfg, c.load);
+      ASSERT_NO_THROW(net.audit_summaries()) << what;
+      for (int step = 0; step < 400; ++step) {
+        net.step();
+        ASSERT_NO_THROW(net.audit_summaries()) << what;
+      }
+      EXPECT_GT(net.flit_hops(), 0) << what;
     }
   }
 }
