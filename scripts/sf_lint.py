@@ -298,11 +298,11 @@ def lint_file(path, rel, all_rules=False):
         # an InlinePath). push_back on these writes a preallocated slot —
         # overflow throws, never allocates.
         # LazyRing<...> receivers are exempt too: their logical capacity is
-        # fixed at wire() (overflow throws) and physical growth is the
-        # sanctioned pool-backed settling path — it draws
-        # slabs from the preloaded SlabPool and stops at the high-water
-        # mark, with the dynamic zero-steady-state-allocation guarantee
-        # enforced by tests/hotpath_test.cpp.
+        # fixed at wire() (overflow throws) and physical growth is bounded
+        # heap growth — at most one slab per doubling up to the wire()-time
+        # bound, settling at the high-water mark, with the dynamic
+        # zero-steady-state-allocation guarantee enforced by
+        # tests/hotpath_test.cpp.
         # GrowRing is deliberately NOT exempt: its amortized growth is
         # allowed at exactly one audited site (the endpoint source queue),
         # which carries an explicit waiver.

@@ -2,8 +2,8 @@
 // Per-(input port, VC) flit buffer with a hard capacity, the unit of
 // credit-based flow control — a LazyRing whose logical capacity is sized
 // once from buffer_per_vc (so the credit contract is unchanged: push past
-// it throws) and whose physical slab grows from the shared SlabPool only
-// as flits actually queue, so an idle VC at fleet scale costs a ring
+// it throws) and whose physical slab grows from the heap only as flits
+// actually queue, so an idle VC at fleet scale costs a ring
 // header instead of a worst-case slab. Header-only: push/front/pop run
 // millions of times per simulated second and must inline into the phase
 // loops. (The head-of-line routing-decision cache lives in
@@ -14,22 +14,19 @@
 
 #include "sim/packet.hpp"
 #include "sim/ring.hpp"
-#include "sim/slab.hpp"
 
 namespace slimfly::sim {
 
 class VcBuffer {
  public:
-  explicit VcBuffer(int capacity = 0) {
+  explicit VcBuffer(int capacity = 0) { init(capacity); }
+
+  /// Sets the logical capacity and clears the buffer.
+  void init(int capacity) {
     ring_.reset(static_cast<std::size_t>(capacity < 0 ? 0 : capacity));
   }
 
-  /// Sets the logical capacity and the slab pool lazy growth draws from.
-  void init(int capacity, SlabPool* pool) {
-    ring_.reset(static_cast<std::size_t>(capacity < 0 ? 0 : capacity), pool);
-  }
-
-  /// Backs the first slab eagerly (see LazyRing::prewarm).
+  /// Backs the full logical capacity eagerly (see LazyRing::prewarm).
   void prewarm() { ring_.prewarm(); }
 
   bool full() const { return ring_.full(); }

@@ -14,11 +14,10 @@
 // (Network::wire() derives it from the flow-control config, which bounds
 // every line's occupancy: a flit channel holds at most latency+1 in-flight
 // flits, a credit line at most alloc_iterations credits per cycle of
-// credit delay) and whose physical slab grows lazily from the shared
-// SlabPool as real traffic arrives — an idle line at fleet scale costs its
-// header, not its worst case. Pushing past the logical capacity throws —
-// it means the occupancy argument was violated, not that the line needs to
-// grow.
+// credit delay) and whose physical slab grows lazily from the heap as real
+// traffic arrives — an idle line at fleet scale costs its header, not its
+// worst case. Pushing past the logical capacity throws — it means the
+// occupancy argument was violated, not that the line needs to grow.
 //
 // Ready cycles are stored in 32 bits: the Network constructor bounds the
 // cycle horizon below 2^31.
@@ -26,24 +25,22 @@
 // The head's ready cycle (kLineIdle when the line is empty) lives in one
 // int32 "head slot" outside the items, so a not-ready or empty poll is one
 // read that never chases the slab. A TimedLine keeps no slot of its own:
-// the caller passes it to every call that can change the head. The
-// Network's per-port lines — a network input's incoming flits and a
-// network output's credit returns — keep their slots in two contiguous
-// per-router arrays (RouterState::incoming_ready / credit_ready), so the
-// arrivals phase finds the due ports by scanning a few int32s and touches
-// a line only when its head is due; the producer (remote allocation)
-// writes the slot when it pushes into an empty line. A DelayLine is a
-// TimedLine with its own slot, for standalone lines (the per-router
-// ejection and endpoint-credit lines).
+// the caller passes it to every call that can change the head, and every
+// Network line's slot lives in its router (sim/router.hpp). The per-port
+// lines — a network input's incoming flits and a network output's credit
+// returns — keep their slots in two contiguous per-router arrays
+// (RouterState::incoming_ready / credit_ready), so the arrivals phase
+// finds the due ports by scanning a few int32s and touches a line only
+// when its head is due; the producer (remote allocation) writes the slot
+// when it pushes into an empty line. The per-router ejection and
+// endpoint-credit lines keep theirs in two RouterState fields
+// (ejection_ready / ep_credits_ready).
 
 #include <cassert>
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <utility>
 
 #include "sim/ring.hpp"
-#include "sim/slab.hpp"
 
 namespace slimfly::sim {
 
@@ -54,12 +51,9 @@ inline constexpr std::int32_t kLineIdle =
 template <typename T>
 class TimedLine {
  public:
-  /// Sets the line's logical capacity (and the slab pool lazy growth draws
-  /// from); must be called before the first push. The caller resets the
-  /// line's head slot to kLineIdle.
-  void init(std::size_t capacity, SlabPool* pool = nullptr) {
-    items_.reset(capacity, pool);
-  }
+  /// Sets the line's logical capacity; must be called before the first
+  /// push. The caller resets the line's head slot to kLineIdle.
+  void init(std::size_t capacity) { items_.reset(capacity); }
 
   /// Claims the next slot for in-place assignment (zero-copy push): the
   /// caller writes the payload through the returned reference. Writes
@@ -91,7 +85,7 @@ class TimedLine {
     return items_.empty() ? kLineIdle : items_.front().ready;
   }
 
-  /// Backs the first slab eagerly (see LazyRing::prewarm).
+  /// Backs the full logical capacity eagerly (see LazyRing::prewarm).
   void prewarm() { items_.prewarm(); }
 
   bool empty() const { return items_.empty(); }
@@ -107,52 +101,6 @@ class TimedLine {
 #ifndef NDEBUG
   std::int64_t last_push_ready_ = 0;
 #endif
-};
-
-template <typename T>
-class DelayLine {
- public:
-  DelayLine() = default;
-  explicit DelayLine(std::size_t capacity) { init(capacity); }
-
-  void init(std::size_t capacity, SlabPool* pool = nullptr) {
-    line_.init(capacity, pool);
-    head_ = kLineIdle;
-  }
-
-  /* SF_HOT */ void push(std::int64_t ready_cycle, T item) {
-    push_slot(ready_cycle) = std::move(item);
-  }
-
-  /* SF_HOT */ T& push_slot(std::int64_t ready_cycle) {
-    return line_.push_slot(ready_cycle, head_);
-  }
-
-  /// Pops the front item if it is ready at `cycle`.
-  /* SF_HOT */ std::optional<T> pop_ready(std::int64_t cycle) {
-    if (head_ > cycle) return std::nullopt;
-    T item = line_.front();
-    line_.drop_front(head_);
-    return item;
-  }
-
-  /// Copy-free variant of pop_ready: a pointer to the front payload when
-  /// it is ready at `cycle` (consume with drop_front()), else nullptr.
-  /* SF_HOT */ const T* front_ready(std::int64_t cycle) const {
-    return head_ > cycle ? nullptr : &line_.front();
-  }
-
-  /* SF_HOT */ void drop_front() { line_.drop_front(head_); }
-
-  void prewarm() { line_.prewarm(); }
-
-  bool empty() const { return line_.empty(); }
-  std::size_t size() const { return line_.size(); }
-  std::size_t capacity() const { return line_.capacity(); }
-
- private:
-  TimedLine<T> line_;
-  std::int32_t head_ = kLineIdle;
 };
 
 }  // namespace slimfly::sim

@@ -184,8 +184,8 @@ void Network::wire() {
   // ---- SoA arenas (docs/ARCHITECTURE.md, "hot-path memory layout") -------
   // Counting pass first: every variable-length per-router family gets one
   // capacity-exact arena for the whole fleet, then the per-router Spans are
-  // carved out of it in router order. Ring payload slabs stay lazy (the
-  // shared SlabPool), so the arenas hold exactly the always-resident state.
+  // carved out of it in router order. Ring payload slabs stay lazy (grown
+  // from the heap), so the arenas hold exactly the always-resident state.
   const std::size_t nvc = static_cast<std::size_t>(config_.num_vcs);
   vc_shift_ = 0;
   while ((std::size_t{1} << vc_shift_) < nvc) ++vc_shift_;
@@ -222,9 +222,6 @@ void Network::wire() {
   mask_arena_.assign(total_words, 0);
   ready_arena_.assign(total_ready, kLineIdle);
   route_arena_.assign(total_cache, RouteDecision{});
-  // Charge the pool's reserve float so a straggler ring growing late (in
-  // the zero-allocation guard window) pops a shelf instead of allocating.
-  slab_pool_.preload();
 
   std::size_t port_base = 0, vc_base = 0, credit_base = 0, word_base = 0,
               cache_base = 0, ready_base = 0;
@@ -259,28 +256,25 @@ void Network::wire() {
       const std::size_t nv = network_input ? nvc : 1;
       in.vcs = Span<VcBuffer>(vc_arena_.data() + vc_base, nv);
       vc_base += nv;
-      for (auto& b : in.vcs) b.init(buf_vc, &slab_pool_);
+      for (auto& b : in.vcs) b.init(buf_vc);
       // Network inputs receive their link's flit line locally (see
       // sim/router.hpp): the upstream allocation phase fills it.
-      in.incoming.init(network_input ? incoming_cap : 0, &slab_pool_);
+      in.incoming.init(network_input ? incoming_cap : 0);
     }
     // Aggregated per-router event lines: ejection flits (one push per
     // ejection port per cycle, mature after chan_cap-ish latency) and
     // endpoint uplink credits (<= alloc_iterations per endpoint per cycle,
     // credit_delay deep).
-    router.ejection.init(static_cast<std::size_t>(eps) * chan_cap,
-                         &slab_pool_);
-    router.ep_credits.init(static_cast<std::size_t>(eps) * credit_cap,
-                           &slab_pool_);
+    router.ejection.init(static_cast<std::size_t>(eps) * chan_cap);
+    router.ep_credits.init(static_cast<std::size_t>(eps) * credit_cap);
     for (int i = 0; i < deg + eps; ++i) {
       OutputPort& out = router.outputs[static_cast<std::size_t>(i)];
       // Network ports model staging as a counter (the packet itself is
       // written straight to the downstream incoming line at grant time);
       // only ejection ports store staged packets.
       out.staging.reset(
-          i < deg ? 0 : static_cast<std::size_t>(config_.output_staging),
-          &slab_pool_);
-      out.credit_return.init(i < deg ? credit_cap : 0, &slab_pool_);
+          i < deg ? 0 : static_cast<std::size_t>(config_.output_staging));
+      out.credit_return.init(i < deg ? credit_cap : 0);
       out.credits = Span<int>(credit_arena_.data() + credit_base, nvc);
       credit_base += nvc;
       if (i < deg) {
@@ -439,14 +433,15 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
   // My aggregated ejection line completes deliveries to my endpoints
   // (same per-cycle delivery set as per-port lines: at most one flit per
   // ejection port matures per cycle, in port order).
-  while (const Packet* pkt = router.ejection.front_ready(cycle_)) {
-    deliver(shard, *pkt);
-    router.ejection.drop_front();
+  while (router.ejection_ready <= cycle_) {
+    deliver(shard, router.ejection.front());
+    router.ejection.drop_front(router.ejection_ready);
   }
   // Uplink credits for my endpoints, as events on the per-router line.
-  int first_ep = topo_.first_endpoint(r);
-  while (auto j = router.ep_credits.pop_ready(cycle_)) {
-    ++injector_.credits(first_ep + *j);
+  const int first_ep = topo_.first_endpoint(r);
+  while (router.ep_credits_ready <= cycle_) {
+    ++injector_.credits(first_ep + router.ep_credits.front());
+    router.ep_credits.drop_front(router.ep_credits_ready);
   }
 }
 
@@ -714,8 +709,9 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
           // stale counter would change adaptive decisions.
           schedule_wake(shard, in.src_router, cycle_ + config_.credit_delay);
         } else {
-          router.ep_credits.push(cycle_ + config_.credit_delay,
-                                 req.input_port - router.network_ports);
+          router.ep_credits.push_slot(cycle_ + config_.credit_delay,
+                                      router.ep_credits_ready) =
+              req.input_port - router.network_ports;
           // This router may drain to idle before the uplink credit matures.
           schedule_wake(shard, r, cycle_ + config_.credit_delay);
         }
@@ -746,7 +742,8 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       // ring onto the router's aggregated ejection line now, keeping
       // that line's pushes time-ordered across ports.
       if (op >= router.network_ports) {
-        router.ejection.push_slot(ready) = out.staging.front();
+        router.ejection.push_slot(ready, router.ejection_ready) =
+            out.staging.front();
         out.staging.drop_front();
         // The delivery must run when the flit matures, and nothing else
         // keeps this router awake once its buffers drain.
@@ -1113,6 +1110,13 @@ void Network::audit_summaries() const {
           op < router.outputs.size() && router.outputs[op].staged > 0;
       if (bit != staged) fail(r, "staging bit differs from the stage", op);
     }
+    // The per-router lines' slots are reported at the first ejection port.
+    if (router.ejection_ready != router.ejection.head_ready()) {
+      fail(r, "ejection_ready differs from the ejection line's head", deg);
+    }
+    if (router.ep_credits_ready != router.ep_credits.head_ready()) {
+      fail(r, "ep_credits_ready differs from the ep_credits line's head", deg);
+    }
     if ((router.endpoint_work != 0) != endpoint_work_of(r)) {
       fail(r, "endpoint_work differs from its endpoints", deg);
     }
@@ -1256,19 +1260,12 @@ void Network::reserve_measurement_stats() {
     shard_totals_[s].stats.reserve(
         static_cast<std::size_t>(endpoints * config_.measure_cycles));
   }
-  // Charge the pool's full-depth float: at high stable load, hundreds of
-  // rings cross new high-water marks long after any settle phase, and the
-  // construction-time ~1 MiB float (64 slabs/class) is exhausted by the
-  // first wave. kShelfDepth slabs per class up to the default byte ceiling
-  // is ~16 MiB — noise next to the arenas, and only charged on this
-  // opt-in measurement path, never at fleet-scale construction.
-  slab_pool_.preload(SlabPool::kDefaultPreloadMaxBytes, SlabPool::kShelfDepth);
-  // Back every lazy ring's FIRST slab eagerly: a ring whose first traffic
-  // lands after the guard/bench settle phase then grows privately instead
-  // of hitting the pool (whose preload float a low-load settle phase can
-  // exhaust). Same opt-in trade as the stats reservation above — wasteful
-  // as a default at fleet scale, where untouched rings costing nothing is
-  // the whole point of the lazy tier.
+  // Back every lazy ring at its full logical capacity: at high stable
+  // load, rings cross new high-water marks long after any settle phase,
+  // and a ring whose first traffic lands late would grow inside the guard
+  // window. Same opt-in trade as the stats reservation above — wasteful as
+  // a default at fleet scale, where untouched rings costing nothing is the
+  // whole point of the lazy tier.
   for (auto& router : routers_) {
     for (auto& in : router.inputs) {
       for (auto& b : in.vcs) b.prewarm();

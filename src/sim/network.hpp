@@ -28,8 +28,9 @@
 //                    ejection line into its shard's Stats, and drains its
 //                    ep_credits event line.
 //                      writes: r's credits/inputs (incl. the occupancy
-//                              mask and head-ready slots), shard stats,
-//                              ep credits.
+//                              mask and head-ready slots), r's ejection
+//                              and ep_credits lines and their head slots,
+//                              shard stats, ep credits.
 //                      reads:  cycle_.
 //   2. injection     Per endpoint of r: Bernoulli generation and uplink
 //                    into r's injection buffer, drawing only from the
@@ -57,17 +58,19 @@
 //                    router's.
 //                      writes: r's inputs/credits/staged/rr/route caches/
 //                              masks, ejection-port staging rings, r's
-//                              ep_credits line, upstream credit_return
-//                              lines and their credit_ready slots (sole
-//                              producer), downstream incoming lines and
-//                              their incoming_ready slots (sole producer).
+//                              ep_credits line and ep_credits_ready slot,
+//                              upstream credit_return lines and their
+//                              credit_ready slots (sole producer),
+//                              downstream incoming lines and their
+//                              incoming_ready slots (sole producer).
 //                      reads:  r's outputs, cycle_.
 //   4. transmission  Advances r's staging counters (one flit per output
 //                    per cycle; network packets already sit in the
 //                    downstream incoming line) and moves ejection staging
 //                    heads onto r's own aggregated ejection line.
 //                      writes: r's staged counters/staging_nonempty masks,
-//                              ejection staging rings, ejection line.
+//                              ejection staging rings, ejection line and
+//                              its ejection_ready slot.
 //                      reads:  cycle_.
 //
 // Serial between cycles: ++cycle_, the run() loop checks, and — for
@@ -145,7 +148,6 @@
 #include "sim/config.hpp"
 #include "sim/injector.hpp"
 #include "sim/router.hpp"
-#include "sim/slab.hpp"
 #include "sim/span.hpp"
 #include "sim/routing/routing.hpp"
 #include "sim/stats.hpp"
@@ -246,10 +248,11 @@ class Network {
   void audit_summaries() const;
 
   /// Pre-reserves the per-shard latency pools for the full measurement
-  /// window (active endpoints x measure_cycles samples). Opt-in hook for
-  /// the allocation-guard test: it makes the measurement phase
-  /// allocation-free at the cost of an upper-bound reservation, which
-  /// would be wasteful as a default at paper scale and low load.
+  /// window (active endpoints x measure_cycles samples) and backs every
+  /// lazy ring at its full logical capacity. Opt-in hook for the
+  /// allocation-guard test: it makes the measurement phase allocation-free
+  /// at the cost of upper-bound reservations, which would be wasteful as a
+  /// default at paper scale and low load.
   void reserve_measurement_stats();
 
  private:
@@ -366,10 +369,6 @@ class Network {
   TrafficPattern& traffic_;
   SimConfig config_;
   double load_;
-
-  // Declared before every ring-holding member: LazyRing slabs release into
-  // the pool at destruction, so the pool must be destroyed last.
-  SlabPool slab_pool_;
 
   // ---- SoA arenas (docs/ARCHITECTURE.md, "hot-path memory layout") ------
   // One capacity-exact allocation per state family for the whole fleet,

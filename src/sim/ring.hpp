@@ -13,15 +13,14 @@
 //    once at Network::wire(), from the flow-control config that already
 //    bounds the queue's occupancy, and overflow throws a named error
 //    because it is always a protocol violation, never a sizing decision.
-//    The *physical* slab starts empty and doubles toward it as occupancy
-//    demands, drawing slabs from a shared SlabPool (sim/slab.hpp). RSS
-//    then tracks what the
-//    simulated traffic actually queues instead of the worst case the
-//    credit loop admits — the difference between a 0.05-load point paying
-//    for its occupancy and paying for its capacity. Growth settles at the
+//    The *physical* slab starts empty and doubles from the heap toward it
+//    as occupancy demands, so RSS tracks what the simulated traffic
+//    actually queues instead of the worst case the credit loop admits —
+//    the difference between a 0.05-load point paying for its occupancy
+//    and paying for its capacity. Growth is bounded: at most one slab per
+//    doubling up to the logical capacity, and it settles at the
 //    high-water mark (same amortized argument as GrowRing), so the
-//    steady-state loop stops touching the pool, and the pool's reserve
-//    float keeps even a late straggler's growth allocation-free.
+//    steady-state loop stops allocating.
 //
 // Both keep elements contiguous-in-ring with head/size indices and
 // conditional (branch, not modulo) wrap-around.
@@ -33,8 +32,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "sim/slab.hpp"
 
 namespace slimfly::sim {
 
@@ -93,14 +90,12 @@ class GrowRing {
 };
 
 /// Fixed *logical* capacity, lazy *physical* backing (see the header
-/// comment). reset() takes the logical capacity and the SlabPool growth
-/// draws from (nullptr = private heap slabs, for tests and
-/// standalone use). Restricted to trivially-copyable payloads so slabs can
-/// be raw pool memory and growth a flat copy.
+/// comment). Restricted to trivially-copyable payloads so slabs can be raw
+/// heap memory and growth a flat copy.
 template <typename T>
 class LazyRing {
   static_assert(std::is_trivially_copyable<T>::value,
-                "LazyRing slabs are raw pool memory");
+                "LazyRing slabs are raw heap memory");
   static_assert(std::is_trivially_destructible<T>::value,
                 "LazyRing never runs element destructors");
 
@@ -122,12 +117,10 @@ class LazyRing {
 
   ~LazyRing() { free_slab(); }
 
-  /// Sets the logical capacity and clears the ring; the physical slab (if
-  /// any) goes back to the pool. The only point where the pool binding can
-  /// change.
-  void reset(std::size_t logical_capacity, SlabPool* pool = nullptr) {
+  /// Sets the logical capacity and clears the ring, freeing the physical
+  /// slab (if any).
+  void reset(std::size_t logical_capacity) {
     free_slab();
-    pool_ = pool;
     logical_ = logical_capacity;
     head_ = 0;
     size_ = 0;
@@ -141,23 +134,21 @@ class LazyRing {
   bool empty() const { return size_ == 0; }
   bool full() const { return size_ >= logical_; }
 
-  /// Materializes the first physical slab now (no-op once backed). Opt-in
-  /// warm-up for allocation-guard/bench runs (via Network::
-  /// reserve_measurement_stats): a ring whose first traffic lands after
-  /// the settle phase then grows from its own slab instead of touching the
-  /// pool, making the zero-allocation window airtight. Deliberately NOT
-  /// the default — the lazy tier's whole point is that untouched rings
-  /// cost nothing at fleet scale.
+  /// Backs the full logical capacity now, so the ring never grows again.
+  /// Opt-in warm-up for allocation-guard runs (via Network::
+  /// reserve_measurement_stats). Deliberately NOT the default — the lazy
+  /// tier's whole point is that untouched rings cost nothing at fleet
+  /// scale.
   void prewarm() {
-    if (physical_ == 0 && logical_ > 0) grow();
+    if (physical_ < logical_) grow_to(logical_);
   }
 
   /* SF_HOT */ void push_back(const T& value) { push_slot() = value; }
 
   /// Claims the next tail slot for in-place assignment. grow() below is
-  /// the sanctioned settling-phase cold path (pool-backed, doubles toward
-  /// the fixed logical capacity), so push_slot itself stays
-  /// allocation-free, mirroring GrowRing::push_back.
+  /// the sanctioned settling-phase cold path (doubles toward the fixed
+  /// logical capacity), so push_slot itself stays allocation-free,
+  /// mirroring GrowRing::push_back.
   /* SF_HOT */ T& push_slot() {
     if (size_ >= physical_) grow();
     std::size_t tail = head_ + size_;
@@ -188,7 +179,9 @@ class LazyRing {
   }
 
  private:
-  static constexpr std::size_t kInitialSlots = 4;
+  // First slab: 4 slots or one 64-byte cache line, whichever holds more.
+  static constexpr std::size_t kInitialSlots =
+      64 / sizeof(T) > 4 ? 64 / sizeof(T) : 4;
 
   // Cold path: called only when occupancy crosses the current physical
   // high-water mark, at most log2(capacity) times over a ring's lifetime.
@@ -198,60 +191,46 @@ class LazyRing {
           "LazyRing: overflow at capacity " + std::to_string(logical_) +
           " (the wire()-time occupancy bound was violated)");
     }
-    std::size_t want = physical_ == 0 ? kInitialSlots : physical_ * 2;
-    if (want > logical_) want = logical_;
-    std::size_t got_bytes = SlabPool::class_bytes(want * sizeof(T));
-    void* raw = pool_ ? pool_->acquire(want * sizeof(T), got_bytes)
-                      : ::operator new(got_bytes);
-    // Slabs are handed out round-robin, so zero them: a slot's first read
-    // after a partial write must see deterministic bytes, exactly as
-    // value-initialized storage would.
-    std::memset(raw, 0, got_bytes);
+    const std::size_t want = physical_ == 0 ? kInitialSlots : physical_ * 2;
+    grow_to(want < logical_ ? want : logical_);
+  }
+
+  void grow_to(std::size_t slots) {
+    // Zeroed: a slot's first read after a partial write must see
+    // deterministic bytes, exactly as value-initialized storage would.
+    void* raw = ::operator new(slots * sizeof(T));
+    std::memset(raw, 0, slots * sizeof(T));
     T* bigger = static_cast<T*>(raw);
     for (std::size_t i = 0; i < size_; ++i) {
       std::size_t at = head_ + i;
       if (at >= physical_) at -= physical_;
       bigger[i] = slots_[at];
     }
-    free_slab();
+    ::operator delete(slots_);
     slots_ = bigger;
-    slab_bytes_ = got_bytes;
-    // Use everything the size class gave us, up to the logical bound.
-    physical_ = got_bytes / sizeof(T);
-    if (physical_ > logical_) physical_ = logical_;
+    physical_ = slots;
     head_ = 0;
   }
 
   void free_slab() {
-    if (!slots_) return;
-    if (pool_) {
-      pool_->release(slots_, slab_bytes_);
-    } else {
-      ::operator delete(slots_);
-    }
+    ::operator delete(slots_);
     slots_ = nullptr;
     physical_ = 0;
-    slab_bytes_ = 0;
   }
 
   void steal(LazyRing& other) {
     slots_ = other.slots_;
-    pool_ = other.pool_;
-    slab_bytes_ = other.slab_bytes_;
     logical_ = other.logical_;
     physical_ = other.physical_;
     head_ = other.head_;
     size_ = other.size_;
     other.slots_ = nullptr;
     other.physical_ = 0;
-    other.slab_bytes_ = 0;
     other.head_ = 0;
     other.size_ = 0;
   }
 
   T* slots_ = nullptr;
-  SlabPool* pool_ = nullptr;
-  std::size_t slab_bytes_ = 0;
   std::size_t logical_ = 0;
   std::size_t physical_ = 0;
   std::size_t head_ = 0;

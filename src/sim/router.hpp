@@ -24,7 +24,9 @@
 // What a stepped router polls is summarized so that the poll costs per
 // event, not per port: the head ready cycles of its per-port lines sit in
 // two int32 arrays (incoming_ready, credit_ready — written by the line's
-// producer, see sim/channel.hpp), its non-empty input VCs in one bitmask,
+// producer, see sim/channel.hpp) and those of its two per-router lines in
+// two int32 fields (ejection_ready, ep_credits_ready), so every line's
+// head slot lives in its router; its non-empty input VCs sit in one bitmask,
 // its non-empty staging stages in another, and its endpoints' pending work
 // in one byte. Network::audit_summaries() checks every summary against the
 // state it summarizes.
@@ -35,8 +37,9 @@
 // into Network-owned SoA arenas sized capacity-exact at wire(), one
 // allocation per family for the whole fleet instead of one std::vector per
 // port. Queue capacities are fixed at wire() too, but their slabs are
-// LazyRing-backed: steady-state stepping performs zero heap allocations,
-// while RSS tracks occupancy instead of worst-case capacity.
+// LazyRing-backed, grown from the heap at most once per doubling:
+// steady-state stepping performs zero heap allocations, while RSS tracks
+// occupancy instead of worst-case capacity.
 
 #include <cstdint>
 #include <vector>
@@ -126,6 +129,10 @@ struct RouterState {
   /// state. Arrivals scans them and touches a line only when it is due.
   Span<std::int32_t> incoming_ready;
   Span<std::int32_t> credit_ready;
+  /// Head ready cycle of the ejection and ep_credits lines below, the same
+  /// kind of slot for the two per-router lines.
+  std::int32_t ejection_ready = kLineIdle;
+  std::int32_t ep_credits_ready = kLineIdle;
   /// Bit (ip << vc_shift) + vc set <=> inputs[ip].vcs[vc] is non-empty,
   /// where 1 << vc_shift is num_vcs rounded up to a power of two (bounds
   /// SimConfig::num_vcs to 64). The allocation gather and the busy check
@@ -151,13 +158,15 @@ struct RouterState {
   /// Flits in flight to this router's endpoints, aggregated across its
   /// ejection ports (transmission pushes in port order; arrivals drains
   /// everything mature — same per-cycle delivery set as per-port lines,
-  /// with one poll per router instead of one per ejection port).
-  DelayLine<Packet> ejection;
+  /// with one poll per router instead of one per ejection port). Its head
+  /// slot is ejection_ready.
+  TimedLine<Packet> ejection;
   /// Uplink credits returning to this router's endpoints: events of
   /// endpoint-local index j, pushed by this router's own allocation when
   /// it drains an injection buffer, drained by its own arrivals. Replaces
-  /// a per-endpoint delay line that had to be polled every cycle.
-  DelayLine<int> ep_credits;
+  /// a per-endpoint delay line that had to be polled every cycle. Its head
+  /// slot is ep_credits_ready.
+  TimedLine<int> ep_credits;
 
   /// Congestion estimate for UGAL: staging occupancy plus credits consumed
   /// downstream (an upper bound on the downstream queue for this port).

@@ -6,9 +6,11 @@
 //
 // The allocation guard covers the transition from warmup into the
 // measurement window, so it exercises delivery recording too (the network
-// pre-reserves its latency pools via reserve_measurement_stats). Setup —
-// wiring, first-touch growth of endpoint source rings, scratch sizing — is
-// allowed to allocate; the measured region is not.
+// pre-reserves its latency pools and backs every lazy ring at its full
+// logical capacity via reserve_measurement_stats). Setup — wiring,
+// first-touch growth of endpoint source rings, scratch sizing — is allowed
+// to allocate; the measured region is not. The ring contract that makes
+// this hold is pinned on its own below (LazyRingGrowthIsBounded).
 
 #include <gtest/gtest.h>
 
@@ -21,7 +23,6 @@
 #include "sf/mms.hpp"
 #include "sim/ring.hpp"
 #include "sim/simulation.hpp"
-#include "sim/slab.hpp"
 
 namespace {
 std::atomic<long long> g_allocations{0};
@@ -92,34 +93,52 @@ TEST(HotPathAllocationGuard, UgalSteadyStateIsAllocationFree) {
 TEST(HotPathAllocationGuard, DeepQueueHighLoadIsAllocationFree) {
   // 0.7 offered load — the highest load q=5 UGAL-L sustains (accepted
   // tracks offered; 0.8+ backlogs the injectors, and an unbounded source
-  // backlog legitimately grows forever) — drives the lazily-backed VC
-  // rings, staging rings and event lines deep into their slabs, so the
-  // guard window churns the deepest queues the flow control admits at a
-  // stable operating point. Growth past the settle phase must come from
-  // the SlabPool's preloaded float, never the allocator.
+  // backlog legitimately grows forever) — drives the VC rings, staging
+  // rings and event lines deep into their capacity, so the guard window
+  // churns the deepest queues the flow control admits at a stable
+  // operating point. Every ring is backed at its full logical capacity
+  // before the window, so a queue reaching a new high-water mark late
+  // still never touches the allocator.
   expect_allocation_free_steady_state(RoutingKind::UgalL, 0.7);
 }
 
-TEST(HotPathAllocationGuard, LazyRingGrowthIsPoolServed) {
-  // The pooled-storage invariant in isolation: after the reserve float is
-  // charged, a LazyRing doubling all the way to its logical capacity — the
-  // late-straggler case the Network-level guards can only sample — never
-  // touches the allocator, and steady churn at the high-water mark is free.
-  SlabPool pool;
-  pool.preload();
-  LazyRing<int> ring;
-  ring.reset(2048, &pool);  // full growth = 8 KiB, the preload ceiling
-  for (int i = 0; i < 8; ++i) ring.push_back(i);  // settle: first slab
-  const long long before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 8; i < 2048; ++i) ring.push_back(i);  // doubles to capacity
+TEST(HotPathAllocationGuard, LazyRingGrowthIsBounded) {
+  // The ring contract the Network-level guards rest on, in isolation.
+  // A capacity that is not a power of two makes the last doubling clamp.
+  constexpr std::size_t kCapacity = 2000;
+  // Growing from empty to the logical capacity allocates once for the
+  // first slab (one 64-byte line of ints) and once per doubling after it.
+  long long slabs = 1;
+  for (std::size_t s = 64 / sizeof(int); s < kCapacity; s *= 2) ++slabs;
+  LazyRing<int> ring(kCapacity);
+  long long before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    ring.push_back(static_cast<int>(i));
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, slabs)
+      << "LazyRing growth must allocate exactly once per doubling";
+  EXPECT_EQ(ring.physical_capacity(), kCapacity);
+  // Churn at the high-water mark allocates nothing.
   while (!ring.empty()) ring.drop_front();
-  for (int i = 0; i < 5000; ++i) {  // steady churn at high water
+  before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 5000; ++i) {
     ring.push_back(i);
     ring.drop_front();
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
-      << "LazyRing growth must be pool-served after preload";
-  EXPECT_EQ(ring.physical_capacity(), 2048u);
+      << "churn below the high-water mark must not allocate";
+  // prewarm() backs the whole capacity, so filling allocates nothing —
+  // what Network::reserve_measurement_stats relies on.
+  LazyRing<int> warm(kCapacity);
+  warm.prewarm();
+  EXPECT_EQ(warm.physical_capacity(), kCapacity);
+  before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    warm.push_back(static_cast<int>(i));
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
+      << "filling a prewarmed LazyRing must not allocate";
+  EXPECT_TRUE(warm.full());
 }
 
 TEST(HotPathAllocationGuard, LowLoadIsAllocationFree) {

@@ -45,8 +45,9 @@ struct InlinePath {
 }
 
 // LazyRing receivers are exempt like InlinePath: the logical capacity is
-// fixed at wire() and growth is the sanctioned pool-backed settling path
-// (see scripts/sf_lint.py; hotpath_test enforces the dynamic guarantee).
+// fixed at wire() and growth is bounded — at most one slab per doubling up
+// to that bound (see scripts/sf_lint.py; hotpath_test enforces the dynamic
+// guarantee).
 template <typename T>
 struct LazyRing {
   void push_back(const T&) {}
