@@ -3,16 +3,17 @@
 namespace slimfly::sim {
 
 namespace {
-// Distinguishes endpoint streams from the router streams seeded in
-// Network::wire() under the same base seed.
+// Tags the endpoint streams derived from the base seed. The value is part
+// of every endpoint's seed, so changing it would re-seed every run.
 constexpr std::uint64_t kEndpointStreamTag = 0x9d5c7f2b;
 }  // namespace
 
 void Injector::init(int num_endpoints, int initial_credits,
-                    std::uint64_t seed) {
+                    std::uint64_t seed, std::size_t queue_capacity) {
   const auto n = static_cast<std::size_t>(num_endpoints);
   source_queue_.clear();
   source_queue_.resize(n);
+  for (auto& queue : source_queue_) queue.reset(queue_capacity);
   credits_.assign(n, initial_credits);
   rng_.assign(n, Rng{});
   next_seq_.assign(n, 0);

@@ -1,26 +1,31 @@
 #pragma once
-// Endpoint-side state: the unbounded source queue (so offered load is
-// well-defined even past saturation), the credit counter for the single
-// uplink into the router's injection port, and the endpoint's private RNG
-// stream. Generation draws (Bernoulli arrivals, traffic destinations,
-// routing path sampling) come from `rng`, never from a shared generator,
-// so the injection phase is deterministic under any endpoint processing
-// order — the keystone of router-parallel stepping (sim/network.hpp).
+// Endpoint-side state: the source queue (it absorbs the backlog past
+// saturation, so offered load stays well-defined there), the credit
+// counter for the single uplink into the router's injection port, and the
+// endpoint's private RNG stream. Generation draws (Bernoulli arrivals,
+// traffic destinations, routing path sampling) come from `rng`, never from
+// a shared generator, so the injection phase is deterministic under any
+// endpoint processing order — the keystone of router-parallel stepping
+// (sim/network.hpp).
 //
 // Storage is SoA: one capacity-exact array per field instead of an array
 // of endpoint structs. The injection phase walks a router's endpoints
-// checking credits and (active mode) planned arrivals every cycle —
+// checking credits and planned arrivals every stepped cycle —
 // with a million endpoints those polls now stream through dense int
 // arrays instead of striding over struct padding, and each field costs
 // exactly its own width. Endpoints are numbered contiguously per router
 // (topology first_endpoint order), so each stepping shard owns contiguous
 // slices of every array — the same ownership split as the router state.
 //
-// The source queue is a GrowRing, the one hot-path queue that may allocate:
-// past saturation it must absorb unbounded offered load, so it doubles
-// amortized; below saturation it settles at a small stable capacity and
-// the steady-state loop never allocates.
+// The source queue is a LazyRing like every other hot-path queue. Its
+// logical capacity is the run horizon (warmup + measure + drain cycles):
+// at most one packet enters it per stepped cycle, so that is a true
+// occupancy bound even past saturation, where the backlog grows every
+// cycle. Its slab doubles toward the bound as the backlog deepens; below
+// saturation it settles at a small stable size and the steady-state loop
+// never allocates.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,7 +39,7 @@ namespace slimfly::sim {
 /// Reference bundle over one endpoint's SoA columns — call sites keep the
 /// `ep.credits` field syntax while the storage stays columnar.
 struct EndpointRef {
-  GrowRing<Packet>& source_queue;
+  LazyRing<Packet>& source_queue;
   int& credits;                    ///< slots free in the injection buffer
   Rng& rng;                        ///< private stream, seeded from (seed, id)
   std::int64_t& next_seq;          ///< per-endpoint packet sequence number
@@ -51,18 +56,20 @@ struct EndpointRef {
 class Injector {
  public:
   /// Seeds every endpoint's RNG stream deterministically from `seed` and
-  /// the endpoint id — independent of thread schedule by construction.
-  void init(int num_endpoints, int initial_credits, std::uint64_t seed);
+  /// the endpoint id — independent of thread schedule by construction —
+  /// and bounds every source queue at `queue_capacity` packets.
+  void init(int num_endpoints, int initial_credits, std::uint64_t seed,
+            std::size_t queue_capacity);
 
   /* SF_HOT */ EndpointRef endpoint(int e) {
     const auto i = static_cast<std::size_t>(e);
     return EndpointRef{source_queue_[i], credits_[i], rng_[i], next_seq_[i],
                        next_arrival_[i]};
   }
-  /* SF_HOT */ GrowRing<Packet>& source_queue(int e) {
+  /* SF_HOT */ LazyRing<Packet>& source_queue(int e) {
     return source_queue_[static_cast<std::size_t>(e)];
   }
-  /* SF_HOT */ const GrowRing<Packet>& source_queue(int e) const {
+  /* SF_HOT */ const LazyRing<Packet>& source_queue(int e) const {
     return source_queue_[static_cast<std::size_t>(e)];
   }
   /* SF_HOT */ int& credits(int e) {
@@ -75,7 +82,7 @@ class Injector {
   int num_endpoints() const { return static_cast<int>(credits_.size()); }
 
  private:
-  std::vector<GrowRing<Packet>> source_queue_;
+  std::vector<LazyRing<Packet>> source_queue_;
   std::vector<int> credits_;
   std::vector<Rng> rng_;
   std::vector<std::int64_t> next_seq_;

@@ -9,10 +9,6 @@
 namespace slimfly::sim {
 
 namespace {
-// Distinguishes router streams from the endpoint streams seeded in
-// Injector::init() under the same base seed.
-constexpr std::uint64_t kRouterStreamTag = 0x51a3e8d1;
-
 // Index of the lowest set bit; callers guarantee mask != 0.
 inline int ctz64(std::uint64_t mask) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -254,9 +250,9 @@ void Network::wire() {
       InputPort& in = router.inputs[i];
       const bool network_input = i < static_cast<std::size_t>(deg);
       const std::size_t nv = network_input ? nvc : 1;
-      in.vcs = Span<VcBuffer>(vc_arena_.data() + vc_base, nv);
+      in.vcs = Span<LazyRing<Packet>>(vc_arena_.data() + vc_base, nv);
       vc_base += nv;
-      for (auto& b : in.vcs) b.init(buf_vc);
+      for (auto& b : in.vcs) b.reset(static_cast<std::size_t>(buf_vc));
       // Network inputs receive their link's flit line locally (see
       // sim/router.hpp): the upstream allocation phase fills it.
       in.incoming.init(network_input ? incoming_cap : 0);
@@ -304,17 +300,14 @@ void Network::wire() {
       in.src_port = static_cast<std::int16_t>(uport);
     }
   }
-  injector_.init(topo_.num_endpoints(), buf_vc, config_.seed);
+  // Source queues: at most one packet enters per stepped cycle, so the run
+  // horizon (kept below 2^31 by the constructor) bounds their occupancy.
+  injector_.init(topo_.num_endpoints(), buf_vc, config_.seed,
+                 static_cast<std::size_t>(config_.warmup_cycles +
+                                          config_.measure_cycles +
+                                          config_.drain_cycles));
 
-  routing_cacheable_ = routing_.cacheable_decisions();
   routing_follows_path_ = routing_.follows_packet_path();
-
-  router_rngs_.clear();
-  router_rngs_.reserve(static_cast<std::size_t>(nr));
-  for (int r = 0; r < nr; ++r) {
-    router_rngs_.push_back(
-        rng_stream(config_.seed, kRouterStreamTag, static_cast<std::uint64_t>(r)));
-  }
 
   // Contiguous router shards (endpoints follow their router). The split is
   // balanced but otherwise arbitrary: results do not depend on it.
@@ -426,7 +419,8 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
     InputPort& in = router.inputs[i];
     const Packet& pkt = in.incoming.front();
     const int vc = pkt.wire_vc;  // VC used on the link just traversed
-    in.vcs[static_cast<std::size_t>(vc)].push(pkt);
+    LazyRing<Packet>& buf = in.vcs[static_cast<std::size_t>(vc)];
+    buf.push_back(pkt);  // throws past buffer_per_vc: a credit violation
     set_occupied(router, static_cast<int>(i), vc);
     in.incoming.drop_front(head);
   }
@@ -463,7 +457,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
   pkt.t_generated = static_cast<std::int32_t>(cycle_);
   pkt.measured = in_measurement;
   if (pkt.measured) ++shard_totals_[shard].measured_generated;
-  ep.source_queue.push_back(pkt);  // sf-lint: allow(hot-alloc) GrowRing: amortized doubling is the one sanctioned hot-queue growth (hotpath_test budgets it)
+  ep.source_queue.push_back(pkt);  // sf-lint: allow(hot-alloc) LazyRing bounded by the run horizon: one push per stepped cycle at most, so growth is at most one slab per doubling
   if (stats_window_ > 0) {
     auto& windows = shard_totals_[shard].windows;
     WindowStats& w = windows[window_index(cycle_, windows.size())];
@@ -529,7 +523,8 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       pkt.t_injected = static_cast<std::int32_t>(cycle_);
       routing_.route_at_injection(*this, pkt, ep.rng);
       int port = router.network_ports + j;
-      router.inputs[static_cast<std::size_t>(port)].vcs[0].push(pkt);
+      LazyRing<Packet>& uplink = router.inputs[static_cast<std::size_t>(port)].vcs[0];
+      uplink.push_back(pkt);
       set_occupied(router, port, 0);
     }
     // An empty queue stays planned (or never-arriving), so a sleeping
@@ -564,7 +559,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 
 // Requests are gathered per occupied input VC (the router's occupancy
 // bitmask skips empty buffers without touching them) and counting-sorted
-// by output port. For cacheable routings the (output port, link VC)
+// by output port. For path-following routings the (output port, link VC)
 // decision is read from the flat per-router route cache — computed once
 // when a packet becomes head, invalidated on pop — so next_router runs once
 // per packet per router instead of once per waiting cycle; per-hop adaptive
@@ -593,12 +588,12 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
             static_cast<std::size_t>(ip) * static_cast<std::size_t>(nvc) +
             static_cast<std::size_t>(vc);
         RouteDecision d = router.route_cache[ci];
-        if (!(routing_cacheable_ && d.port >= 0)) {
+        if (!(routing_follows_path_ && d.port >= 0)) {
           const Packet& pkt = router.inputs[static_cast<std::size_t>(ip)]
                                   .vcs[static_cast<std::size_t>(vc)]
                                   .front();
           d = head_decision(router, r, pkt);
-          if (routing_cacheable_) router.route_cache[ci] = d;
+          if (routing_follows_path_) router.route_cache[ci] = d;
         }
         scratch.heads[static_cast<std::size_t>(n_heads++)] =
             Request{ip, vc, d.port, d.vc_link};
@@ -651,7 +646,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
         if (out.credits[static_cast<std::size_t>(req.vc_link)] <= 0) continue;
         InputPort& in =
             router.inputs[static_cast<std::size_t>(req.input_port)];
-        VcBuffer& buf = in.vcs[static_cast<std::size_t>(req.vc)];
+        LazyRing<Packet>& buf = in.vcs[static_cast<std::size_t>(req.vc)];
         if (buf.empty()) continue;  // granted earlier this cycle
         // One copy: VC buffer slot to the packet's next resting place,
         // fields patched in place, then the buffer head is dropped and its
@@ -864,6 +859,13 @@ void Network::resize_team(int want) {
 }
 
 /* SF_HOT */ void Network::step() {
+  // An idle cycle runs no phase: the phases would find empty step lists,
+  // and nothing can become due until next_event. Only the clock moves, as
+  // under run()'s fast-forward, so the cycle is not counted as stepped.
+  if (next_event(cycle_ + 1) > cycle_) {
+    ++cycle_;
+    return;
+  }
   // Execution-only: the provider can change how many workers step the fixed
   // shard set, never which shard owns what (see SimConfig::team_provider).
   if (config_.team_provider) resize_team(config_.team_provider());
@@ -884,7 +886,7 @@ void Network::resize_team(int want) {
     if (err) std::rethrow_exception(err);
   }
   // Merge cross-shard wake events serially, before ++cycle_, so every wheel
-  // and heap is complete when fast_forward inspects them between steps.
+  // and heap is complete when next_event inspects them between steps.
   if (shards_ > 1) drain_wake_outboxes();
   if (traffic_self_clocked_) apply_completions();
   ++cycle_;
@@ -1178,10 +1180,10 @@ void Network::audit_summaries() const {
   schedule_wake(shard, r, t);
 }
 
-/* SF_HOT */ void Network::fast_forward(std::int64_t bound) {
+/* SF_HOT */ std::int64_t Network::next_event(std::int64_t bound) const {
   for (const auto& words : busy_) {
     for (std::uint64_t w : words) {
-      if (w) return;  // someone has work every cycle: no idle stretch
+      if (w) return cycle_;  // someone has work every cycle: no idle stretch
     }
   }
   // Earliest pending wake: each far heap's top, and each wheel's first
@@ -1199,7 +1201,11 @@ void Network::audit_summaries() const {
       next = std::min(next, cycle_ + ctz64(from_now));
     }
   }
-  if (next > cycle_) cycle_ = next;
+  return next;
+}
+
+/* SF_HOT */ void Network::fast_forward(std::int64_t bound) {
+  cycle_ = std::max(cycle_, next_event(bound));
 }
 
 const Stats& Network::stats() const {
@@ -1260,7 +1266,7 @@ void Network::reserve_measurement_stats() {
     shard_totals_[s].stats.reserve(
         static_cast<std::size_t>(endpoints * config_.measure_cycles));
   }
-  // Back every lazy ring at its full logical capacity: at high stable
+  // Back every router-side ring at its full logical capacity: at high stable
   // load, rings cross new high-water marks long after any settle phase,
   // and a ring whose first traffic lands late would grow inside the guard
   // window. Same opt-in trade as the stats reservation above — wasteful as

@@ -125,11 +125,13 @@
 // long delays — into a min-heap. Every router starts busy, so cycle 0 steps
 // them all: the first injection pass draws live and then plans from cycle 1.
 // Arrivals rebuild the list from the busy mask, the current wheel row and
-// the due heap events, and transmission refreshes the busy bits; run()
-// fast-forwards cycle_ to the earliest of the heap tops and the first
-// occupied wheel slots when every shard is idle. step() itself always
-// advances exactly one cycle, so step-level instrumentation sees every
-// cycle.
+// the due heap events, and transmission refreshes the busy bits. A cycle
+// is idle when no router is busy and no wheel slot or far-heap event is
+// due at it; one helper (next_event) finds the first cycle that is not.
+// run() fast-forwards cycle_ to it. step() still advances exactly one
+// cycle, so step-level instrumentation sees every cycle, but on an idle
+// cycle it runs no phase and does not count the cycle in cycles_stepped:
+// stepping cycle by cycle and run()'s jumps step the same cycles.
 //
 // Stepping a quiet router is always a no-op, so spurious wakes are safe;
 // only a *missed* wake could change results — which is why every remote
@@ -164,7 +166,8 @@ class Network {
   Network(const Topology& topo, RoutingAlgorithm& routing,
           TrafficPattern& traffic, const SimConfig& config, double offered_load);
 
-  /// Advances one cycle (all four phases, sharded when intra_threads > 1).
+  /// Advances one cycle: all four phases, sharded when intra_threads > 1,
+  /// or none when the cycle is idle (see "Stepping" above).
   void step();
 
   /// Runs warmup + measurement + drain and returns the summary.
@@ -172,7 +175,8 @@ class Network {
 
   std::int64_t cycle() const { return cycle_; }
   /// Cycles whose phases actually executed; cycle() - cycles_stepped() is
-  /// the fast-forwarded count.
+  /// the idle count, whether run() jumped over those cycles or step()
+  /// passed them one by one.
   std::int64_t cycles_stepped() const { return cycles_stepped_; }
   /// Aggregated measurement view (per-shard accumulators merged on demand).
   const Stats& stats() const;
@@ -213,15 +217,13 @@ class Network {
   }
 
   // ---- Deterministic RNG streams ----------------------------------------
-  // One stream per endpoint (drives generation/routing draws during the
-  // injection phase) and one per router (reserved for allocation-phase
-  // randomness in per-hop adaptive algorithms; every shipped algorithm is
-  // deterministic there today). Streams are seeded from hash(seed, id), so
-  // no draw ever depends on thread schedule or shard count. Contract: a
-  // stream may only be drawn from by the shard owning its endpoint/router,
-  // and only in the phase named above.
+  // One stream per endpoint drives the generation and routing draws of the
+  // injection phase; allocation draws nothing (every shipped routing is
+  // deterministic there). Streams are seeded from hash(seed, endpoint id),
+  // so no draw ever depends on thread schedule or shard count. Contract: a
+  // stream may only be drawn from by the shard owning its endpoint, and
+  // only during injection.
   /* SF_HOT */ Rng& endpoint_rng(int e) { return injector_.rng(e); }
-  /* SF_HOT */ Rng& router_rng(int r) { return router_rngs_[static_cast<std::size_t>(r)]; }
 
   /// Resolved intra-point worker count (>= 1, capped by router count).
   /// This is the SHARD count — the unit of state ownership, fixed at
@@ -233,8 +235,6 @@ class Network {
 
   /// Total flits currently buffered in the network (test/debug hook).
   std::int64_t flits_in_flight() const;
-  /// Endpoints that can generate traffic under the pattern.
-  int active_endpoints() const { return active_endpoints_; }
   /// Crossbar traversals granted so far (one per packet per router) — the
   /// hot path's unit of work (the benchmark's network.step_ns_per_flit_hop
   /// divides stepping time by it).
@@ -249,7 +249,8 @@ class Network {
 
   /// Pre-reserves the per-shard latency pools for the full measurement
   /// window (active endpoints x measure_cycles samples) and backs every
-  /// lazy ring at its full logical capacity. Opt-in hook for the
+  /// router-side ring at its full logical capacity (not the source queues,
+  /// whose bound is the whole horizon). Opt-in hook for the
   /// allocation-guard test: it makes the measurement phase allocation-free
   /// at the cost of upper-bound reservations, which would be wasteful as a
   /// default at paper scale and low load.
@@ -360,8 +361,11 @@ class Network {
   /// first hit, records it in EndpointState::next_arrival, and schedules
   /// the wake. Draws past the run's absolute end are capped (unobservable).
   void plan_arrival_from(std::size_t shard, int r, int e, std::int64_t from);
-  /// When every shard is idle, jumps cycle_ to the earliest future wake
-  /// (clamped to `bound`). run()-only: step() always advances one cycle.
+  /// The first cycle at or after cycle_ that is not idle: cycle_ itself
+  /// when any router is busy, else the earliest pending wake — a far-heap
+  /// top or the first occupied wheel slot — clamped to `bound`.
+  std::int64_t next_event(std::int64_t bound) const;
+  /// Jumps cycle_ to next_event(bound) (run() only).
   void fast_forward(std::int64_t bound);
 
   const Topology& topo_;
@@ -376,7 +380,7 @@ class Network {
   // InputPort / OutputPort points into these. Never resized after wire().
   std::vector<InputPort> input_arena_;
   std::vector<OutputPort> output_arena_;
-  std::vector<VcBuffer> vc_arena_;        ///< num_vcs per network input, 1 per injection input
+  std::vector<LazyRing<Packet>> vc_arena_;  ///< num_vcs per network input, 1 per injection input
   std::vector<int> credit_arena_;         ///< num_vcs per output port
   std::vector<std::int32_t> ready_arena_;  ///< incoming_ready + credit_ready slots
   std::vector<std::uint64_t> mask_arena_; ///< occupied + staging_nonempty words
@@ -384,7 +388,6 @@ class Network {
 
   std::vector<RouterState> routers_;
   Injector injector_;
-  std::vector<Rng> router_rngs_;
   std::int64_t cycle_ = 0;
   int active_endpoints_ = 0;
   int num_routers_ = 0;
@@ -394,11 +397,9 @@ class Network {
   /// Dense neighbor->port table: neighbor_port_[r * num_routers_ + n] is
   /// the output port of r toward n, or -1 when not adjacent.
   std::vector<std::int16_t> neighbor_port_;
-  /// Routing declared its head-of-line decision a pure function of the
-  /// packet, enabling the per-VC decision cache (see phase_allocation).
-  bool routing_cacheable_ = false;
-  /// Routing keeps the default next_router/link_vc: decisions are computed
-  /// inline from pkt.path with no virtual dispatch.
+  /// Routing keeps the default next_router/link_vc: a head's decision is a
+  /// pure function of its packet, computed inline from pkt.path with no
+  /// virtual dispatch and cached per VC (see allocate_router).
   bool routing_follows_path_ = false;
 
   // ---- sharding ---------------------------------------------------------

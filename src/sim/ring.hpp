@@ -1,93 +1,33 @@
 #pragma once
-// Ring-buffer deques backing every hot-path queue in the simulator.
+// The ring-buffer FIFO backing every hot-path queue in the simulator.
 //
 // The steady-state stepping loop must never touch the allocator (see the
 // "hot-path memory layout" section of docs/ARCHITECTURE.md), so every
-// queue is one of two rings:
+// queue — VC buffers, ejection staging, the flit and credit lines under
+// TimedLine, and the endpoint source queues — is a LazyRing<T>. Its
+// *logical* capacity is chosen once at Network::wire() from the bound
+// that already limits the queue's occupancy (the flow-control config, or
+// for a source queue the run horizon: at most one packet enters it per
+// stepped cycle), and overflow throws a named error because it is always
+// a protocol violation, never a sizing decision. The *physical* slab
+// starts empty and doubles from the heap toward it as occupancy demands,
+// so RSS tracks what the simulated traffic actually queues instead of the
+// worst case the bound admits — the difference between a 0.05-load point
+// paying for its occupancy and paying for its capacity. Growth is
+// bounded: at most one slab per doubling up to the logical capacity, and
+// a ring settles at its high-water mark, so the steady-state loop stops
+// allocating.
 //
-//  * GrowRing<T>   — amortized-doubling ring for the one genuinely
-//    unbounded queue (the endpoint source queue, which must absorb offered
-//    load past saturation). Below saturation it reaches a small stable
-//    capacity and never allocates again.
-//  * LazyRing<T>   — every bounded queue: the *logical* capacity is chosen
-//    once at Network::wire(), from the flow-control config that already
-//    bounds the queue's occupancy, and overflow throws a named error
-//    because it is always a protocol violation, never a sizing decision.
-//    The *physical* slab starts empty and doubles from the heap toward it
-//    as occupancy demands, so RSS tracks what the simulated traffic
-//    actually queues instead of the worst case the credit loop admits —
-//    the difference between a 0.05-load point paying for its occupancy
-//    and paying for its capacity. Growth is bounded: at most one slab per
-//    doubling up to the logical capacity, and it settles at the
-//    high-water mark (same amortized argument as GrowRing), so the
-//    steady-state loop stops allocating.
-//
-// Both keep elements contiguous-in-ring with head/size indices and
-// conditional (branch, not modulo) wrap-around.
+// Elements stay contiguous-in-ring with head/size indices and conditional
+// (branch, not modulo) wrap-around.
 
 #include <cstddef>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace slimfly::sim {
-
-/// Unbounded FIFO with amortized-doubling growth. Storage is allocated on
-/// first use (so idle endpoints cost nothing) and only grows — a queue that
-/// once held n elements never allocates again until it exceeds n.
-template <typename T>
-class GrowRing {
- public:
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  std::size_t capacity() const { return slots_.size(); }
-
-  // grow() below is the sanctioned amortized cold path, so push_back
-  // itself must stay allocation-free.
-  /* SF_HOT */ void push_back(T value) {
-    if (size_ >= slots_.size()) grow();
-    std::size_t tail = head_ + size_;
-    if (tail >= slots_.size()) tail -= slots_.size();
-    slots_[tail] = std::move(value);
-    ++size_;
-  }
-
-  /* SF_HOT */ const T& front() const {
-    if (empty()) throw std::logic_error("GrowRing: front on empty ring");
-    return slots_[head_];
-  }
-
-  /* SF_HOT */ T pop_front() {
-    if (empty()) throw std::logic_error("GrowRing: pop on empty ring");
-    T value = std::move(slots_[head_]);
-    ++head_;
-    if (head_ >= slots_.size()) head_ = 0;
-    --size_;
-    return value;
-  }
-
- private:
-  void grow() {
-    std::size_t next = slots_.empty() ? kInitialCapacity : slots_.size() * 2;
-    std::vector<T> bigger(next);
-    for (std::size_t i = 0; i < size_; ++i) {
-      std::size_t at = head_ + i;
-      if (at >= slots_.size()) at -= slots_.size();
-      bigger[i] = std::move(slots_[at]);
-    }
-    slots_ = std::move(bigger);
-    head_ = 0;
-  }
-
-  static constexpr std::size_t kInitialCapacity = 8;
-
-  std::vector<T> slots_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
 
 /// Fixed *logical* capacity, lazy *physical* backing (see the header
 /// comment). Restricted to trivially-copyable payloads so slabs can be raw
@@ -147,8 +87,7 @@ class LazyRing {
 
   /// Claims the next tail slot for in-place assignment. grow() below is
   /// the sanctioned settling-phase cold path (doubles toward the fixed
-  /// logical capacity), so push_slot itself stays allocation-free,
-  /// mirroring GrowRing::push_back.
+  /// logical capacity), so push_slot itself stays allocation-free.
   /* SF_HOT */ T& push_slot() {
     if (size_ >= physical_) grow();
     std::size_t tail = head_ + size_;

@@ -36,15 +36,15 @@
 // credit counters, route cache, readiness arrays, bitmasks — are Spans
 // into Network-owned SoA arenas sized capacity-exact at wire(), one
 // allocation per family for the whole fleet instead of one std::vector per
-// port. Queue capacities are fixed at wire() too, but their slabs are
-// LazyRing-backed, grown from the heap at most once per doubling:
-// steady-state stepping performs zero heap allocations, while RSS tracks
-// occupancy instead of worst-case capacity.
+// port. Every queue is a LazyRing (sim/ring.hpp) whose capacity is fixed
+// at wire() — a VC buffer's is buffer_per_vc, so a push past it is a
+// credit-protocol violation and throws — and whose slab grows from the
+// heap at most once per doubling: steady-state stepping performs zero heap
+// allocations, while RSS tracks occupancy instead of worst-case capacity.
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/buffer.hpp"
 #include "sim/channel.hpp"
 #include "sim/config.hpp"
 #include "sim/packet.hpp"
@@ -63,7 +63,7 @@ struct OutputPort {
   Span<int> credits;               ///< per-VC slots free downstream
   /// Credits consumed downstream across all VCs, maintained incrementally
   /// (+1 on every grant that spends a credit, -1 on every credit return) so
-  /// UGAL's queue_estimate is O(1) instead of a per-call VC scan.
+  /// UGAL's queue_estimate reads it in O(1) instead of scanning the VCs.
   int consumed = 0;
   int rr_pointer = 0;              ///< round-robin over input (port,vc)
   /// Occupancy of the staging stage (between crossbar and channel). For a
@@ -80,16 +80,14 @@ struct OutputPort {
   /// Input port index at dest_router (16-bit: the constructor bounds the
   /// per-router port count far below 2^15).
   std::int16_t dest_port = -1;
-
-  int consumed_credits() const { return consumed; }
 };
 
 struct InputPort {
-  /// Per-VC buffers — a full num_vcs span for network inputs, a single-VC
-  /// span for injection inputs (endpoint uplinks only ever enter on VC 0;
-  /// paying num_vcs worst-case slabs per endpoint was pure capacity
-  /// slack).
-  Span<VcBuffer> vcs;
+  /// Per-VC buffers, each of capacity buffer_per_vc — a full num_vcs span
+  /// for network inputs, a single-VC span for injection inputs (endpoint
+  /// uplinks only ever enter on VC 0; paying num_vcs worst-case slabs per
+  /// endpoint was pure capacity slack).
+  Span<LazyRing<Packet>> vcs;
   /// Flits on (or staged for) the network link ending here. Filled by the
   /// upstream router's allocation phase (its sole producer) at grant time
   /// with the packet's final ready cycle, drained by this router's
@@ -103,7 +101,7 @@ struct InputPort {
   std::int16_t src_port = -1;
   /* SF_HOT */ int occupancy() const {
     int total = 0;
-    for (const auto& b : vcs) total += b.size();
+    for (const auto& b : vcs) total += static_cast<int>(b.size());
     return total;
   }
 };
@@ -111,7 +109,7 @@ struct InputPort {
 /// Cached head-of-line routing decision for one (input port, VC) buffer:
 /// the output port and link VC its head packet requests. port < 0 means
 /// "not cached" — recompute from the packet. Kept in a flat per-router
-/// array (not inside VcBuffer) so the allocation gather reads one small
+/// array (not beside each VC ring) so the allocation gather reads one small
 /// contiguous cache instead of touching every buffer every iteration.
 struct RouteDecision {
   std::int16_t port = -1;
@@ -140,7 +138,7 @@ struct RouterState {
   Span<std::uint64_t> occupied;
   /// route_cache[ip * num_vcs + vc]: cached decision of that buffer's head
   /// (see RouteDecision). Invalidated on pop; only written for routings
-  /// with cacheable_decisions().
+  /// with follows_packet_path().
   Span<RouteDecision> route_cache;
 
   /// staging_nonempty[op / 64] bit (op % 64) set <=> outputs[op].staged
@@ -172,7 +170,7 @@ struct RouterState {
   /// downstream (an upper bound on the downstream queue for this port).
   /* SF_HOT */ int queue_estimate(int port) const {
     const OutputPort& out = outputs[static_cast<std::size_t>(port)];
-    return out.staged + out.consumed_credits();
+    return out.staged + out.consumed;
   }
 };
 

@@ -23,10 +23,9 @@ class FatTreeAncaRouting : public RoutingAlgorithm {
   int next_router(const Network& net, const Packet& pkt,
                   int current_router) const override;
 
-  // cacheable_decisions()/follows_packet_path() stay at the base-class
-  // false: the upward decision reads live queue estimates (it must be
-  // re-derived every allocation iteration) and both next_router and
-  // link_vc are overridden.
+  // follows_packet_path() stays at the base-class false: both next_router
+  // and link_vc are overridden, and the upward decision reads live queue
+  // estimates, so it must be re-derived every allocation iteration.
 
   /// Up/down routes are acyclic, so any per-packet VC is deadlock-free;
   /// hashing the packet id over all VCs avoids single-VC HOL blocking

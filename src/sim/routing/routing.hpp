@@ -93,22 +93,16 @@ class RoutingAlgorithm {
   virtual int next_router(const Network& net, const Packet& pkt,
                           int current_router) const;
 
-  /// True when next_router()/link_vc() are pure functions of the packet
-  /// (and the static topology), which lets the allocator cache the
-  /// head-of-line decision per input VC until the packet is popped instead
-  /// of re-deriving it every cycle the packet waits. Defaults to FALSE —
-  /// the conservative, always-correct choice for algorithms the allocator
-  /// knows nothing about (per-hop adaptive decisions that read live queue
-  /// state, like FT-ANCA's, legitimately change while a packet waits, so
-  /// caching them would change results). Source-routed algorithms opt in.
-  virtual bool cacheable_decisions() const { return false; }
-
   /// True when this algorithm keeps the DEFAULT next_router (follow
-  /// pkt.path) and DEFAULT link_vc (VC = hop index): the allocator then
-  /// computes the head-of-line decision inline from the packet instead of
-  /// paying two virtual calls per packet per router. Defaults to FALSE so
-  /// a subclass overriding next_router()/link_vc() is never silently
-  /// bypassed; algorithms keeping the defaults opt in (see
+  /// pkt.path) and DEFAULT link_vc (VC = hop index). The head-of-line
+  /// decision is then a pure function of the packet, so the allocator
+  /// computes it inline, with no virtual calls, and caches it per input VC
+  /// until the packet is popped instead of re-deriving it every cycle the
+  /// packet waits. Defaults to FALSE, the always-correct choice: a
+  /// subclass overriding next_router()/link_vc() is never silently
+  /// bypassed, and per-hop adaptive decisions that read live queue state,
+  /// like FT-ANCA's, legitimately change while a packet waits, so caching
+  /// them would change results. Source-routed algorithms opt in (see
   /// PathFollowingRouting below).
   virtual bool follows_packet_path() const { return false; }
 
@@ -122,13 +116,12 @@ class RoutingAlgorithm {
 
 /// Base for source-routed algorithms that keep the default
 /// next_router/link_vc (follow pkt.path, VC = hop index): opts into the
-/// allocator's head-of-line decision cache and its inline, devirtualized
-/// path following. Derive from RoutingAlgorithm directly when overriding
-/// either virtual — the conservative defaults there keep a forgotten flag
+/// allocator's inline, devirtualized path following and its head-of-line
+/// decision cache. Derive from RoutingAlgorithm directly when overriding
+/// either virtual — the conservative default there keeps a forgotten flag
 /// from silently bypassing your logic.
 class PathFollowingRouting : public RoutingAlgorithm {
  public:
-  bool cacheable_decisions() const override { return true; }
   bool follows_packet_path() const override { return true; }
 };
 

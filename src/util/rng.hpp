@@ -106,7 +106,8 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
 /// Deterministic RNG stream `stream_id` of a family tagged `tag` under
 /// `seed`: hash-seeded and on its own PCG32 stream, so streams never
 /// overlap regardless of how many draws each one makes. The tag separates
-/// families sharing a seed (router streams vs endpoint streams).
+/// families sharing a seed (endpoint streams vs a traffic pattern's burst
+/// streams).
 inline Rng rng_stream(std::uint64_t seed, std::uint64_t tag,
                       std::uint64_t stream_id) {
   return Rng(splitmix64(seed ^ splitmix64(tag + stream_id)),

@@ -4,7 +4,8 @@
 // These cases hold that full scan's outputs as pinned values — recorded
 // while it still existed, when both modes reproduced them — and check the
 // invariants that need no second mode: bit-identity across intra-thread
-// counts, fast-forward over idle stretches, cycles_stepped <= cycles, and
+// counts, fast-forward over idle stretches, cycles_stepped <= cycles (and
+// equal counts whether idle cycles are jumped or stepped one by one), and
 // the stepping summaries against the state they summarize.
 // The heavier pinned cases (every Slim Fly routing at a saturating load,
 // worst-sf, a 70-cycle wire, credit_delay 0) live in
@@ -152,7 +153,8 @@ TEST(Engine, StepLevelStateMatchesPinnedFullScan) {
   // Beyond the SimResult summary: the in-flight population and delivery
   // counters match the full scan's, sampled every 25 cycles. step() always
   // advances exactly one cycle (fast-forward lives in run() only), so
-  // step-level instrumentation sees every cycle.
+  // step-level instrumentation sees every cycle; at this load none is idle,
+  // so every one of them runs its phases.
   const std::vector<std::int64_t> want_in_flight = {
       79, 781, 759, 778, 780, 770, 749, 788, 756, 759, 768, 747};
   const std::vector<std::int64_t> want_delivered = {
@@ -195,6 +197,28 @@ TEST(Engine, FastForwardSkipsIdleStretchesWithoutChangingResults) {
                 "near-idle");
   EXPECT_LT(r.cycles_stepped, r.cycles)
       << "a near-idle run never fast-forwarded";
+}
+
+TEST(Engine, CycleByCycleSteppingCountsOnlyNonIdleCycles) {
+  // step() passes an idle cycle without running its phases or counting it,
+  // so a near-idle point driven one step() at a time through warmup and
+  // measurement, then finished by run(), steps exactly the cycles that
+  // simulate()'s fast-forwarding run steps.
+  auto topo = topo::make("torus:dims=4x4");
+  const SimConfig cfg = quick_config();
+  auto direct_routing = make_routing(RoutingKind::Minimal, *topo);
+  auto direct_traffic = make_uniform(topo->num_endpoints());
+  const SimResult direct = simulate(*topo, *direct_routing.algorithm,
+                                    *direct_traffic, cfg, 0.005);
+  auto routing = make_routing(RoutingKind::Minimal, *topo);
+  auto traffic = make_uniform(topo->num_endpoints());
+  Network net(*topo, *routing.algorithm, *traffic, cfg, 0.005);
+  while (net.cycle() < cfg.warmup_cycles + cfg.measure_cycles) net.step();
+  const SimResult stepped = net.run();
+  expect_same_result(direct, stepped, "step() to the horizon, then run()");
+  EXPECT_EQ(stepped.cycles_stepped, direct.cycles_stepped);
+  EXPECT_LT(stepped.cycles_stepped, stepped.cycles)
+      << "a near-idle run never had an idle cycle";
 }
 
 TEST(Engine, ZeroLoadRunFastForwardsToTheEnd) {

@@ -6,8 +6,8 @@
 //
 // The allocation guard covers the transition from warmup into the
 // measurement window, so it exercises delivery recording too (the network
-// pre-reserves its latency pools and backs every lazy ring at its full
-// logical capacity via reserve_measurement_stats). Setup — wiring,
+// pre-reserves its latency pools and backs every router-side ring at its
+// full logical capacity via reserve_measurement_stats). Setup — wiring,
 // first-touch growth of endpoint source rings, scratch sizing — is allowed
 // to allocate; the measured region is not. The ring contract that makes
 // this hold is pinned on its own below (LazyRingGrowthIsBounded).
@@ -92,13 +92,13 @@ TEST(HotPathAllocationGuard, UgalSteadyStateIsAllocationFree) {
 
 TEST(HotPathAllocationGuard, DeepQueueHighLoadIsAllocationFree) {
   // 0.7 offered load — the highest load q=5 UGAL-L sustains (accepted
-  // tracks offered; 0.8+ backlogs the injectors, and an unbounded source
-  // backlog legitimately grows forever) — drives the VC rings, staging
-  // rings and event lines deep into their capacity, so the guard window
-  // churns the deepest queues the flow control admits at a stable
-  // operating point. Every ring is backed at its full logical capacity
-  // before the window, so a queue reaching a new high-water mark late
-  // still never touches the allocator.
+  // tracks offered; 0.8+ backlogs the injectors, and a backlogged source
+  // queue legitimately keeps growing toward its horizon bound) — drives
+  // the VC rings, staging rings and event lines deep into their capacity,
+  // so the guard window churns the deepest queues the flow control admits
+  // at a stable operating point. Every router-side ring is backed at its
+  // full logical capacity before the window, so a queue reaching a new
+  // high-water mark late still never touches the allocator.
   expect_allocation_free_steady_state(RoutingKind::UgalL, 0.7);
 }
 
