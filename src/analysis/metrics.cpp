@@ -5,42 +5,16 @@
 
 namespace slimfly::analysis {
 
-std::vector<int> bfs_distances(const Graph& g, int source) {
-  std::vector<int> dist(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<int> frontier{source};
-  dist[static_cast<std::size_t>(source)] = 0;
-  int depth = 0;
-  while (!frontier.empty()) {
-    std::vector<int> next;
-    for (int v : frontier) {
-      for (int w : g.neighbors(v)) {
-        auto& d = dist[static_cast<std::size_t>(w)];
-        if (d < 0) {
-          d = depth + 1;
-          next.push_back(w);
-        }
-      }
-    }
-    frontier = std::move(next);
-    ++depth;
-  }
-  return dist;
-}
-
 int eccentricity(const Graph& g, int source) {
-  auto dist = bfs_distances(g, source);
-  int ecc = 0;
-  for (int d : dist) {
-    if (d < 0) return -1;
-    ecc = std::max(ecc, d);
-  }
-  return ecc;
+  std::vector<int> dist;
+  return bfs_distances(g, source, dist);
 }
 
 int diameter(const Graph& g) {
+  std::vector<int> dist;
   int diam = 0;
   for (int v = 0; v < g.num_vertices(); ++v) {
-    int e = eccentricity(g, v);
+    const int e = bfs_distances(g, v, dist);
     if (e < 0) return -1;
     diam = std::max(diam, e);
   }
@@ -48,13 +22,13 @@ int diameter(const Graph& g) {
 }
 
 double average_distance(const Graph& g) {
+  std::vector<int> dist;
   std::int64_t total = 0;
   std::int64_t pairs = 0;
   for (int v = 0; v < g.num_vertices(); ++v) {
-    auto dist = bfs_distances(g, v);
+    if (bfs_distances(g, v, dist) < 0) return -1.0;
     for (int w = 0; w < g.num_vertices(); ++w) {
       if (w == v) continue;
-      if (dist[static_cast<std::size_t>(w)] < 0) return -1.0;
       total += dist[static_cast<std::size_t>(w)];
       ++pairs;
     }
@@ -69,9 +43,10 @@ double average_endpoint_distance(const Topology& topo) {
   long long n = topo.num_endpoints();
   // Sum over ordered endpoint pairs: pairs on the same router contribute 0;
   // pairs on routers (r, s) contribute p * p * dist(r, s).
+  std::vector<int> dist;
   double total = 0.0;
   for (int r = 0; r < ep_routers; ++r) {
-    auto dist = bfs_distances(g, r);
+    bfs_distances(g, r, dist);
     for (int s = 0; s < ep_routers; ++s) {
       if (s == r) continue;
       total += static_cast<double>(p) * p * dist[static_cast<std::size_t>(s)];
@@ -113,9 +88,10 @@ int largest_component(const Graph& g) {
 }
 
 std::vector<std::int64_t> distance_histogram(const Graph& g) {
+  std::vector<int> dist;
   std::vector<std::int64_t> histogram;
   for (int v = 0; v < g.num_vertices(); ++v) {
-    auto dist = bfs_distances(g, v);
+    bfs_distances(g, v, dist);
     for (int w = 0; w < g.num_vertices(); ++w) {
       int d = dist[static_cast<std::size_t>(w)];
       if (d < 0) continue;

@@ -1,6 +1,7 @@
 #pragma once
-// Distance metrics on router graphs: BFS, diameter, average distance
-// (paper Sections III-A and III-B, Figure 1, Table II).
+// Distance metrics on router graphs: diameter, average distance (paper
+// Sections III-A and III-B, Figure 1, Table II), all read from the shared
+// BFS kernel bfs_distances() (topo/graph.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -9,9 +10,6 @@
 #include "topo/topology.hpp"
 
 namespace slimfly::analysis {
-
-/// Hop distances from `source` to every vertex; -1 for unreachable.
-std::vector<int> bfs_distances(const Graph& g, int source);
 
 /// Exact diameter via all-pairs BFS; -1 if the graph is disconnected.
 int diameter(const Graph& g);

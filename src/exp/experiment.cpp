@@ -20,6 +20,7 @@
 #include "sim/routing/oracle.hpp"
 #include "util/rng.hpp"
 #include "util/rss.hpp"
+#include "util/spec.hpp"
 #include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
@@ -258,7 +259,8 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
   for (const auto& s : spec.series) {
     // Fail fast on malformed specs and incompatible combinations using the
     // spec strings alone — before any topology or distance-table build
-    // (minutes at paper scale). Trace files are opened when points run.
+    // (minutes at paper scale). Trace files are opened once the topologies
+    // exist, still before any point runs.
     const std::string where = "experiment \"" + spec.name + "\"";
     const std::string conflict =
         series_conflict(s.topology, s.routing, s.traffic, where);
@@ -307,6 +309,13 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
                        topo = entry.topo.get()]() {
       return sim::make_traffic(name, *topo);
     };
+    // A trace file that does not resolve fails the run here, not after the
+    // series ahead of it have run. Only trace specs read a file; other
+    // traffics (allreduce: builds take a tenth of a second) are left to
+    // their points.
+    if (spec::Params("traffic spec", spec.series[i].traffic).name() == "trace") {
+      ps.make_traffic();
+    }
   }
 
   const std::size_t n_loads = spec.loads.size();

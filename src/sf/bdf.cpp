@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <queue>
 #include <stdexcept>
 
+#include "analysis/metrics.hpp"
 #include "gf/gf.hpp"
 #include "util/numtheory.hpp"
 #include "util/rng.hpp"
@@ -226,43 +226,6 @@ std::optional<PStarGraph> find_pstar_graph(int n, int degree, int max_tries) {
   return std::nullopt;
 }
 
-namespace {
-
-int bfs_ecc(const Graph& g, int source) {
-  std::vector<int> dist(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::queue<int> queue;
-  dist[static_cast<std::size_t>(source)] = 0;
-  queue.push(source);
-  int ecc = 0;
-  while (!queue.empty()) {
-    int v = queue.front();
-    queue.pop();
-    for (int w : g.neighbors(v)) {
-      if (dist[static_cast<std::size_t>(w)] < 0) {
-        dist[static_cast<std::size_t>(w)] = dist[static_cast<std::size_t>(v)] + 1;
-        ecc = std::max(ecc, dist[static_cast<std::size_t>(w)]);
-        queue.push(w);
-      }
-    }
-  }
-  for (int d : dist) {
-    if (d < 0) return -1;  // disconnected
-  }
-  return ecc;
-}
-
-int graph_diameter(const Graph& g) {
-  int diameter = 0;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    int e = bfs_ecc(g, v);
-    if (e < 0) return -1;
-    diameter = std::max(diameter, e);
-  }
-  return diameter;
-}
-
-}  // namespace
-
 Graph SlimFlyBDF::build(int u) {
   auto model = bdf_model(u);  // validates u
   Graph p_u = polarity_graph(u);
@@ -282,8 +245,13 @@ Graph SlimFlyBDF::build(int u) {
   StarArcs arcs;
   arcs.arcs = edges;
   arcs.bijections.assign(edges.size(), pstar->involution);
+  // analysis::diameter is -1 on a disconnected product: reject that too.
+  auto diameter_at_most_3 = [](const Graph& h) {
+    const int d = analysis::diameter(h);
+    return 0 <= d && d <= 3;
+  };
   Graph g = star_product(p_u, pstar->graph, arcs);
-  if (graph_diameter(g) <= 3) return g;
+  if (diameter_at_most_3(g)) return g;
 
   Rng rng(std::uint64_t{0xabc0} + static_cast<std::uint64_t>(u));
   std::vector<int> identity(static_cast<std::size_t>(n2));
@@ -293,7 +261,7 @@ Graph SlimFlyBDF::build(int u) {
       f = rng.bernoulli(0.5) ? pstar->involution : identity;
     }
     g = star_product(p_u, pstar->graph, arcs);
-    if (graph_diameter(g) <= 3) return g;
+    if (diameter_at_most_3(g)) return g;
   }
   // Last resort: fully random per-arc bijections.
   for (int attempt = 0; attempt < 256; ++attempt) {
@@ -302,7 +270,7 @@ Graph SlimFlyBDF::build(int u) {
       std::shuffle(f.begin(), f.end(), rng);
     }
     g = star_product(p_u, pstar->graph, arcs);
-    if (graph_diameter(g) <= 3) return g;
+    if (diameter_at_most_3(g)) return g;
   }
   throw std::runtime_error("SlimFlyBDF: could not realize diameter 3 for u=" +
                            std::to_string(u));

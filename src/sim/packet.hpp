@@ -39,9 +39,6 @@ struct Packet {
   /// allocation from RoutingAlgorithm::link_vc).
   std::int8_t wire_vc = 0;
   bool measured = false;         ///< generated inside the measurement window
-
-  /// VC used on the link leaving the current router (VC = hop index).
-  int next_vc() const { return hop; }
 };
 
 static_assert(std::is_trivially_copyable<Packet>::value,

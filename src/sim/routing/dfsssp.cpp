@@ -1,7 +1,6 @@
 #include "sim/routing/dfsssp.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -91,27 +90,14 @@ DfssspResult dfsssp_vc_count(const Graph& g, int max_layers, std::uint64_t seed)
   DfssspResult result;
 
   std::vector<int> next_hop(static_cast<std::size_t>(n));
+  std::vector<int> dist;
   for (int d : destinations) {
-    // BFS from d; next_hop[v] = lowest-id neighbour of v closer to d.
-    std::vector<int> dist(static_cast<std::size_t>(n), -1);
-    std::queue<int> queue;
-    dist[static_cast<std::size_t>(d)] = 0;
-    queue.push(d);
-    while (!queue.empty()) {
-      int v = queue.front();
-      queue.pop();
-      for (int w : g.neighbors(v)) {
-        if (dist[static_cast<std::size_t>(w)] < 0) {
-          dist[static_cast<std::size_t>(w)] = dist[static_cast<std::size_t>(v)] + 1;
-          queue.push(w);
-        }
-      }
+    // next_hop[v] = lowest-id neighbour of v closer to d.
+    if (bfs_distances(g, d, dist) < 0) {
+      throw std::invalid_argument("dfsssp_vc_count: graph disconnected");
     }
     for (int v = 0; v < n; ++v) {
       if (v == d) continue;
-      if (dist[static_cast<std::size_t>(v)] < 0) {
-        throw std::invalid_argument("dfsssp_vc_count: graph disconnected");
-      }
       for (int w : g.neighbors(v)) {
         if (dist[static_cast<std::size_t>(w)] ==
             dist[static_cast<std::size_t>(v)] - 1) {

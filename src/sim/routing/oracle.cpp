@@ -238,36 +238,17 @@ std::unique_ptr<Diameter2Oracle> Diameter2Oracle::try_build(const Graph& g) {
 CompressedBfsOracle::CompressedBfsOracle(const Graph& g)
     : g_(&g), n_(g.num_vertices()) {
   packed_.assign((static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_) + 3) / 4, 0);
-  std::vector<std::uint8_t> row(static_cast<std::size_t>(n_));
-  std::vector<int> frontier;
+  std::vector<int> dist;
   for (int s = 0; s < n_; ++s) {
-    std::fill(row.begin(), row.end(), 255);
-    row[static_cast<std::size_t>(s)] = 0;
-    frontier.assign(1, s);
-    int depth = 0;
-    while (!frontier.empty()) {
-      std::vector<int> next;
-      for (int v : frontier) {
-        for (int w : g.neighbors(v)) {
-          if (row[static_cast<std::size_t>(w)] == 255) {
-            if (depth + 1 >= 255) {
-              throw std::logic_error("CompressedBfsOracle: diameter too large");
-            }
-            row[static_cast<std::size_t>(w)] = static_cast<std::uint8_t>(depth + 1);
-            next.push_back(w);
-          }
-        }
-      }
-      frontier = std::move(next);
-      ++depth;
-    }
+    const int ecc = bfs_distances(g, s, dist);
+    if (ecc < 0) throw std::invalid_argument("CompressedBfsOracle: graph disconnected");
+    if (ecc >= 255) throw std::logic_error("CompressedBfsOracle: diameter too large");
+    diameter_ = std::max(diameter_, ecc);
     for (int v = 0; v < n_; ++v) {
-      const int d = row[static_cast<std::size_t>(v)];
-      if (d == 255) throw std::invalid_argument("CompressedBfsOracle: graph disconnected");
-      diameter_ = std::max(diameter_, d);
       const std::size_t idx = static_cast<std::size_t>(s) * static_cast<std::size_t>(n_) +
                               static_cast<std::size_t>(v);
-      packed_[idx >> 2] |= static_cast<std::uint8_t>((d % 3) << ((idx & 3u) * 2));
+      packed_[idx >> 2] |= static_cast<std::uint8_t>(
+          (dist[static_cast<std::size_t>(v)] % 3) << ((idx & 3u) * 2));
     }
   }
 }
@@ -296,30 +277,17 @@ CompressedBfsOracle::CompressedBfsOracle(const Graph& g)
 
 /* SF_HOT */ void CompressedBfsOracle::sample_minimal_path(const Graph& g, int u, int v, Rng& rng,
                                               InlinePath& out) const {
-  // Same walk as DistanceTable::sample_minimal_path with the same candidate
-  // sets in the same (sorted adjacency) order — bit-identical RNG
-  // consumption. has_edge(current, v) <=> dist == 1 replaces the d == 1
-  // shortcut; the mod-3 residue one step closer selects exactly the
-  // neighbours at distance d-1 (see dist() above).
-  int current = u;
-  while (current != v) {
-    if (g.has_edge(current, v)) {
-      out.push_back(v);
-      break;
-    }
-    const int want = (mod3(current, v) + 2) % 3;
-    int chosen = -1;
-    int seen = 0;
-    for (int w : g.neighbors(current)) {
-      if (mod3(w, v) == want) {
-        ++seen;
-        if (rng.next_below(static_cast<std::uint32_t>(seen)) == 0) chosen = w;
-      }
-    }
-    if (chosen < 0) throw std::logic_error("sample_minimal_path: no progress");
-    out.push_back(chosen);
-    current = chosen;
-  }
+  // has_edge(x, v) <=> dist == 1; the mod-3 residue one step closer selects
+  // exactly the neighbours at distance d-1 (see dist() above).
+  int want = 0;
+  walk_minimal_path(
+      g, u, v, rng, out,
+      [this, &g, v, &want](int x) {
+        if (g.has_edge(x, v)) return true;
+        want = (mod3(x, v) + 2) % 3;
+        return false;
+      },
+      [this, v, &want](int w) { return mod3(w, v) == want; });
 }
 
 // ---- selection ------------------------------------------------------------

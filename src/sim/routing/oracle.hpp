@@ -4,8 +4,9 @@
 // O(N^2) dense table.
 //
 // Every oracle here returns EXACT BFS hop distances — certified
-// exhaustively against DistanceTable in tests/oracle_test.cpp — and keeps
-// (or bit-identically replicates) the default sample_minimal_path walk, so
+// exhaustively against DistanceTable (rows from bfs_distances,
+// topo/graph.hpp) in tests/oracle_test.cpp — and samples minimal paths
+// through the one walk, walk_minimal_path (sim/routing/routing.hpp), so
 // swapping one in never changes simulation results, only memory:
 //
 //   family          | oracle               | state held
@@ -184,8 +185,8 @@ class Diameter2Oracle : public DistanceOracle {
 /// Neighbors of u sit at distance d-1, d, or d+1 from v — distinct mod 3 —
 /// so the exact distance is recovered by walking greedily toward v, and
 /// minimal next-hop candidates are exactly the neighbors whose residue is
-/// one step closer (sample_minimal_path below scans the same candidates in
-/// the same order as the dense table: bit-identical RNG consumption).
+/// one step closer: sample_minimal_path runs the shared walk on that
+/// residue test, skipping the exact distance per neighbour.
 class CompressedBfsOracle : public DistanceOracle {
  public:
   /// The graph must outlive the oracle. Throws like DistanceTable on a

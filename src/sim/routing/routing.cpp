@@ -1,100 +1,51 @@
 #include "sim/routing/routing.hpp"
 
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
 
 namespace slimfly::sim {
 
 /* SF_HOT */ void DistanceOracle::sample_minimal_path(const Graph& g, int u, int v, Rng& rng,
                                          InlinePath& out) const {
-  // Mirror of DistanceTable::sample_minimal_path below over virtual dist()
-  // — identical candidate sets scanned in identical (sorted adjacency)
-  // order, so both consume the RNG stream bit-identically.
-  int current = u;
-  while (current != v) {
-    const int d = dist(current, v);
-    if (d == 1) {
-      // Exactly one candidate (v itself), which would draw nothing from
-      // rng (next_below(1) is draw-free): skip the scan.
-      out.push_back(v);
-      break;
-    }
-    const int want = d - 1;
-    int chosen = -1;
-    int seen = 0;
-    for (int w : g.neighbors(current)) {
-      if (dist(w, v) == want) {
-        ++seen;
-        if (rng.next_below(static_cast<std::uint32_t>(seen)) == 0) chosen = w;
-      }
-    }
-    if (chosen < 0) throw std::logic_error("sample_minimal_path: no progress");
-    out.push_back(chosen);
-    current = chosen;
-  }
+  int want = 0;
+  walk_minimal_path(
+      g, u, v, rng, out,
+      [this, v, &want](int x) {
+        want = dist(x, v) - 1;
+        return want == 0;
+      },
+      [this, v, &want](int w) { return dist(w, v) == want; });
 }
 
 DistanceTable::DistanceTable(const Graph& g) : n_(g.num_vertices()) {
-  table_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), 255);
-  std::vector<int> frontier;
+  table_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
+  std::vector<int> dist;
   for (int s = 0; s < n_; ++s) {
-    auto* row = &table_[static_cast<std::size_t>(s) * static_cast<std::size_t>(n_)];
-    row[s] = 0;
-    frontier.assign(1, s);
-    int depth = 0;
-    while (!frontier.empty()) {
-      std::vector<int> next;
-      for (int v : frontier) {
-        for (int w : g.neighbors(v)) {
-          if (row[w] == 255) {
-            if (depth + 1 >= 255) throw std::logic_error("DistanceTable: diameter too large");
-            row[w] = static_cast<std::uint8_t>(depth + 1);
-            next.push_back(w);
-          }
-        }
-      }
-      frontier = std::move(next);
-      ++depth;
-    }
-    for (int v = 0; v < n_; ++v) {
-      if (row[v] == 255) throw std::invalid_argument("DistanceTable: graph disconnected");
-      diameter_ = std::max(diameter_, static_cast<int>(row[v]));
-    }
+    const int ecc = bfs_distances(g, s, dist);
+    if (ecc < 0) throw std::invalid_argument("DistanceTable: graph disconnected");
+    if (ecc >= 255) throw std::logic_error("DistanceTable: diameter too large");
+    diameter_ = std::max(diameter_, ecc);
+    std::transform(dist.begin(), dist.end(),
+                   table_.begin() + static_cast<std::ptrdiff_t>(s) * n_,
+                   [](int d) { return static_cast<std::uint8_t>(d); });
   }
 }
 
 /* SF_HOT */ void DistanceTable::sample_minimal_path(const Graph& g, int u, int v, Rng& rng,
                                         InlinePath& out) const {
   // Graphs are undirected (topo/graph.hpp), so dist(x, v) == dist(v, x):
-  // scanning row v keeps every lookup of this walk inside one contiguous,
+  // reading row v keeps every lookup of this walk inside one contiguous,
   // cache-resident row instead of striding a column of the n x n table.
   const std::uint8_t* row_v =
       &table_[static_cast<std::size_t>(v) * static_cast<std::size_t>(n_)];
-  int current = u;
-  while (current != v) {
-    const int d = row_v[current];
-    if (d == 1) {
-      // The only vertex at distance 0 from v is v itself, so the scan
-      // below would find exactly one candidate (seen == 1, which draws
-      // nothing from rng): skip it. Every minimal walk ends with one of
-      // these steps, so on diameter-2 graphs this halves the scans.
-      out.push_back(v);
-      break;
-    }
-    const int want = d - 1;
-    // Reservoir-sample one minimal next hop uniformly.
-    int chosen = -1;
-    int seen = 0;
-    for (int w : g.neighbors(current)) {
-      if (row_v[w] == want) {
-        ++seen;
-        if (rng.next_below(static_cast<std::uint32_t>(seen)) == 0) chosen = w;
-      }
-    }
-    if (chosen < 0) throw std::logic_error("sample_minimal_path: no progress");
-    out.push_back(chosen);
-    current = chosen;
-  }
+  int want = 0;
+  walk_minimal_path(
+      g, u, v, rng, out,
+      [row_v, &want](int x) {
+        want = row_v[x] - 1;
+        return want == 0;
+      },
+      [row_v, &want](int w) { return row_v[w] == want; });
 }
 
 /* SF_HOT */ int RoutingAlgorithm::next_router(const Network& net, const Packet& pkt,

@@ -10,6 +10,7 @@
 // structure is acyclic so the same VC discipline applies.
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,20 +24,20 @@ class Network;
 
 /// Hop-distance oracle: the query interface every routing algorithm
 /// consumes. Implementations must return EXACT shortest-path hop counts —
-/// sample_minimal_path's default walk relies on dist() dropping by exactly
-/// one per step, and simulate() sizes the VC set from diameter(), so an
-/// off-by-one here silently changes results. The dense DistanceTable below
-/// is the BFS reference implementation; the per-family oracles
+/// the minimal-path walk relies on dist() dropping by exactly one per
+/// step, and simulate() sizes the VC set from diameter(), so an off-by-one
+/// here silently changes results. The dense DistanceTable below is the BFS
+/// reference implementation; the per-family oracles
 /// (sim/routing/oracle.hpp) answer the same queries from algebra,
 /// coordinates, or level rules without the O(N^2) table.
 ///
-/// RNG contract: sample_minimal_path must consume the RNG stream exactly
-/// like the default implementation here — one reservoir scan over the
-/// sorted adjacency list per non-final hop, nothing drawn for the final
-/// hop. Every oracle with exact distances that keeps the default (or
-/// replicates its candidate sets in the same order) is bit-identical with
-/// the dense table, which is what keeps golden trajectories stable across
-/// OracleMode.
+/// RNG contract: every sample_minimal_path is an instantiation of the one
+/// walk, walk_minimal_path() below — one reservoir scan over the sorted
+/// adjacency list per non-final hop, nothing drawn for the final hop. An
+/// override supplies only the walk's two tests (is v adjacent; is this
+/// neighbour one hop closer), so every oracle with exact distances draws
+/// the same candidates in the same order as the dense table, which is
+/// what keeps golden trajectories stable across OracleMode.
 class DistanceOracle {
  public:
   virtual ~DistanceOracle() = default;
@@ -47,12 +48,41 @@ class DistanceOracle {
   virtual int diameter() const = 0;
 
   /// Appends a uniformly-sampled minimal path from u to v onto `out`
-  /// (excluding u, including v). No-op when u == v. The default walks
-  /// greedily: at each router it reservoir-samples uniformly among the
-  /// neighbors (sorted adjacency order) that are one hop closer to v.
+  /// (excluding u, including v). No-op when u == v. The default runs
+  /// walk_minimal_path() over virtual dist().
   virtual void sample_minimal_path(const Graph& g, int u, int v, Rng& rng,
                                    InlinePath& out) const;
 };
+
+/// The one minimal-path walk. From u it steps greedily toward v: at each
+/// router x != v, `last_hop(x)` says whether v is adjacent to x (then the
+/// walk ends on v, drawing nothing); otherwise it reservoir-samples one
+/// next hop uniformly among the neighbours w of x (sorted adjacency order)
+/// for which `closer(w)` holds, i.e. that are one hop closer to v than x.
+/// last_hop(x) runs once per router before any closer() call there, so a
+/// hook pair may cache x's distance in shared state for closer().
+template <class LastHop, class Closer>
+/* SF_HOT */ void walk_minimal_path(const Graph& g, int u, int v, Rng& rng,
+                                    InlinePath& out, LastHop last_hop, Closer closer) {
+  int current = u;
+  while (current != v) {
+    if (last_hop(current)) {
+      out.push_back(v);
+      break;
+    }
+    int chosen = -1;
+    int seen = 0;
+    for (int w : g.neighbors(current)) {
+      if (closer(w)) {
+        ++seen;
+        if (rng.next_below(static_cast<std::uint32_t>(seen)) == 0) chosen = w;
+      }
+    }
+    if (chosen < 0) throw std::logic_error("sample_minimal_path: no progress");
+    out.push_back(chosen);
+    current = chosen;
+  }
+}
 
 /// All-pairs hop distances with minimal-path sampling — the dense BFS
 /// reference oracle and the small-N fast path (row-cached sampling).

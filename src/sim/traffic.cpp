@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "analysis/metrics.hpp"
 #include "sim/workload.hpp"
 #include "topo/registry.hpp"
 #include "util/spec.hpp"
@@ -115,10 +114,8 @@ class WorstCaseSfTraffic final : public TrafficPattern {
     int p = topo.concentration();
     std::vector<int> target(static_cast<std::size_t>(nr), -1);  // per router
 
-    // Distances once (diameter-2 class networks are small enough for this).
-    std::vector<std::vector<int>> dist(static_cast<std::size_t>(nr));
-    for (int r = 0; r < nr; ++r) dist[static_cast<std::size_t>(r)] = analysis::bfs_distances(g, r);
-
+    // Every pair tested below lies on a 2-path a-y-b with a != b, so it is
+    // at distance 2 exactly when a and b are not adjacent.
     for (const auto& [rx, ry] : g.edges()) {
       if (rx >= topo.num_endpoint_routers() || ry >= topo.num_endpoint_routers()) continue;
       if (target[static_cast<std::size_t>(rx)] != -1 ||
@@ -129,7 +126,7 @@ class WorstCaseSfTraffic final : public TrafficPattern {
       for (int ri : g.neighbors(ry)) {
         if (ri == rx || ri >= topo.num_endpoint_routers()) continue;
         if (target[static_cast<std::size_t>(ri)] != -1) continue;
-        if (dist[static_cast<std::size_t>(ri)][static_cast<std::size_t>(rx)] == 2) {
+        if (!g.has_edge(ri, rx)) {
           target[static_cast<std::size_t>(ri)] = rx;  // path Ri -> Ry -> Rx
           any = true;
         }
@@ -137,7 +134,7 @@ class WorstCaseSfTraffic final : public TrafficPattern {
       for (int rb : g.neighbors(rx)) {
         if (rb == ry || rb >= topo.num_endpoint_routers()) continue;
         if (target[static_cast<std::size_t>(rb)] != -1) continue;
-        if (dist[static_cast<std::size_t>(rb)][static_cast<std::size_t>(ry)] == 2) {
+        if (!g.has_edge(rb, ry)) {
           target[static_cast<std::size_t>(rb)] = ry;
           any = true;
         }

@@ -25,8 +25,6 @@ class Dln : public Topology {
   std::string name() const override;
   std::string symbol() const override { return "DLN"; }
 
-  int target_radix() const { return k_net_; }
-
  private:
   static Graph build(int n, int k_net, std::uint64_t seed);
   int k_net_;

@@ -32,7 +32,6 @@ class Dragonfly : public Topology {
   int h() const { return h_; }
   int groups() const { return g_; }
   int group_of(int r) const { return r / a_; }
-  int local_index(int r) const { return r % a_; }
 
   static constexpr int kDiameter = 3;  // local-global-local
 

@@ -41,10 +41,6 @@ class FatTree3 : public Topology {
   /// Position of switch r inside its level (and pod, for levels 0/1).
   int index_in_level(int r) const;
 
-  int num_edge() const { return pods_ * p_; }
-  int num_agg() const { return pods_ * p_; }
-  int num_core() const { return p_ * p_; }
-
  private:
   static Graph build(int p, int pods);
   int p_;

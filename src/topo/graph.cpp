@@ -72,4 +72,31 @@ bool Graph::is_regular() const {
   return true;
 }
 
+int bfs_distances(const Graph& g, int source, std::vector<int>& dist) {
+  const int n = g.num_vertices();
+  if (source < 0 || source >= n) {
+    throw std::out_of_range("bfs_distances: source out of range");
+  }
+  dist.assign(static_cast<std::size_t>(n), -1);
+  // Vertices in visiting order; distances along it are nondecreasing, so
+  // the last one visited sits at the eccentricity.
+  std::vector<int> order;
+  order.reserve(static_cast<std::size_t>(n));
+  dist[static_cast<std::size_t>(source)] = 0;
+  order.push_back(source);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const int v = order[head];
+    const int next = dist[static_cast<std::size_t>(v)] + 1;
+    for (int w : g.neighbors(v)) {
+      int& d = dist[static_cast<std::size_t>(w)];
+      if (d < 0) {
+        d = next;
+        order.push_back(w);
+      }
+    }
+  }
+  if (order.size() != static_cast<std::size_t>(n)) return -1;
+  return dist[static_cast<std::size_t>(order.back())];
+}
+
 }  // namespace slimfly

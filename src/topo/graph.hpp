@@ -4,7 +4,8 @@
 // Construction is two-phase: add_edge() collects edges, finalize() freezes
 // the graph into sorted adjacency lists (enabling O(log d) has_edge and
 // cache-friendly BFS). All analysis and simulation code operates on
-// finalized graphs.
+// finalized graphs. bfs_distances() below is the one hop-distance BFS
+// every layer shares.
 
 #include <cstdint>
 #include <utility>
@@ -55,5 +56,14 @@ class Graph {
   std::int64_t num_edges_ = 0;
   bool finalized_ = false;
 };
+
+/// Breadth-first hop distances from `source`: fills `dist` (resized to
+/// num_vertices()) with the hop count to every vertex, -1 where unreached.
+/// This is the one shortest-path BFS: the distance oracles, the graph
+/// metrics and DFSSSP all read their distances from it. Passing the same
+/// vector for every source of an all-pairs sweep reuses its storage.
+/// Returns the eccentricity of `source` (its largest distance), or -1 when
+/// some vertex is unreached.
+int bfs_distances(const Graph& g, int source, std::vector<int>& dist);
 
 }  // namespace slimfly

@@ -21,8 +21,6 @@ class Timer {
         .count();
   }
 
-  double millis() const { return seconds() * 1e3; }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

@@ -97,20 +97,20 @@ TEST(ExperimentEngine, IncompatibleSeriesThrows) {
 }
 
 TEST(ExperimentEngine, PointFailingAtRunTimeThrowsAfterTheGrid) {
-  // A trace series validates by name but cannot open its file until its
-  // points run. Beside good series on a parallel engine, the failing points
-  // poison only themselves, and run() returns by throwing the error, which
-  // names the path. Two grids: a wide one (16 points over 4 workers) and a
+  // An allreduce series validates by name but learns that its ranks exceed
+  // the topology's endpoints only when its points build their traffic.
+  // Beside good series on a parallel engine, the failing points poison only
+  // themselves, and run() returns by throwing the error, which names the
+  // rank count. Two grids: a wide one (16 points over 4 workers) and a
   // narrow one (2 points over 4 workers, so teams grow from spares).
-  const std::string missing = "no/such/trace.json";
-  const exp::SeriesSpec trace{"slimfly:q=5", "MIN", "trace:file=" + missing,
-                              "T"};
+  const exp::SeriesSpec oversized{"slimfly:q=5", "MIN",
+                                  "allreduce:ranks=1000", "A"};
   auto wide = tiny_spec();
   wide.loads = {0.05, 0.1, 0.2, 0.3};
-  wide.series.insert(wide.series.begin() + 1, trace);
+  wide.series.insert(wide.series.begin() + 1, oversized);
   auto narrow = tiny_spec();
   narrow.loads = {0.1};
-  narrow.series = {narrow.series.front(), trace};
+  narrow.series = {narrow.series.front(), oversized};
   for (const exp::ExperimentSpec& spec : {wide, narrow}) {
     exp::ExperimentEngine engine(4);
     try {
@@ -118,10 +118,31 @@ TEST(ExperimentEngine, PointFailingAtRunTimeThrowsAfterTheGrid) {
       FAIL() << "expected invalid_argument (" << spec.series.size()
              << " series)";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find("ranks=1000"), std::string::npos)
           << e.what();
     }
   }
+}
+
+TEST(ExperimentEngine, MissingTraceFileFailsBeforeAnyPoint) {
+  // The trace series comes second, so a run that opened the file only when
+  // its points ran would finish the uniform series first.
+  const std::string missing = "no/such/trace.json";
+  auto spec = tiny_spec();
+  spec.series = {spec.series.front(),
+                 {"slimfly:q=5", "MIN", "trace:file=" + missing, "T"}};
+  exp::ExperimentEngine engine(1);
+  int points = 0;
+  try {
+    engine.run(spec, [&](const exp::PreparedSeries&, const exp::RunResult&) {
+      ++points;
+    });
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(points, 0);
 }
 
 TEST(ExperimentSpec, CrossFiltersIncompatibleCombos) {

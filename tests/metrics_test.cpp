@@ -19,9 +19,10 @@ Graph path_graph(int n) {
 
 TEST(Bfs, PathDistances) {
   Graph g = path_graph(5);
-  auto d = bfs_distances(g, 0);
+  std::vector<int> d;
+  EXPECT_EQ(bfs_distances(g, 0, d), 4);
   EXPECT_EQ(d, (std::vector<int>{0, 1, 2, 3, 4}));
-  d = bfs_distances(g, 2);
+  EXPECT_EQ(bfs_distances(g, 2, d), 2);  // the same storage, refilled
   EXPECT_EQ(d, (std::vector<int>{2, 1, 0, 1, 2}));
 }
 
@@ -29,8 +30,9 @@ TEST(Bfs, DisconnectedMarksUnreachable) {
   Graph g(3);
   g.add_edge(0, 1);
   g.finalize();
-  auto d = bfs_distances(g, 0);
-  EXPECT_EQ(d[2], -1);
+  std::vector<int> d;
+  EXPECT_EQ(bfs_distances(g, 0, d), -1);
+  EXPECT_EQ(d, (std::vector<int>{0, 1, -1}));
   EXPECT_EQ(diameter(g), -1);
   EXPECT_FALSE(is_connected(g));
   EXPECT_EQ(largest_component(g), 2);

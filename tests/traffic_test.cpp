@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
-#include "analysis/metrics.hpp"
 #include "sf/mms.hpp"
 #include "sim/traffic.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
+#include "topo/registry.hpp"
 
 namespace slimfly::sim {
 namespace {
@@ -122,8 +124,9 @@ TEST(WorstCaseSf, SendersUseTwoHopPaths) {
   sf::SlimFlyMMS topo(5);
   auto t = make_worst_case_sf(topo);
   Rng rng(5);
+  std::vector<int> dv;
   auto dist_ok = [&](int e, int d) {
-    auto dv = analysis::bfs_distances(topo.graph(), topo.endpoint_router(e));
+    bfs_distances(topo.graph(), topo.endpoint_router(e), dv);
     int dd = dv[static_cast<std::size_t>(topo.endpoint_router(d))];
     return dd >= 1 && dd <= 2;
   };
@@ -132,6 +135,40 @@ TEST(WorstCaseSf, SendersUseTwoHopPaths) {
     if (d >= 0) {
       EXPECT_TRUE(dist_ok(e, d));
     }
+  }
+}
+
+TEST(WorstCaseSf, EndpointMapPinnedBeyondSlimFly) {
+  // The Figure 9 construction runs on any graph. Pinned per topology: the
+  // active-endpoint count and an FNV-1a hash of the endpoint -> destination
+  // map (-1 for idle endpoints, 4 little-endian bytes each).
+  struct Pin {
+    const char* spec;
+    int active;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"slimfly:q=7", 558, 0xc790efaa3240473aull},
+      {"torus:dims=4x4x4", 48, 0x8517eb23bb39f163ull},
+      {"hypercube:n=6", 48, 0x2d2bb5b6ec0b5ce3ull},
+      {"dln:n=36,k=6,p=2", 64, 0x334f98c668a6aaa3ull},
+  };
+  for (const Pin& pin : pins) {
+    auto net = topo::make(pin.spec);
+    auto t = make_worst_case_sf(*net);
+    Rng rng(1);
+    int active = 0;
+    std::uint64_t hash = 1469598103934665603ull;
+    for (int e = 0; e < net->num_endpoints(); ++e) {
+      if (t->is_active(e)) ++active;
+      const auto d = static_cast<std::uint32_t>(t->destination(e, rng));
+      for (int b = 0; b < 4; ++b) {
+        hash ^= (d >> (8 * b)) & 0xffu;
+        hash *= 1099511628211ull;
+      }
+    }
+    EXPECT_EQ(active, pin.active) << pin.spec;
+    EXPECT_EQ(hash, pin.hash) << pin.spec;
   }
 }
 
