@@ -158,25 +158,6 @@ void Network::wire() {
   const std::size_t credit_cap = static_cast<std::size_t>(
       config_.alloc_iterations * (config_.credit_delay + 1) + 2);
 
-  // Dense neighbor -> output-port table (the O(1) port_of_neighbor the
-  // allocation loop and UGAL's path costing rely on). Built before the
-  // reverse wiring below, which already uses the fast lookup. Networks
-  // beyond the dense limit keep the binary-search fallback so per-point
-  // memory stays near-linear.
-  neighbor_port_.clear();
-  if (nr <= kDenseNeighborPortLimit) {
-    neighbor_port_.assign(
-        static_cast<std::size_t>(nr) * static_cast<std::size_t>(nr), -1);
-    for (int r = 0; r < nr; ++r) {
-      const auto& nbrs = g.neighbors(r);
-      for (int i = 0; i < static_cast<int>(nbrs.size()); ++i) {
-        neighbor_port_[static_cast<std::size_t>(r) * static_cast<std::size_t>(nr) +
-                       static_cast<std::size_t>(nbrs[static_cast<std::size_t>(i)])] =
-            static_cast<std::int16_t>(i);
-      }
-    }
-  }
-
   // ---- SoA arenas (docs/ARCHITECTURE.md, "hot-path memory layout") -------
   // Counting pass first: every variable-length per-router family gets one
   // capacity-exact arena for the whole fleet, then the per-router Spans are
@@ -291,7 +272,7 @@ void Network::wire() {
     const auto& nbrs = g.neighbors(r);
     for (int i = 0; i < static_cast<int>(nbrs.size()); ++i) {
       int u = nbrs[static_cast<std::size_t>(i)];
-      int uport = port_of_neighbor(u, r);
+      int uport = g.neighbor_index(u, r);
       routers_[static_cast<std::size_t>(r)].outputs[static_cast<std::size_t>(i)]
           .dest_port = static_cast<std::int16_t>(uport);
       InputPort& in =
@@ -348,49 +329,35 @@ void Network::wire() {
 
 /* SF_HOT */ RouteDecision Network::head_decision(const RouterState& router, int r,
                                      const Packet& pkt) const {
-  int next;
-  int vc_link;
+  int port;
+  int vc_link = pkt.hop;
   if (routing_follows_path_) {
-    // Inline default next_router/link_vc: follow pkt.path with VC = hop
-    // index, no virtual dispatch. Same sanity guards as the virtual
-    // default — a corrupted hop/path must surface as a named error, not
-    // as an out-of-range output port fed to the allocator.
-    const std::size_t hop = static_cast<std::size_t>(pkt.hop);
-    if (hop >= pkt.path.size()) {
-      throw std::logic_error("head_decision: hop out of range");
-    }
-    if (pkt.path[hop] != r) {
-      throw std::logic_error("head_decision: packet not on its path");
-    }
-    next = hop + 1 < pkt.path.size() ? pkt.path[hop + 1] : -1;
-    vc_link = pkt.hop;
+    // Inline default next_port/link_vc: follow pkt.path with VC = hop
+    // index, no virtual dispatch.
+    port = follow_path(pkt);
   } else {
-    next = routing_.next_router(*this, pkt, r);
-    vc_link = next < 0 ? 0 : routing_.link_vc(pkt);
+    port = routing_.next_port(*this, pkt, r);
+    if (port >= 0) vc_link = routing_.link_vc(pkt);
   }
-  int op;
-  if (next < 0) {
-    op = router.network_ports + (pkt.dst_endpoint - topo_.first_endpoint(r));
-    vc_link = 0;  // ejection ports have unbounded credit on VC 0
-  } else {
-    op = port_of_neighbor(r, next);
+  if (port < 0) {
+    if (r != pkt.dst_router) {
+      throw std::logic_error("head_decision: packet ejects at router " +
+                             std::to_string(r) + ", not its destination " +
+                             std::to_string(pkt.dst_router));
+    }
+    // Ejection ports have unbounded credit on VC 0.
+    port = router.network_ports + (pkt.dst_endpoint - topo_.first_endpoint(r));
+    vc_link = 0;
+  } else if (port >= router.network_ports) {
+    // A corrupted route must surface as a named error, not as an
+    // out-of-range output port fed to the allocator.
+    throw std::logic_error("head_decision: port " + std::to_string(port) +
+                           " out of range at router " + std::to_string(r) +
+                           " (" + std::to_string(router.network_ports) +
+                           " network ports)");
   }
-  return RouteDecision{static_cast<std::int16_t>(op),
+  return RouteDecision{static_cast<std::int16_t>(port),
                        static_cast<std::int16_t>(vc_link)};
-}
-
-
-void Network::throw_not_adjacent(int router, int neighbor) const {
-  throw std::invalid_argument("port_of_neighbor: not adjacent (" +
-                              std::to_string(router) + ", " +
-                              std::to_string(neighbor) + ")");
-}
-
-/* SF_HOT */ int Network::port_of_neighbor_sparse(int router, int neighbor) const {
-  const auto& nbrs = topo_.graph().neighbors(router);
-  auto it = std::lower_bound(nbrs.begin(), nbrs.end(), neighbor);
-  if (it == nbrs.end() || *it != neighbor) throw_not_adjacent(router, neighbor);
-  return static_cast<int>(it - nbrs.begin());
 }
 
 /* SF_HOT */ void Network::arrivals_router(std::size_t shard, int r) {
@@ -561,7 +528,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 // bitmask skips empty buffers without touching them) and counting-sorted
 // by output port. For path-following routings the (output port, link VC)
 // decision is read from the flat per-router route cache — computed once
-// when a packet becomes head, invalidated on pop — so next_router runs once
+// when a packet becomes head, invalidated on pop — so next_port runs once
 // per packet per router instead of once per waiting cycle; per-hop adaptive
 // routings (FT-ANCA) re-derive it every iteration because their decision
 // reads live queue state.

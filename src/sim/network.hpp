@@ -53,7 +53,7 @@
 //                    onto the downstream incoming lines (final ready time
 //                    = cycle + staged occupancy + wire latency, always
 //                    >= next cycle; no shard reads any incoming line
-//                    during this phase). next_router() may read r's own
+//                    during this phase). next_port() may read r's own
 //                    queue estimates (FT-ANCA adaptivity) — never another
 //                    router's.
 //                      writes: r's inputs/credits/staged/rr/route caches/
@@ -183,33 +183,6 @@ class Network {
 
   // ---- Introspection used by routing algorithms -------------------------
   const Topology& topology() const { return topo_; }
-  /// Largest router count for which wire() builds the dense neighbor->port
-  /// table (2048^2 x int16 = 8 MB per Network; every paper-scale config is
-  /// well below it). Larger networks fall back to the O(log degree) binary
-  /// search so per-point memory stays near-linear.
-  static constexpr int kDenseNeighborPortLimit = 2048;
-
-  /// Output port index on `router` leading to `neighbor`. O(1) for
-  /// networks up to kDenseNeighborPortLimit routers via a dense
-  /// router x router -> port table (int16, -1 = not adjacent), replacing
-  /// the per-call binary search the allocation loop and UGAL's path
-  /// costing used to pay; O(log degree) beyond. Out-of-range ids throw
-  /// the same named error as a non-adjacent pair (never an out-of-bounds
-  /// read).
-  /* SF_HOT */ int port_of_neighbor(int router, int neighbor) const {
-    if (static_cast<unsigned>(router) >= static_cast<unsigned>(num_routers_) ||
-        static_cast<unsigned>(neighbor) >= static_cast<unsigned>(num_routers_)) {
-      throw_not_adjacent(router, neighbor);
-    }
-    if (!neighbor_port_.empty()) {
-      int port = neighbor_port_[static_cast<std::size_t>(router) *
-                                    static_cast<std::size_t>(num_routers_) +
-                                static_cast<std::size_t>(neighbor)];
-      if (port < 0) throw_not_adjacent(router, neighbor);
-      return port;
-    }
-    return port_of_neighbor_sparse(router, neighbor);
-  }
   /// Congestion estimate for an output port: staging occupancy plus
   /// credits consumed downstream.
   /* SF_HOT */ int queue_estimate(int router, int port) const {
@@ -258,10 +231,6 @@ class Network {
 
  private:
   void wire();
-  [[noreturn]] void throw_not_adjacent(int router, int neighbor) const;
-  /// Binary search over the sorted adjacency list (networks too large for
-  /// the dense table).
-  int port_of_neighbor_sparse(int router, int neighbor) const;
   /// One worker's slice of a cycle: its contiguous shard sub-range through
   /// all four phases, with the global barrier between phases (a worker
   /// finishes phase k for ALL its shards before any worker enters k+1 —
@@ -394,10 +363,7 @@ class Network {
   /// log2 of the occupancy bitmask's per-input VC stride (num_vcs rounded
   /// up to a power of two; see RouterState::occupied).
   int vc_shift_ = 0;
-  /// Dense neighbor->port table: neighbor_port_[r * num_routers_ + n] is
-  /// the output port of r toward n, or -1 when not adjacent.
-  std::vector<std::int16_t> neighbor_port_;
-  /// Routing keeps the default next_router/link_vc: a head's decision is a
+  /// Routing keeps the default next_port/link_vc: a head's decision is a
   /// pure function of its packet, computed inline from pkt.path with no
   /// virtual dispatch and cached per VC (see allocate_router).
   bool routing_follows_path_ = false;
@@ -504,7 +470,9 @@ class Network {
 
   /// Head-of-line decision for `pkt` at router r: the output port
   /// (network or ejection) and the VC on the outgoing link. Inlines the
-  /// default follow-the-path protocol when the routing declared it.
+  /// default follow-the-path protocol when the routing declared it. A
+  /// network port outside r's range, or an ejection away from dst_router,
+  /// throws std::logic_error naming the router and port.
   RouteDecision head_decision(const RouterState& router, int r,
                               const Packet& pkt) const;
 };

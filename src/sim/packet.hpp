@@ -3,17 +3,17 @@
 // isolate routing behaviour from flow-control effects (Section V).
 //
 // The packet is exactly one cache line (64 bytes), trivially copyable, and
-// carries its router path inline (InlinePath) rather than on the heap: the
-// simulator's ring buffers relocate packets with single-line copies and
-// the steady-state stepping loop never allocates. Every field is sized to
-// its real range (see the static_asserts; docs/ARCHITECTURE.md, "hot-path
-// memory layout"):
+// carries its source route inline (InlinePath: one output port per hop)
+// rather than on the heap: the simulator's ring buffers relocate packets
+// with single-line copies and the steady-state stepping loop never
+// allocates. Every field is sized to its real range (see the
+// static_asserts; docs/ARCHITECTURE.md, "hot-path memory layout"):
 //   * timestamps are 32-bit cycle counts — Network rejects configs whose
 //     horizon could exceed them;
-//   * router ids are uint16 (an O(n^2)-distance-table simulation of more
-//     than 65k routers is already infeasible);
+//   * dst_router is uint16, the Network's router-count bound;
 //   * the source router is not stored: it is derivable from src_endpoint
-//     (Topology::endpoint_router), and injection-time routing does so.
+//     (Topology::endpoint_router), and routing that walks a path from it
+//     (UGAL's cost, the tests' path expansion) does so.
 
 #include <cstdint>
 #include <type_traits>
@@ -30,10 +30,11 @@ struct Packet {
   std::int32_t dst_endpoint = -1;
   std::uint16_t dst_router = 0;
 
-  /// Router path for source-routed algorithms (path[0] == source router,
-  /// path.back() == dst_router). Empty for per-hop adaptive routing.
+  /// Source route: path[i] is the output port taken at hop i, starting
+  /// from the source router; the packet ejects at dst_router once hop ==
+  /// path.size(). Empty for per-hop adaptive routing.
   InlinePath path;
-  /// Index of the router the packet currently occupies (0 at the source).
+  /// Links traversed so far (0 at the source router).
   std::int8_t hop = 0;
   /// VC assigned to the link currently being traversed (set at switch
   /// allocation from RoutingAlgorithm::link_vc).

@@ -107,7 +107,9 @@ struct InputPort {
 };
 
 /// Cached head-of-line routing decision for one (input port, VC) buffer:
-/// the output port and link VC its head packet requests. port < 0 means
+/// the output port and link VC its head packet requests — the port read
+/// from the packet's route (pkt.path[pkt.hop]) or returned by the
+/// routing's next_port(), or an ejection port at the end. port < 0 means
 /// "not cached" — recompute from the packet. Kept in a flat per-router
 /// array (not beside each VC ring) so the allocation gather reads one small
 /// contiguous cache instead of touching every buffer every iteration.
@@ -119,7 +121,10 @@ struct RouteDecision {
 struct RouterState {
   Span<InputPort> inputs;    ///< [0,deg) network + [deg, deg+p) injection
   Span<OutputPort> outputs;  ///< [0,deg) network + [deg, deg+p) ejection
-  int network_ports = 0;     ///< router degree in the graph
+  /// Router degree in the graph. Network port i (input and output) links
+  /// to neighbour i in sorted adjacency order, so a route's port for this
+  /// router is Graph::neighbor_index(r, next) and must be below this.
+  int network_ports = 0;
 
   /// Head ready cycle of each network input's incoming line and of each
   /// network output's credit_return line ([0, network_ports) each;

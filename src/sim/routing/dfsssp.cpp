@@ -72,10 +72,7 @@ DfssspResult dfsssp_vc_count(const Graph& g, int max_layers, std::uint64_t seed)
   }
   int channels = offset[static_cast<std::size_t>(n)];
   auto channel_id = [&](int u, int v) {
-    const auto& nbrs = g.neighbors(u);
-    auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-    return offset[static_cast<std::size_t>(u)] +
-           static_cast<int>(it - nbrs.begin());
+    return offset[static_cast<std::size_t>(u)] + g.neighbor_index(u, v);
   };
 
   // Destinations in seeded random order; for each, the BFS in-tree routes

@@ -9,7 +9,6 @@ UgalRouting::CandidateSampler dragonfly_group_sampler(const Dragonfly& topo,
   // The sampler runs once per injected packet under UGAL-L.
   return /* SF_HOT */ [df, dt](int src, int dst, Rng& rng, InlinePath& path) {
     path.clear();
-    path.push_back(src);
     if (src == dst) return;
     int groups = df->groups();
     int src_group = df->group_of(src);

@@ -23,12 +23,13 @@ void FatTreeAncaRouting::route_at_injection(Network& net, Packet& pkt, Rng& rng)
   // loop, which must not allocate (docs/ARCHITECTURE.md).
   int ups[kMaxUpPorts];
   std::size_t n_ups = 0;
-  for (int n : topo_.graph().neighbors(router)) {
-    if (topo_.level(n) == level + 1) {
+  const std::vector<int>& nbrs = topo_.graph().neighbors(router);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (topo_.level(nbrs[i]) == level + 1) {
       if (n_ups >= kMaxUpPorts) {
         throw std::logic_error("FT-ANCA: more than kMaxUpPorts upward ports");
       }
-      ups[n_ups++] = n;
+      ups[n_ups++] = static_cast<int>(i);
     }
   }
   if (n_ups == 0) throw std::logic_error("FT-ANCA: no upward neighbour");
@@ -37,18 +38,18 @@ void FatTreeAncaRouting::route_at_injection(Network& net, Packet& pkt, Rng& rng)
   int best = -1;
   int best_queue = std::numeric_limits<int>::max();
   for (std::size_t k = 0; k < n_ups; ++k) {
-    int n = ups[(k + offset) % n_ups];
-    int q = net.queue_estimate(router, net.port_of_neighbor(router, n));
+    int port = ups[(k + offset) % n_ups];
+    int q = net.queue_estimate(router, port);
     if (q < best_queue) {
       best_queue = q;
-      best = n;
+      best = port;
     }
   }
   return best;
 }
 
-/* SF_HOT */ int FatTreeAncaRouting::next_router(const Network& net, const Packet& pkt,
-                                    int current_router) const {
+/* SF_HOT */ int FatTreeAncaRouting::next_port(const Network& net, const Packet& pkt,
+                                  int current_router) const {
   int dst = pkt.dst_router;  // always an edge switch
   if (current_router == dst) return -1;
   int level = topo_.level(current_router);
@@ -57,16 +58,18 @@ void FatTreeAncaRouting::route_at_injection(Network& net, Packet& pkt, Rng& rng)
     case 0:
       // Edge switch other than the destination: go up adaptively.
       return adaptive_up(net, pkt, current_router, 0);
-    case 1: {
-      if (topo_.pod(current_router) == dst_pod) return dst;  // down to dst edge
+    case 1:
+      // Down to the destination edge when it is in this pod, else up.
+      if (topo_.pod(current_router) == dst_pod) {
+        return topo_.graph().neighbor_index(current_router, dst);
+      }
       return adaptive_up(net, pkt, current_router, 1);
-    }
     case 2: {
       // Core (j, l) connects to aggregation j in every pod; descend into the
       // destination pod.
       int j = topo_.index_in_level(current_router) / topo_.p();
       int agg = topo_.pods() * topo_.p() + dst_pod * topo_.p() + j;
-      return agg;
+      return topo_.graph().neighbor_index(current_router, agg);
     }
     default:
       throw std::logic_error("FT-ANCA: bad level");

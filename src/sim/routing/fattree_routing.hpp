@@ -20,10 +20,10 @@ class FatTreeAncaRouting : public RoutingAlgorithm {
   /// Per-hop adaptive: nothing to decide at injection.
   void route_at_injection(Network& net, Packet& pkt, Rng& rng) override;
 
-  int next_router(const Network& net, const Packet& pkt,
-                  int current_router) const override;
+  int next_port(const Network& net, const Packet& pkt,
+                int current_router) const override;
 
-  // follows_packet_path() stays at the base-class false: both next_router
+  // follows_packet_path() stays at the base-class false: both next_port
   // and link_vc are overridden, and the upward decision reads live queue
   // estimates, so it must be re-derived every allocation iteration.
 
@@ -39,6 +39,7 @@ class FatTreeAncaRouting : public RoutingAlgorithm {
   /// bounds the stack-allocated candidate list in adaptive_up.
   static constexpr std::size_t kMaxUpPorts = 256;
 
+  /// Least-loaded upward port of `router` (at `level`).
   int adaptive_up(const Network& net, const Packet& pkt, int router,
                   int level) const;
 

@@ -6,7 +6,6 @@ namespace slimfly::sim {
   (void)net;
   const int src = topo_.endpoint_router(pkt.src_endpoint);
   pkt.path.clear();
-  pkt.path.push_back(src);
   dist_.sample_minimal_path(topo_.graph(), src, pkt.dst_router, rng, pkt.path);
 }
 

@@ -48,16 +48,4 @@ DistanceTable::DistanceTable(const Graph& g) : n_(g.num_vertices()) {
       [row_v, &want](int w) { return row_v[w] == want; });
 }
 
-/* SF_HOT */ int RoutingAlgorithm::next_router(const Network& net, const Packet& pkt,
-                                  int current_router) const {
-  (void)net;
-  std::size_t hop = static_cast<std::size_t>(pkt.hop);
-  if (hop >= pkt.path.size()) throw std::logic_error("next_router: hop out of range");
-  if (pkt.path[hop] != current_router) {
-    throw std::logic_error("next_router: packet not on its path");
-  }
-  if (hop + 1 == pkt.path.size()) return -1;  // at destination router
-  return pkt.path[hop + 1];
-}
-
 }  // namespace slimfly::sim

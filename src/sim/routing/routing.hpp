@@ -2,12 +2,13 @@
 // Routing algorithm interface (paper Section IV) and the all-pairs
 // distance table shared by every algorithm.
 //
-// Most algorithms are source-routed: the full router path is chosen at
-// injection (where UGAL's queue comparison happens) and the packet then
-// follows it with VC = hop index, which guarantees deadlock freedom because
-// VCs increase strictly along every path (Gopal's scheme, Section IV-D).
-// Fat-tree ANCA overrides next_router() for per-hop adaptivity; its up/down
-// structure is acyclic so the same VC discipline applies.
+// Most algorithms are source-routed: the full route — one output port per
+// hop — is chosen at injection (where UGAL's queue comparison happens) and
+// the packet then follows it with VC = hop index, which guarantees
+// deadlock freedom because VCs increase strictly along every path (Gopal's
+// scheme, Section IV-D). Fat-tree ANCA overrides next_port() for per-hop
+// adaptivity; its up/down structure is acyclic so the same VC discipline
+// applies.
 
 #include <cstdint>
 #include <stdexcept>
@@ -47,40 +48,48 @@ class DistanceOracle {
   /// Exact graph diameter (max over all pairs of dist).
   virtual int diameter() const = 0;
 
-  /// Appends a uniformly-sampled minimal path from u to v onto `out`
-  /// (excluding u, including v). No-op when u == v. The default runs
-  /// walk_minimal_path() over virtual dist().
+  /// Appends a uniformly-sampled minimal path from u to v onto `out`, one
+  /// output port per hop (the port of hop i is the next router's index in
+  /// the current router's adjacency list). No-op when u == v. The default
+  /// runs walk_minimal_path() over virtual dist().
   virtual void sample_minimal_path(const Graph& g, int u, int v, Rng& rng,
                                    InlinePath& out) const;
 };
 
 /// The one minimal-path walk. From u it steps greedily toward v: at each
 /// router x != v, `last_hop(x)` says whether v is adjacent to x (then the
-/// walk ends on v, drawing nothing); otherwise it reservoir-samples one
-/// next hop uniformly among the neighbours w of x (sorted adjacency order)
-/// for which `closer(w)` holds, i.e. that are one hop closer to v than x.
-/// last_hop(x) runs once per router before any closer() call there, so a
-/// hook pair may cache x's distance in shared state for closer().
+/// walk ends with x's port toward v, drawing nothing); otherwise it
+/// reservoir-samples one next hop uniformly among the neighbours w of x
+/// (sorted adjacency order) for which `closer(w)` holds, i.e. that are one
+/// hop closer to v than x, and records the drawn neighbour's adjacency
+/// index as the hop's port. last_hop(x) runs once per router before any
+/// closer() call there, so a hook pair may cache x's distance in shared
+/// state for closer().
 template <class LastHop, class Closer>
 /* SF_HOT */ void walk_minimal_path(const Graph& g, int u, int v, Rng& rng,
                                     InlinePath& out, LastHop last_hop, Closer closer) {
   int current = u;
   while (current != v) {
     if (last_hop(current)) {
-      out.push_back(v);
+      const int port = g.neighbor_index(current, v);
+      if (port < 0) throw std::logic_error("sample_minimal_path: last hop not adjacent");
+      out.push_back(port);
       break;
     }
+    const std::vector<int>& nbrs = g.neighbors(current);
     int chosen = -1;
     int seen = 0;
-    for (int w : g.neighbors(current)) {
-      if (closer(w)) {
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (closer(nbrs[i])) {
         ++seen;
-        if (rng.next_below(static_cast<std::uint32_t>(seen)) == 0) chosen = w;
+        if (rng.next_below(static_cast<std::uint32_t>(seen)) == 0) {
+          chosen = static_cast<int>(i);
+        }
       }
     }
     if (chosen < 0) throw std::logic_error("sample_minimal_path: no progress");
     out.push_back(chosen);
-    current = chosen;
+    current = nbrs[static_cast<std::size_t>(chosen)];
   }
 }
 
@@ -105,6 +114,13 @@ class DistanceTable : public DistanceOracle {
   std::vector<std::uint8_t> table_;
 };
 
+/// Follow-the-path, the one copy: the port of the packet's current hop, or
+/// -1 once it has taken every hop of its path (it is at dst_router, eject).
+/* SF_HOT */ inline int follow_path(const Packet& pkt) {
+  const std::size_t hop = static_cast<std::size_t>(pkt.hop);
+  return hop < pkt.path.size() ? pkt.path[hop] : -1;
+}
+
 class RoutingAlgorithm {
  public:
   virtual ~RoutingAlgorithm() = default;
@@ -115,21 +131,27 @@ class RoutingAlgorithm {
   virtual int max_hops() const = 0;
 
   /// Called once when the packet enters its source router; source-routed
-  /// algorithms fill pkt.path here (pkt.path[0] == src_router).
+  /// algorithms fill pkt.path here with one output port per hop, starting
+  /// at the source router (Topology::endpoint_router(pkt.src_endpoint)).
   virtual void route_at_injection(Network& net, Packet& pkt, Rng& rng) = 0;
 
-  /// Next router from `current_router`, or -1 to eject. The default follows
+  /// Output port of `current_router` for the packet's next hop (a network
+  /// port, i.e. an adjacency index), or -1 to eject. The default follows
   /// pkt.path.
-  virtual int next_router(const Network& net, const Packet& pkt,
-                          int current_router) const;
+  virtual int next_port(const Network& net, const Packet& pkt,
+                        int current_router) const {
+    (void)net;
+    (void)current_router;
+    return follow_path(pkt);
+  }
 
-  /// True when this algorithm keeps the DEFAULT next_router (follow
+  /// True when this algorithm keeps the DEFAULT next_port (follow
   /// pkt.path) and DEFAULT link_vc (VC = hop index). The head-of-line
   /// decision is then a pure function of the packet, so the allocator
   /// computes it inline, with no virtual calls, and caches it per input VC
   /// until the packet is popped instead of re-deriving it every cycle the
   /// packet waits. Defaults to FALSE, the always-correct choice: a
-  /// subclass overriding next_router()/link_vc() is never silently
+  /// subclass overriding next_port()/link_vc() is never silently
   /// bypassed, and per-hop adaptive decisions that read live queue state,
   /// like FT-ANCA's, legitimately change while a packet waits, so caching
   /// them would change results. Source-routed algorithms opt in (see
@@ -145,7 +167,7 @@ class RoutingAlgorithm {
 };
 
 /// Base for source-routed algorithms that keep the default
-/// next_router/link_vc (follow pkt.path, VC = hop index): opts into the
+/// next_port/link_vc (follow pkt.path, VC = hop index): opts into the
 /// allocator's inline, devirtualized path following and its head-of-line
 /// decision cache. Derive from RoutingAlgorithm directly when overriding
 /// either virtual — the conservative default there keeps a forgotten flag

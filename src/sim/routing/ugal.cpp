@@ -15,21 +15,24 @@ UgalRouting::UgalRouting(const Topology& topo, const DistanceOracle& dist,
       valiant_(topo, dist),
       sampler_(std::move(sampler)) {}
 
-/* SF_HOT */ double UgalRouting::path_cost(const Network& net, const InlinePath& path) const {
-  double hops = static_cast<double>(path.size()) - 1.0;
-  if (hops <= 0.0) return 0.0;
+/* SF_HOT */ double UgalRouting::path_cost(const Network& net, int src,
+                                          const InlinePath& path) const {
+  if (path.empty()) return 0.0;
+  const double hops = static_cast<double>(path.size());
   if (mode_ == UgalMode::Local) {
     // Length of the local output queue toward the first hop, weighted by
     // path length (Section IV-C2).
-    int port = net.port_of_neighbor(path[0], path[1]);
-    return hops * (1.0 + net.queue_estimate(path[0], port));
+    return hops * (1.0 + net.queue_estimate(src, path[0]));
   }
   // Global: sum of output queues along the path plus the hop count as a
-  // zero-load tie-breaker (Section IV-C1).
+  // zero-load tie-breaker (Section IV-C1), walking the ports forward from
+  // the source router.
+  const Graph& g = topo_.graph();
   double cost = hops;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    int port = net.port_of_neighbor(path[i], path[i + 1]);
-    cost += net.queue_estimate(path[i], port);
+  int router = src;
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    cost += net.queue_estimate(router, path[i]);
+    router = g.neighbors(router)[static_cast<std::size_t>(path[i])];
   }
   return cost;
 }
@@ -40,9 +43,8 @@ UgalRouting::UgalRouting(const Topology& topo, const DistanceOracle& dist,
   // Minimal candidate. Both candidate buffers live on the stack (InlinePath
   // is inline storage), so candidate comparison allocates nothing.
   InlinePath best;
-  best.push_back(src);
   dist_.sample_minimal_path(topo_.graph(), src, dst, rng, best);
-  double best_cost = path_cost(net, best);
+  double best_cost = path_cost(net, src, best);
 
   InlinePath candidate;
   for (int c = 0; c < candidates_; ++c) {
@@ -52,7 +54,7 @@ UgalRouting::UgalRouting(const Topology& topo, const DistanceOracle& dist,
     } else {
       valiant_.build_path(src, dst, rng, candidate);
     }
-    double cost = path_cost(net, candidate);
+    double cost = path_cost(net, src, candidate);
     if (cost < best_cost) {
       best_cost = cost;
       best = candidate;

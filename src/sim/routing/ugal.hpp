@@ -22,8 +22,8 @@ enum class UgalMode { Local, Global };
 
 class UgalRouting : public PathFollowingRouting {
  public:
-  /// `valiant_path(src, dst, rng, out)` draws one non-minimal candidate;
-  /// pass {} to use plain router-Valiant.
+  /// `valiant_path(src, dst, rng, out)` draws one non-minimal candidate
+  /// into `out` as ports from src; pass {} to use plain router-Valiant.
   using CandidateSampler =
       std::function<void(int, int, Rng&, InlinePath&)>;
 
@@ -38,7 +38,8 @@ class UgalRouting : public PathFollowingRouting {
   void route_at_injection(Network& net, Packet& pkt, Rng& rng) override;
 
  private:
-  double path_cost(const Network& net, const InlinePath& path) const;
+  /// Cost of the port path `path` from router `src` (0 for an empty one).
+  double path_cost(const Network& net, int src, const InlinePath& path) const;
 
   const Topology& topo_;
   const DistanceOracle& dist_;

@@ -7,7 +7,6 @@ namespace slimfly::sim {
   int nr = topo_.num_routers();
   for (int attempt = 0; attempt < 64; ++attempt) {
     path.clear();
-    path.push_back(src_router);
     if (src_router != dst_router) {
       // Random intermediate distinct from both ends (Section IV-B).
       int via = src_router;
@@ -25,12 +24,11 @@ namespace slimfly::sim {
         continue;
       }
     }
-    if (!hop_limit_ || static_cast<int>(path.size()) - 1 <= *hop_limit_) return;
+    if (!hop_limit_ || static_cast<int>(path.size()) <= *hop_limit_) return;
   }
   // Hop-limited variant: fall back to a minimal path when sampling keeps
   // exceeding the limit (rare; keeps the algorithm total).
   path.clear();
-  path.push_back(src_router);
   dist_.sample_minimal_path(topo_.graph(), src_router, dst_router, rng, path);
 }
 

@@ -25,7 +25,8 @@ class ValiantRouting : public PathFollowingRouting {
 
   void route_at_injection(Network& net, Packet& pkt, Rng& rng) override;
 
-  /// Builds one Valiant path into `path` (used by UGAL to draw candidates).
+  /// Builds one Valiant path from src_router into `path`, one port per hop
+  /// (used by UGAL to draw candidates).
   void build_path(int src_router, int dst_router, Rng& rng,
                   InlinePath& path) const;
 

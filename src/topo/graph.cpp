@@ -37,10 +37,19 @@ void Graph::finalize() {
   finalized_ = true;
 }
 
-bool Graph::has_edge(int u, int v) const {
-  if (!finalized_) throw std::logic_error("Graph::has_edge before finalize");
+/* SF_HOT */ int Graph::neighbor_index(int u, int v) const {
+  if (!finalized_) throw std::logic_error("Graph::neighbor_index before finalize");
   const auto& list = adjacency_[static_cast<std::size_t>(check(u))];
-  return std::binary_search(list.begin(), list.end(), check(v));
+  check(v);
+  if (list.empty()) return -1;
+  // Branch-free search for the last entry <= v: the loop count depends only
+  // on the degree and the step compiles to a conditional move, so the
+  // per-packet lookups in the minimal-path walk pay no mispredictions.
+  const int* base = list.data();
+  for (std::size_t n = list.size(); n > 1; n -= n / 2) {
+    base = base[n / 2] <= v ? base + n / 2 : base;
+  }
+  return *base == v ? static_cast<int>(base - list.data()) : -1;
 }
 
 std::vector<std::pair<int, int>> Graph::edges() const {

@@ -36,8 +36,12 @@ class Graph {
     return adjacency_[static_cast<std::size_t>(check(v))];
   }
 
-  /// O(log degree(u)); requires finalize().
-  bool has_edge(int u, int v) const;
+  /// Position of v in u's sorted adjacency list, or -1 when u and v are not
+  /// adjacent. The simulator numbers a router's network ports in adjacency
+  /// order, so this is also u's output port toward v. O(log degree(u));
+  /// requires finalize().
+  int neighbor_index(int u, int v) const;
+  bool has_edge(int u, int v) const { return neighbor_index(u, v) >= 0; }
 
   /// All edges as (u, v) pairs with u < v; requires finalize().
   std::vector<std::pair<int, int>> edges() const;

@@ -63,6 +63,7 @@ TEST(Graph, QueriesBeforeFinalizeThrow) {
   Graph g(3);
   g.add_edge(0, 1);
   EXPECT_THROW(g.has_edge(0, 1), std::logic_error);
+  EXPECT_THROW(g.neighbor_index(0, 1), std::logic_error);
   EXPECT_THROW(g.edges(), std::logic_error);
 }
 
@@ -73,6 +74,23 @@ TEST(Graph, NeighborsSortedAfterFinalize) {
   g.add_edge(0, 3);
   g.finalize();
   EXPECT_EQ(g.neighbors(0), (std::vector<int>{2, 3, 4}));
+}
+
+TEST(Graph, NeighborIndexIsAdjacencyPosition) {
+  Graph g(5);
+  g.add_edge(0, 4);
+  g.add_edge(0, 2);
+  g.add_edge(0, 3);
+  g.finalize();
+  EXPECT_EQ(g.neighbor_index(0, 2), 0);
+  EXPECT_EQ(g.neighbor_index(0, 3), 1);
+  EXPECT_EQ(g.neighbor_index(0, 4), 2);
+  EXPECT_EQ(g.neighbor_index(4, 0), 0);
+  EXPECT_EQ(g.neighbor_index(0, 1), -1);  // not adjacent
+  EXPECT_EQ(g.neighbor_index(0, 0), -1);
+  EXPECT_EQ(g.neighbor_index(1, 0), -1);  // isolated vertex
+  EXPECT_THROW(g.neighbor_index(0, 5), std::out_of_range);
+  EXPECT_THROW(g.neighbor_index(-1, 0), std::out_of_range);
 }
 
 }  // namespace

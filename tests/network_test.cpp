@@ -9,7 +9,6 @@
 #include "sim/simulation.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
-#include "topo/torus.hpp"
 
 namespace slimfly::sim {
 namespace {
@@ -137,43 +136,48 @@ TEST(Network, RejectsTooFewVcs) {
                std::invalid_argument);
 }
 
-TEST(Network, PortOfNeighborInverse) {
-  sf::SlimFlyMMS topo(5);
-  auto routing = make_routing(RoutingKind::Minimal, topo);
-  auto traffic = make_uniform(topo.num_endpoints());
-  Network net(topo, *routing.algorithm, *traffic, quick_config(), 0.0);
-  const Graph& g = topo.graph();
-  for (int r = 0; r < topo.num_routers(); r += 7) {
-    const auto& nbrs = g.neighbors(r);
-    for (int i = 0; i < static_cast<int>(nbrs.size()); ++i) {
-      EXPECT_EQ(net.port_of_neighbor(r, nbrs[static_cast<std::size_t>(i)]), i);
+/// A broken source routing: either one port past the source router's
+/// network ports, or an empty route (eject at the source router).
+class BrokenRouting : public PathFollowingRouting {
+ public:
+  BrokenRouting(const Topology& topo, bool empty_route)
+      : topo_(topo), empty_route_(empty_route) {}
+  std::string name() const override { return "broken"; }
+  int max_hops() const override { return 1; }
+  void route_at_injection(Network& net, Packet& pkt, Rng& rng) override {
+    (void)net;
+    (void)rng;
+    pkt.path.clear();
+    if (!empty_route_) {
+      pkt.path.push_back(topo_.graph().degree(topo_.endpoint_router(pkt.src_endpoint)));
     }
   }
-  EXPECT_THROW(net.port_of_neighbor(0, 0), std::invalid_argument);
-  // Out-of-range ids throw the same named error, never an OOB read.
-  EXPECT_THROW(net.port_of_neighbor(-1, 0), std::invalid_argument);
-  EXPECT_THROW(net.port_of_neighbor(0, topo.num_routers()),
-               std::invalid_argument);
-}
 
-TEST(Network, PortOfNeighborSparseFallbackAboveDenseLimit) {
-  // Above kDenseNeighborPortLimit routers the dense table is skipped and
-  // lookups binary-search the adjacency list — same answers, same errors.
-  Torus topo({13, 13, 13});  // 2197 routers > 2048
-  ASSERT_GT(topo.num_routers(), Network::kDenseNeighborPortLimit);
-  auto routing = make_routing(RoutingKind::Minimal, topo);
+ private:
+  const Topology& topo_;
+  bool empty_route_;
+};
+
+TEST(Network, BrokenRouteThrowsNamedError) {
+  sf::SlimFlyMMS topo(5);  // 7 network ports per router
   auto traffic = make_uniform(topo.num_endpoints());
-  SimConfig cfg = quick_config();
-  cfg.num_vcs = routing.algorithm->max_hops();  // diameter 18 on this torus
-  Network net(topo, *routing.algorithm, *traffic, cfg, 0.0);
-  const Graph& g = topo.graph();
-  for (int r = 0; r < topo.num_routers(); r += 97) {
-    const auto& nbrs = g.neighbors(r);
-    for (int i = 0; i < static_cast<int>(nbrs.size()); ++i) {
-      EXPECT_EQ(net.port_of_neighbor(r, nbrs[static_cast<std::size_t>(i)]), i);
+  for (bool empty_route : {false, true}) {
+    BrokenRouting routing(topo, empty_route);
+    const std::string want = empty_route ? "head_decision: packet ejects at router"
+                                         : "head_decision: port 7 out of range";
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(want + " threads=" + std::to_string(threads));
+      SimConfig cfg = quick_config();
+      cfg.intra_threads = threads;
+      Network net(topo, routing, *traffic, cfg, 0.5);
+      try {
+        for (int c = 0; c < 100; ++c) net.step();
+        FAIL() << "no error within 100 cycles";
+      } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+      }
     }
   }
-  EXPECT_THROW(net.port_of_neighbor(0, 0), std::invalid_argument);
 }
 
 }  // namespace

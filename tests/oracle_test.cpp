@@ -1,8 +1,9 @@
 // Distance-oracle certification: every per-family oracle must agree with
 // BFS (the dense DistanceTable) on every pair, report the exact diameter,
-// and replicate the dense sample_minimal_path walk bit-for-bit — the
-// properties that let the program pick the backend (OracleMode::Auto) on
-// speed and memory alone, without ever changing simulation results.
+// and replicate the dense sample_minimal_path walk port-for-port and
+// draw-for-draw — the properties that let the program pick the backend
+// (OracleMode::Auto) on speed and memory alone, without ever changing
+// simulation results.
 
 #include <gtest/gtest.h>
 
@@ -123,11 +124,20 @@ TEST(FamilyOracle, SampleMinimalPathBitIdenticalToDenseTable) {
       const int v = pick.next_int(0, n - 1);
       const std::uint64_t seed = pick.next_u32();
       Rng rng_a(seed), rng_b(seed);
-      InlinePath a{u}, b{u};
+      InlinePath a, b;
       table.sample_minimal_path(g, u, v, rng_a, a);
       oracle->sample_minimal_path(g, u, v, rng_b, b);
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+      // The reference itself: the table's ports, followed from u, take a
+      // minimal walk to v.
+      ASSERT_EQ(static_cast<int>(a.size()), table.dist(u, v));
+      int at = u;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_LT(a[i], g.degree(at));
+        at = g.neighbors(at)[static_cast<std::size_t>(a[i])];
+      }
+      ASSERT_EQ(at, v);
       // Post-state: the next draws must match, proving both walks consumed
       // the stream identically.
       ASSERT_EQ(rng_a.next_u32(), rng_b.next_u32());

@@ -1,5 +1,6 @@
 // Routing algorithms in isolation: path validity, length bounds, and the
-// distance table they share.
+// distance table they share. Paths are port paths (one adjacency index per
+// hop); expand() turns one back into the routers it visits.
 
 #include <gtest/gtest.h>
 
@@ -20,12 +21,23 @@
 namespace slimfly::sim {
 namespace {
 
-template <typename PathLike>  // InlinePath or std::vector<int>
-bool is_walk(const Graph& g, const PathLike& path) {
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (!g.has_edge(path[i], path[i + 1])) return false;
+/// Routers visited by the port path `path` from router `src` (src first).
+/// Each port indexes the current router's sorted adjacency list, so the
+/// expansion is a walk by construction; a port outside that list fails
+/// the test and ends the expansion.
+std::vector<int> expand(const Graph& g, int src, const InlinePath& path) {
+  std::vector<int> routers{src};
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const std::vector<int>& nbrs = g.neighbors(routers.back());
+    const auto port = static_cast<std::size_t>(path[i]);
+    if (port >= nbrs.size()) {
+      ADD_FAILURE() << "hop " << i << ": port " << port << " out of range at router "
+                    << routers.back();
+      break;
+    }
+    routers.push_back(nbrs[port]);
   }
-  return true;
+  return routers;
 }
 
 TEST(DistanceTable, MatchesBfsOnSlimFly) {
@@ -58,11 +70,10 @@ TEST(DistanceTable, SampledPathsAreMinimalWalks) {
   Rng rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     int u = rng.next_int(0, 31), v = rng.next_int(0, 31);
-    InlinePath path{u};
+    InlinePath path;
     dt.sample_minimal_path(hc.graph(), u, v, rng, path);
-    EXPECT_EQ(static_cast<int>(path.size()) - 1, dt.dist(u, v));
-    EXPECT_TRUE(is_walk(hc.graph(), path));
-    EXPECT_EQ(path.back(), v);
+    EXPECT_EQ(static_cast<int>(path.size()), dt.dist(u, v));
+    EXPECT_EQ(expand(hc.graph(), u, path).back(), v);
   }
 }
 
@@ -77,10 +88,10 @@ TEST(DistanceTable, SamplingCoversAllMinimalNextHops) {
   int u = 0, v = 3;  // distance 2, two minimal intermediates: 1 and 2
   std::set<int> intermediates;
   for (int t = 0; t < 100; ++t) {
-    InlinePath path{u};
+    InlinePath path;
     dt.sample_minimal_path(hc.graph(), u, v, rng, path);
-    ASSERT_EQ(path.size(), 3u);
-    intermediates.insert(path[1]);
+    ASSERT_EQ(path.size(), 2u);
+    intermediates.insert(expand(hc.graph(), u, path)[1]);
   }
   EXPECT_EQ(intermediates.size(), 2u);
 }
@@ -112,41 +123,6 @@ class RoutingPaths : public ::testing::Test {
   Network net_;
 };
 
-TEST_F(RoutingPaths, MinimalAtMostTwoHops) {
-  MinimalRouting routing(topo_, *bundle_.distances);
-  Rng rng(1);
-  for (int t = 0; t < 300; ++t) {
-    Packet p = make_pkt(rng.next_int(0, topo_.num_endpoints() - 1),
-                        rng.next_int(0, topo_.num_endpoints() - 1));
-    routing.route_at_injection(net_, p, rng);
-    EXPECT_LE(p.path.size(), 3u);  // <= 2 links
-    EXPECT_TRUE(is_walk(topo_.graph(), p.path));
-    EXPECT_EQ(p.path.front(), src_router_of(p));
-    EXPECT_EQ(p.path.back(), p.dst_router);
-  }
-}
-
-TEST_F(RoutingPaths, ValiantAtMostFourHops) {
-  ValiantRouting routing(topo_, *bundle_.distances);
-  Rng rng(2);
-  for (int t = 0; t < 300; ++t) {
-    Packet p = make_pkt(0, rng.next_int(0, topo_.num_endpoints() - 1));
-    routing.route_at_injection(net_, p, rng);
-    EXPECT_LE(p.path.size(), 5u);  // 2, 3 or 4 links per Section IV-B
-    EXPECT_TRUE(is_walk(topo_.graph(), p.path));
-  }
-}
-
-TEST_F(RoutingPaths, ValiantHopLimitRespected) {
-  ValiantRouting routing(topo_, *bundle_.distances, 3);
-  Rng rng(3);
-  for (int t = 0; t < 200; ++t) {
-    Packet p = make_pkt(1, rng.next_int(0, topo_.num_endpoints() - 1));
-    routing.route_at_injection(net_, p, rng);
-    EXPECT_LE(p.path.size(), 4u);
-  }
-}
-
 TEST_F(RoutingPaths, UgalChoosesMinimalAtZeroLoad) {
   // With all queues empty, UGAL's cost reduces to hop count: it must pick
   // the minimal path.
@@ -155,7 +131,7 @@ TEST_F(RoutingPaths, UgalChoosesMinimalAtZeroLoad) {
   for (int t = 0; t < 200; ++t) {
     Packet p = make_pkt(5, rng.next_int(0, topo_.num_endpoints() - 1));
     routing.route_at_injection(net_, p, rng);
-    EXPECT_EQ(static_cast<int>(p.path.size()) - 1,
+    EXPECT_EQ(static_cast<int>(p.path.size()),
               bundle_.distances->dist(src_router_of(p), p.dst_router));
   }
 }
@@ -166,8 +142,48 @@ TEST_F(RoutingPaths, UgalGlobalChoosesMinimalAtZeroLoad) {
   for (int t = 0; t < 200; ++t) {
     Packet p = make_pkt(9, rng.next_int(0, topo_.num_endpoints() - 1));
     routing.route_at_injection(net_, p, rng);
-    EXPECT_EQ(static_cast<int>(p.path.size()) - 1,
+    EXPECT_EQ(static_cast<int>(p.path.size()),
               bundle_.distances->dist(src_router_of(p), p.dst_router));
+  }
+}
+
+TEST(RoutingPorts, PathsExpandToWalksEndingAtDestination) {
+  // Every source-routed algorithm writes ports from the source router:
+  // expanded from endpoint_router(src), the path must reach dst_router
+  // within the algorithm's hop bound (Section IV: 2 hops minimal, 4
+  // Valiant/UGAL on Slim Fly, 3 for the paper's hop-limited Valiant, 6 for
+  // group-Valiant on a Dragonfly).
+  struct Case {
+    const char* topo;
+    const char* routing;
+    int bound;
+  };
+  for (const Case& c : {Case{"slimfly:q=5", "MIN", 2}, Case{"slimfly:q=5", "VAL", 4},
+                        Case{"slimfly:q=5", "VAL:hoplimit=3", 3},
+                        Case{"slimfly:q=5", "UGAL-L", 4},
+                        Case{"slimfly:q=5", "UGAL-G", 4},
+                        Case{"dragonfly:p=2,a=4,h=2,g=9", "DF-UGAL-L", 6}}) {
+    SCOPED_TRACE(std::string(c.topo) + " " + c.routing);
+    auto topo = topo::make(c.topo);
+    auto bundle = make_routing_spec(c.routing, *topo);
+    ASSERT_EQ(bundle.algorithm->max_hops(), c.bound);
+    auto traffic = make_uniform(topo->num_endpoints());
+    SimConfig cfg;
+    cfg.num_vcs = c.bound;
+    Network net(*topo, *bundle.algorithm, *traffic, cfg, 0.0);
+    Rng rng(11);
+    for (int t = 0; t < 300; ++t) {
+      Packet p;
+      p.src_endpoint = rng.next_int(0, topo->num_endpoints() - 1);
+      p.dst_endpoint = rng.next_int(0, topo->num_endpoints() - 1);
+      p.dst_router = static_cast<std::uint16_t>(topo->endpoint_router(p.dst_endpoint));
+      bundle.algorithm->route_at_injection(net, p, rng);
+      const int src = topo->endpoint_router(p.src_endpoint);
+      const std::vector<int> walk = expand(topo->graph(), src, p.path);
+      EXPECT_EQ(walk.size(), p.path.size() + 1);
+      EXPECT_EQ(walk.back(), p.dst_router);
+      EXPECT_LE(static_cast<int>(p.path.size()), bundle.algorithm->max_hops());
+    }
   }
 }
 
@@ -181,41 +197,42 @@ TEST(DragonflySampler, PathsStayValid) {
     int dst = rng.next_int(0, df->num_routers() - 1);
     InlinePath path;
     sampler(src, dst, rng, path);
-    EXPECT_EQ(path.front(), src);
-    if (src != dst) {
-      EXPECT_EQ(path.back(), dst);
-    }
-    EXPECT_TRUE(is_walk(df->graph(), path));
-    EXPECT_LE(path.size(), 7u);  // <= 6 links for group-Valiant
+    EXPECT_EQ(expand(df->graph(), src, path).back(), dst);
+    EXPECT_LE(path.size(), 6u);  // <= 6 links for group-Valiant
   }
 }
 
 TEST(InlinePathLimits, OverflowThrowsNamedError) {
   InlinePath p;
-  for (int i = 0; i < InlinePath::kMaxRouters; ++i) p.push_back(i);
-  EXPECT_EQ(p.size(), static_cast<std::size_t>(InlinePath::kMaxRouters));
+  for (int i = 0; i < InlinePath::kMaxHops; ++i) p.push_back(i);
+  EXPECT_EQ(p.size(), 14u);  // VAL:hoplimit's retry loop relies on this bound
   EXPECT_THROW(p.push_back(1), PathOverflowError);
-  // Router ids are stored as uint16; anything wider is a named error, not
+  // Ports are stored as uint16; anything wider is a named error, not
   // silent truncation.
   InlinePath q;
   EXPECT_THROW(q.push_back(70000), PathOverflowError);
   EXPECT_THROW(q.push_back(-1), PathOverflowError);
 }
 
-TEST(RoutingBase, NextRouterFollowsPath) {
+TEST(RoutingBase, NextPortFollowsPath) {
   sf::SlimFlyMMS topo(5);
   auto bundle = make_routing(RoutingKind::Minimal, topo);
   auto traffic = make_uniform(topo.num_endpoints());
   Network net(topo, *bundle.algorithm, *traffic, SimConfig{}, 0.0);
   Packet p;
-  p.path = {0, 7, 13};
+  p.path = {3, 0, 6};
+  const int router = 0;  // the default ignores the router: the path decides
   p.hop = 0;
-  EXPECT_EQ(bundle.algorithm->next_router(net, p, 0), 7);
+  EXPECT_EQ(bundle.algorithm->next_port(net, p, router), 3);
   p.hop = 1;
-  EXPECT_EQ(bundle.algorithm->next_router(net, p, 7), 13);
+  EXPECT_EQ(bundle.algorithm->next_port(net, p, router), 0);
   p.hop = 2;
-  EXPECT_EQ(bundle.algorithm->next_router(net, p, 13), -1);
-  EXPECT_THROW(bundle.algorithm->next_router(net, p, 5), std::logic_error);
+  EXPECT_EQ(bundle.algorithm->next_port(net, p, router), 6);
+  p.hop = 3;  // every hop taken: eject
+  EXPECT_EQ(bundle.algorithm->next_port(net, p, router), -1);
+  p.path.clear();  // src == dst: eject at once
+  p.hop = 0;
+  EXPECT_EQ(bundle.algorithm->next_port(net, p, router), -1);
 }
 
 TEST(OracleBitIdentity, SimulateByteIdenticalUnderTableAndFamilyOracles) {
