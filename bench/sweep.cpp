@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -48,18 +47,6 @@ std::vector<double> parse_loads(const std::string& csv) {
     loads.push_back(v);
   }
   return slimfly::exp::check_loads(std::move(loads), "--loads");
-}
-
-double parse_tolerance(const std::string& value, const char* flag) {
-  std::size_t pos = 0;
-  double v = std::stod(value, &pos);
-  // stod happily parses "nan" (which fails every comparison) and "inf"
-  // (which would wave every regression through) — both defeat the gate.
-  if (pos != value.size() || !std::isfinite(v) || v < 0.0) {
-    throw std::invalid_argument(std::string("malformed ") + flag + " \"" +
-                                value + "\" (want a finite number >= 0)");
-  }
-  return v;
 }
 
 void print_registries() {
@@ -95,8 +82,7 @@ int usage(const char* argv0, int exit_code) {
       << " ... --emit-config PATH   (write the suite JSON, run nothing;\n"
          "       PATH \"-\" = stdout)\n"
          "   or: " << argv0
-      << " diff A.json B.json [--rel-tol R] [--abs-tol A]\n"
-         "       [--allow-missing] [--verbose]\n"
+      << " diff A.json B.json [--verbose]\n"
          "   or: " << argv0
       << " diff --against GIT-REV B.json   (A = GIT-REV's version of B's\n"
          "       path, via `git show`; compares history against the tree)\n"
@@ -106,8 +92,8 @@ int usage(const char* argv0, int exit_code) {
          "  --scale picks one of its named scales (default: SF_BENCH_SCALE\n"
          "  when the suite declares it, else the suite's own default).\n"
          "diff: join two BENCH_*.json trajectories on run-point identity\n"
-         "  and exit 1 on any out-of-tolerance delta or missing point\n"
-         "  (defaults demand exact equality; wall time is never gated).\n"
+         "  and exit 1 on any result field that is not exactly equal, or\n"
+         "  a point on one side only (wall time and RSS are never gated).\n"
          "Every point steps the active set: quiet routers are skipped and\n"
          "  idle stretches fast-forwarded, with the results of stepping\n"
          "  every router every cycle.\n"
@@ -172,20 +158,13 @@ int run_diff(int argc, char** argv) {
   using namespace slimfly;
   std::vector<std::string> files;
   std::string against;
-  exp::DiffOptions options;
   bool verbose = false;
   auto next_arg = [&](int& i) -> const char* {
     if (i + 1 >= argc) throw std::invalid_argument("missing value for flag");
     return argv[++i];
   };
   for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--rel-tol")) {
-      options.rel_tol = parse_tolerance(next_arg(i), "--rel-tol");
-    } else if (!std::strcmp(argv[i], "--abs-tol")) {
-      options.abs_tol = parse_tolerance(next_arg(i), "--abs-tol");
-    } else if (!std::strcmp(argv[i], "--allow-missing")) {
-      options.allow_missing = true;
-    } else if (!std::strcmp(argv[i], "--against")) {
+    if (!std::strcmp(argv[i], "--against")) {
       against = next_arg(i);
     } else if (!std::strcmp(argv[i], "--verbose")) {
       verbose = true;
@@ -221,7 +200,7 @@ int run_diff(int argc, char** argv) {
   }
   std::cout << "diff " << a_name << " (" << a.points.size() << " points) vs "
             << files.back() << " (" << b.points.size() << " points)\n";
-  exp::DiffReport report = exp::diff_trajectories(a, b, options);
+  exp::DiffReport report = exp::diff_trajectories(a, b);
   exp::print_diff(std::cout, report, verbose);
   return report.passed ? 0 : 1;
 }

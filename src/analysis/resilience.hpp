@@ -18,7 +18,6 @@
 #include <functional>
 
 #include "topo/graph.hpp"
-#include "util/threadpool.hpp"
 
 namespace slimfly::analysis {
 

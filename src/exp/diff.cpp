@@ -1,7 +1,5 @@
 #include "exp/diff.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -24,11 +22,6 @@ double number_field(const json::Value& obj, const char* key,
     throw std::invalid_argument(context + ": missing \"" + key + "\"");
   }
   return v->as_number(context + "." + key);
-}
-
-bool within(double a, double b, const DiffOptions& options) {
-  return std::abs(a - b) <=
-         options.abs_tol + options.rel_tol * std::max(std::abs(a), std::abs(b));
 }
 
 }  // namespace
@@ -83,31 +76,31 @@ Trajectory parse_bench_json(const std::string& text,
       pv.as_object(pctx);
       TrajectoryPoint point = base;
       point.load = number_field(pv, "load", pctx);
+      // From here on errors also carry the run-point identity, so a missing
+      // field names the point a reader would look for, not only its index.
+      const std::string where = pctx + " (" + point.key() + ")";
       const json::Value* seed = pv.find("seed");
-      point.seed = seed ? seed->as_uint64(pctx + ".seed") : 0;
+      if (!seed) throw std::invalid_argument(where + ": missing \"seed\"");
+      point.seed = seed->as_uint64(where + ".seed");
       if (const json::Value* v = pv.find("wall_seconds")) {
-        point.wall_seconds = v->as_number(pctx + ".wall_seconds");
+        point.wall_seconds = v->as_number(where + ".wall_seconds");
       }
       if (const json::Value* v = pv.find("peak_rss_bytes")) {
-        point.peak_rss_bytes = v->as_uint64(pctx + ".peak_rss_bytes");
+        point.peak_rss_bytes = v->as_uint64(where + ".peak_rss_bytes");
       }
-      if (const json::Value* v = pv.find("cycles")) {
-        point.cycles = static_cast<std::int64_t>(v->as_number(pctx + ".cycles"));
-      }
-      if (const json::Value* v = pv.find("mcycles_per_sec")) {
-        point.mcycles_per_sec = v->as_number(pctx + ".mcycles_per_sec");
-      }
-      point.latency = number_field(pv, "latency", pctx);
-      point.network_latency = number_field(pv, "network_latency", pctx);
-      point.p99_latency = number_field(pv, "p99_latency", pctx);
-      point.accepted = number_field(pv, "accepted", pctx);
+      point.cycles =
+          static_cast<std::int64_t>(number_field(pv, "cycles", where));
+      point.latency = number_field(pv, "latency", where);
+      point.network_latency = number_field(pv, "network_latency", where);
+      point.p99_latency = number_field(pv, "p99_latency", where);
+      point.accepted = number_field(pv, "accepted", where);
       point.delivered =
-          static_cast<std::int64_t>(number_field(pv, "delivered", pctx));
+          static_cast<std::int64_t>(number_field(pv, "delivered", where));
       const json::Value* saturated = pv.find("saturated");
       if (!saturated) {
-        throw std::invalid_argument(pctx + ": missing \"saturated\"");
+        throw std::invalid_argument(where + ": missing \"saturated\"");
       }
-      point.saturated = saturated->as_bool(pctx + ".saturated");
+      point.saturated = saturated->as_bool(where + ".saturated");
       if (!seen.insert(point.key()).second) {
         throw std::invalid_argument(ctx + ": duplicate run-point identity \"" +
                                     point.key() +
@@ -145,7 +138,6 @@ Trajectory trajectory_of(const ExperimentSpec& spec,
     point.wall_seconds = r.wall_seconds;
     point.peak_rss_bytes = r.peak_rss_bytes;
     point.cycles = r.result.cycles;
-    point.mcycles_per_sec = mcycles_per_sec(r);
     point.latency = r.result.avg_latency;
     point.network_latency = r.result.avg_network_latency;
     point.p99_latency = r.result.p99_latency;
@@ -157,8 +149,7 @@ Trajectory trajectory_of(const ExperimentSpec& spec,
   return out;
 }
 
-DiffReport diff_trajectories(const Trajectory& a, const Trajectory& b,
-                             const DiffOptions& options) {
+DiffReport diff_trajectories(const Trajectory& a, const Trajectory& b) {
   DiffReport report;
   std::unordered_map<std::string, const TrajectoryPoint*> b_index;
   for (const TrajectoryPoint& point : b.points) {
@@ -186,28 +177,17 @@ DiffReport diff_trajectories(const Trajectory& a, const Trajectory& b,
         {"accepted", pa.accepted, pb.accepted, false},
         {"delivered", static_cast<double>(pa.delivered),
          static_cast<double>(pb.delivered), false},
+        {"cycles", static_cast<double>(pa.cycles),
+         static_cast<double>(pb.cycles), false},
     };
-    if (pa.cycles >= 0 && pb.cycles >= 0) {
-      // Simulated cycle count is deterministic (it encodes how long the
-      // drain ran), so it is a gated result when both files carry it;
-      // files predating the field simply skip the check. The wall-derived
-      // mcycles_per_sec is never gated, like wall time.
-      delta.metrics.push_back({"cycles", static_cast<double>(pa.cycles),
-                               static_cast<double>(pb.cycles), false});
-    }
     for (MetricDelta& metric : delta.metrics) {
-      metric.out_of_tolerance = !within(metric.a, metric.b, options);
-      if (metric.out_of_tolerance) delta.out_of_tolerance = true;
+      metric.differs = metric.a != metric.b;
+      if (metric.differs) delta.differs = true;
     }
     delta.seed_mismatch = pa.seed != pb.seed;
     delta.saturated_flip = pa.saturated != pb.saturated;
-    // A different seed means the runs are not the same experiment, and a
-    // saturation flip changes which points the grid even keeps — neither is
-    // a "small delta", so no tolerance applies.
-    if (delta.seed_mismatch || delta.saturated_flip) {
-      delta.out_of_tolerance = true;
-    }
-    if (delta.out_of_tolerance) ++report.regressions;
+    if (delta.seed_mismatch || delta.saturated_flip) delta.differs = true;
+    if (delta.differs) ++report.regressions;
     ++report.compared;
     report.points.push_back(std::move(delta));
   }
@@ -216,9 +196,8 @@ DiffReport diff_trajectories(const Trajectory& a, const Trajectory& b,
       report.only_in_b.push_back(pb.key());
     }
   }
-  const bool missing = !report.only_in_a.empty() || !report.only_in_b.empty();
-  report.passed = report.regressions == 0 &&
-                  (options.allow_missing || !missing) && report.compared > 0;
+  report.passed = report.regressions == 0 && report.only_in_a.empty() &&
+                  report.only_in_b.empty() && report.compared > 0;
   return report;
 }
 
@@ -227,19 +206,19 @@ void print_diff(std::ostream& os, const DiffReport& report, bool verbose) {
   for (const PointDelta& delta : report.points) {
     wall_a += delta.wall_a;
     wall_b += delta.wall_b;
-    if (!delta.out_of_tolerance && !verbose) continue;
-    os << (delta.out_of_tolerance ? "FAIL " : "ok   ") << delta.key << "\n";
+    if (!delta.differs && !verbose) continue;
+    os << (delta.differs ? "FAIL " : "ok   ") << delta.key << "\n";
     for (const MetricDelta& metric : delta.metrics) {
-      if (!metric.out_of_tolerance && !verbose) continue;
+      if (!metric.differs && !verbose) continue;
       os << "       " << metric.name << ": " << json_num(metric.a) << " -> "
          << json_num(metric.b) << " (delta " << json_num(metric.b - metric.a)
-         << (metric.out_of_tolerance ? ", OUT OF TOLERANCE)" : ")") << "\n";
+         << (metric.differs ? ", DIFFERS)" : ")") << "\n";
     }
     if (delta.seed_mismatch) {
       os << "       seed differs (not the same experiment)\n";
     }
     if (delta.saturated_flip) os << "       saturated flag flipped\n";
-    if (verbose || delta.out_of_tolerance) {
+    if (verbose || delta.differs) {
       os << "       wall: " << json_num(delta.wall_a) << "s -> "
          << json_num(delta.wall_b) << "s (informational)\n";
       if (delta.rss_a != 0 || delta.rss_b != 0) {
@@ -255,7 +234,7 @@ void print_diff(std::ostream& os, const DiffReport& report, bool verbose) {
     os << "MISSING in A: " << key << "\n";
   }
   os << "compared " << report.compared << " points: " << report.regressions
-     << " out of tolerance, " << report.only_in_a.size() << " only in A, "
+     << " differ, " << report.only_in_a.size() << " only in A, "
      << report.only_in_b.size() << " only in B; total wall "
      << json_num(wall_a) << "s -> " << json_num(wall_b)
      << "s (not gated)\n";
@@ -287,24 +266,6 @@ std::size_t preserve_wall_seconds(const Trajectory& prior,
     ++patched;
   }
   return patched;
-}
-
-std::string golden_trajectory(const ExperimentSpec& spec,
-                              const std::vector<RunResult>& results) {
-  std::ostringstream os;
-  os << "# golden trajectory v1: label|topology|routing|traffic|load|seed|"
-        "latency|network_latency|p99_latency|accepted|delivered|saturated\n";
-  for (const RunResult& r : results) {
-    const SeriesSpec& s = spec.series.at(r.series_index);
-    os << s.display_label() << '|' << s.topology << '|' << s.routing << '|'
-       << s.traffic << '|' << json_num(r.load) << '|' << r.seed << '|'
-       << json_num(r.result.avg_latency) << '|'
-       << json_num(r.result.avg_network_latency) << '|'
-       << json_num(r.result.p99_latency) << '|'
-       << json_num(r.result.accepted_load) << '|' << r.result.delivered << '|'
-       << (r.result.saturated ? "yes" : "no") << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace slimfly::exp

@@ -6,9 +6,9 @@
 // bit-identical for every SF_THREADS value and team size, two runs of
 // the same suite must produce *exactly* equal trajectories; `sweep diff`
 // joins two of them on run-point identity (series label + offered load) and
-// reports per-point deltas in latency/throughput metrics with configurable
-// tolerances. Wall time is reported but never gated — it is the one field
-// that legitimately varies between runs.
+// fails on any result field that is not exactly equal. Wall time and peak
+// RSS are reported but never gated — they are the fields that legitimately
+// vary between runs.
 
 #include <cstdint>
 #include <iosfwd>
@@ -30,11 +30,9 @@ struct TrajectoryPoint {
   /// Process peak RSS in bytes (reported, never gated — the wall_seconds
   /// policy; 0 in BENCH files predating the field).
   std::uint64_t peak_rss_bytes = 0;
-  /// Simulated cycles (deterministic; gated when both sides carry it —
-  /// absent in BENCH files predating the field, parsed as -1).
-  std::int64_t cycles = -1;
-  /// Wall-derived throughput (reported, never gated — like wall time).
-  double mcycles_per_sec = 0.0;
+  /// Simulated cycles: deterministic (it encodes how long the drain ran),
+  /// so gated like every other result field.
+  std::int64_t cycles = 0;
   double latency = 0.0;
   double network_latency = 0.0;
   double p99_latency = 0.0;
@@ -53,8 +51,9 @@ struct Trajectory {
 };
 
 /// Parses a BENCH_<tag>.json document (strict; errors name `origin` and the
-/// JSON path). Throws std::invalid_argument on malformed input or duplicate
-/// run-point identities.
+/// JSON path). Every result field, `seed` and `cycles` included, is
+/// required on every point. Throws std::invalid_argument on malformed
+/// input, a missing field or duplicate run-point identities.
 Trajectory parse_bench_json(const std::string& text,
                             const std::string& origin = "");
 
@@ -65,22 +64,11 @@ Trajectory load_bench_file(const std::string& path);
 Trajectory trajectory_of(const ExperimentSpec& spec,
                          const std::vector<RunResult>& results);
 
-struct DiffOptions {
-  /// |a-b| <= abs_tol + rel_tol * max(|a|, |b|) per numeric metric.
-  /// The defaults demand exact equality — valid because runs are
-  /// deterministic.
-  double rel_tol = 0.0;
-  double abs_tol = 0.0;
-  /// When false (default), points present in only one trajectory fail the
-  /// comparison (a shrunken grid is a regression too).
-  bool allow_missing = false;
-};
-
 struct MetricDelta {
   const char* name;  ///< "latency", "accepted", ...
   double a = 0.0;
   double b = 0.0;
-  bool out_of_tolerance = false;
+  bool differs = false;
 };
 
 struct PointDelta {
@@ -90,7 +78,7 @@ struct PointDelta {
   bool saturated_flip = false;
   double wall_a = 0.0, wall_b = 0.0;  ///< informational only
   std::uint64_t rss_a = 0, rss_b = 0;  ///< peak RSS bytes; informational only
-  bool out_of_tolerance = false;   ///< any metric/seed/saturation failure
+  bool differs = false;            ///< any metric/seed/saturation change
 };
 
 struct DiffReport {
@@ -98,12 +86,14 @@ struct DiffReport {
   std::vector<std::string> only_in_a;
   std::vector<std::string> only_in_b;
   std::size_t compared = 0;
-  std::size_t regressions = 0;  ///< joined points out of tolerance
-  bool passed = false;          ///< overall verdict under the options used
+  std::size_t regressions = 0;  ///< joined points that differ
+  bool passed = false;          ///< no differences, nothing missing
 };
 
-DiffReport diff_trajectories(const Trajectory& a, const Trajectory& b,
-                             const DiffOptions& options = {});
+/// Exact comparison: a metric passes only when equal, and a point present
+/// in one trajectory only fails (a shrunken grid is a regression too).
+/// Valid because runs are deterministic.
+DiffReport diff_trajectories(const Trajectory& a, const Trajectory& b);
 
 /// Human-readable report: per-point failures (or all deltas when `verbose`),
 /// missing points, and a one-line summary with total wall-time change.
@@ -120,13 +110,5 @@ void print_diff(std::ostream& os, const DiffReport& report, bool verbose);
 std::size_t preserve_wall_seconds(const Trajectory& prior,
                                  const ExperimentSpec& spec,
                                  std::vector<RunResult>& results);
-
-/// Canonical golden-trajectory serialization: one '|'-separated line per
-/// kept point (label, axes, load, seed, every stats field — wall time
-/// excluded), preceded by a version header. Byte-for-byte stable across
-/// thread counts, which makes exact golden-file comparison valid
-/// (tests/golden_test.cpp, tests/golden/).
-std::string golden_trajectory(const ExperimentSpec& spec,
-                              const std::vector<RunResult>& results);
 
 }  // namespace slimfly::exp

@@ -388,9 +388,9 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
   };
 
   // `across` runners claim chunks of consecutive points from one counter,
-  // chunked exactly as parallel_for chunks an index range, so the points
-  // that run together are the ones a fixed across/intra split would run
-  // together (which keeps peak RSS at that split's). A point's team starts
+  // chunked exactly as parallel_for_checked chunks an index range, so the
+  // points that run together are the ones a fixed across/intra split would
+  // run together (which keeps peak RSS at that split's). A point's team starts
   // at `intra`; once per simulated cycle its team provider claims workers
   // from `spares` up to the full budget. A runner that finds the grid
   // drained retires its `intra` workers into `spares`, and a finished point

@@ -73,7 +73,7 @@ std::string quote(const std::string& s);
 /// same bits: spec::number (util/spec.hpp), the spelling decimal spec
 /// values must use too. Every number the BENCH/suite writers emit goes
 /// through this, so written trajectories reload exactly — the property
-/// golden-file comparison and `sweep diff`'s default zero tolerance rest on.
+/// golden-file comparison and `sweep diff`'s exact comparison rest on.
 std::string number(double v);
 
 }  // namespace slimfly::exp::json

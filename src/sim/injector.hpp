@@ -6,7 +6,9 @@
 // traffic destinations, routing path sampling) come from `rng`, never from
 // a shared generator, so the injection phase is deterministic under any
 // endpoint processing order — the keystone of router-parallel stepping
-// (sim/network.hpp).
+// (sim/network.hpp). Allocation draws nothing (every shipped routing is
+// deterministic there). Contract: a stream may only be drawn from by the
+// shard owning its endpoint, and only during injection.
 //
 // Storage is SoA: one capacity-exact array per field instead of an array
 // of endpoint structs. The injection phase walks a router's endpoints
@@ -66,20 +68,12 @@ class Injector {
     return EndpointRef{source_queue_[i], credits_[i], rng_[i], next_seq_[i],
                        next_arrival_[i]};
   }
-  /* SF_HOT */ LazyRing<Packet>& source_queue(int e) {
-    return source_queue_[static_cast<std::size_t>(e)];
-  }
   /* SF_HOT */ const LazyRing<Packet>& source_queue(int e) const {
     return source_queue_[static_cast<std::size_t>(e)];
   }
   /* SF_HOT */ int& credits(int e) {
     return credits_[static_cast<std::size_t>(e)];
   }
-  /* SF_HOT */ Rng& rng(int e) { return rng_[static_cast<std::size_t>(e)]; }
-  /* SF_HOT */ std::int64_t& next_arrival(int e) {
-    return next_arrival_[static_cast<std::size_t>(e)];
-  }
-  int num_endpoints() const { return static_cast<int>(credits_.size()); }
 
  private:
   std::vector<LazyRing<Packet>> source_queue_;

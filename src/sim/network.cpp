@@ -84,8 +84,8 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
   }
   if (topo_.num_routers() > 0x10000) {
     throw std::invalid_argument(
-        "Network: more than 65536 routers is unsupported (packet router "
-        "ids are 16-bit; the O(n^2) tables would be infeasible anyway)");
+        "Network: more than 65536 routers is unsupported (Packet::dst_router "
+        "is uint16, and wake events pack the router id into 16 bits)");
   }
   if (config_.buffer_per_vc() < 1) {
     throw std::invalid_argument("Network: buffer_per_port too small for num_vcs");

@@ -182,29 +182,16 @@ class Network {
   const Stats& stats() const;
 
   // ---- Introspection used by routing algorithms -------------------------
-  const Topology& topology() const { return topo_; }
   /// Congestion estimate for an output port: staging occupancy plus
   /// credits consumed downstream.
   /* SF_HOT */ int queue_estimate(int router, int port) const {
     return routers_[static_cast<std::size_t>(router)].queue_estimate(port);
   }
 
-  // ---- Deterministic RNG streams ----------------------------------------
-  // One stream per endpoint drives the generation and routing draws of the
-  // injection phase; allocation draws nothing (every shipped routing is
-  // deterministic there). Streams are seeded from hash(seed, endpoint id),
-  // so no draw ever depends on thread schedule or shard count. Contract: a
-  // stream may only be drawn from by the shard owning its endpoint, and
-  // only during injection.
-  /* SF_HOT */ Rng& endpoint_rng(int e) { return injector_.rng(e); }
-
   /// Resolved intra-point worker count (>= 1, capped by router count).
   /// This is the SHARD count — the unit of state ownership, fixed at
   /// wire() so results never depend on how many workers execute them.
   std::size_t intra_threads() const { return shards_; }
-
-  /// Workers currently executing the shards (team size, <= shards_).
-  std::size_t team() const { return team_; }
 
   /// Total flits currently buffered in the network (test/debug hook).
   std::int64_t flits_in_flight() const;

@@ -11,7 +11,7 @@ namespace slimfly::sim {
 namespace {
 
 /// One VC layer: a channel dependency graph with batched, revertible edge
-/// insertion and DFS cycle detection.
+/// insertion and a Kahn's-algorithm cycle check.
 class Layer {
  public:
   explicit Layer(int channels) : adjacency_(static_cast<std::size_t>(channels)) {}

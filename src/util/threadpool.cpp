@@ -57,38 +57,33 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (pool.size() <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  // One chunk per worker keeps scheduling overhead negligible for the
-  // coarse-grained trials this helper is used for.
-  std::size_t chunks = std::min(n, pool.size() * 4);
-  std::size_t per = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t lo = c * per;
-    std::size_t hi = std::min(n, lo + per);
-    if (lo >= hi) break;
-    pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-  pool.wait_idle();
-}
-
 void parallel_for_checked(ThreadPool& pool, std::size_t n,
                           const std::function<void(std::size_t)>& body) {
   std::vector<std::exception_ptr> errors(n);
-  parallel_for(pool, n, [&](std::size_t i) {
+  auto run = [&](std::size_t i) {
     try {
       body(i);
     } catch (...) {
       errors[i] = std::current_exception();
     }
-  });
+  };
+  if (pool.size() <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) run(i);
+  } else {
+    // A few chunks per worker keep scheduling overhead negligible for the
+    // coarse-grained experiment points this helper is used for.
+    std::size_t chunks = std::min(n, pool.size() * 4);
+    std::size_t per = (n + chunks - 1) / chunks;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      std::size_t lo = c * per;
+      std::size_t hi = std::min(n, lo + per);
+      if (lo >= hi) break;
+      pool.submit([lo, hi, &run] {
+        for (std::size_t i = lo; i < hi; ++i) run(i);
+      });
+    }
+    pool.wait_idle();
+  }
   for (auto& err : errors) {
     if (err) std::rethrow_exception(err);
   }

@@ -1,11 +1,11 @@
 #pragma once
-// Minimal fixed-size thread pool with a parallel_for helper, plus the
-// reusable Barrier / run_region primitives backing phase-synchronized
+// Minimal fixed-size thread pool with a parallel_for_checked helper, plus
+// the reusable Barrier / run_region primitives backing phase-synchronized
 // parallel regions (the simulator's router-parallel stepping).
 //
-// Used by the resiliency sampler and load sweeps, which are embarrassingly
-// parallel across trials. The pool degrades gracefully to sequential
-// execution when hardware_concurrency() == 1.
+// Used by exp::ExperimentEngine (experiment points across workers) and
+// sim::Network (its stepping team). The pool degrades gracefully to
+// sequential execution when hardware_concurrency() == 1.
 
 #include <condition_variable>
 #include <cstddef>
@@ -47,16 +47,11 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Runs body(i) for i in [0, n), distributing chunks over the pool.
-/// Falls back to a plain loop when the pool has a single worker.
-/// The body must not throw (an escaping exception terminates the worker
-/// thread and the process); use parallel_for_checked for throwing bodies.
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body);
-
-/// parallel_for with exception transport: every index runs (a throwing
-/// index poisons only itself), then the first captured exception — in index
-/// order — is rethrown on the calling thread.
+/// Runs body(i) for i in [0, n), distributing chunks over the pool, and
+/// falls back to a plain loop when the pool has a single worker. Exceptions
+/// are transported: every index runs (a throwing index poisons only
+/// itself), then the first captured exception — in index order — is
+/// rethrown on the calling thread.
 void parallel_for_checked(ThreadPool& pool, std::size_t n,
                           const std::function<void(std::size_t)>& body);
 
@@ -91,8 +86,9 @@ class Barrier {
 /// with unrelated queued tasks could leave some workers unscheduled while
 /// the rest block on the barrier. Intended for a pool dedicated to the
 /// region's owner (see sim::Network's intra-point stepping). The body must
-/// not throw (same contract as parallel_for); callers needing exception
-/// transport capture per-worker exception_ptrs themselves.
+/// not throw (an escaping exception terminates the worker thread and the
+/// process); callers needing exception transport capture per-worker
+/// exception_ptrs themselves.
 void run_region(ThreadPool& pool, std::size_t workers,
                 const std::function<void(std::size_t)>& body);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,7 +11,7 @@ namespace slimfly {
 namespace {
 
 /// A small fabricated two-series trajectory — no simulation needed to test
-/// the join/tolerance machinery.
+/// the join/compare machinery.
 exp::ExperimentSpec fake_spec() {
   exp::ExperimentSpec spec;
   spec.name = "fake";
@@ -35,6 +36,7 @@ std::vector<exp::RunResult> fake_results(const exp::ExperimentSpec& spec) {
       r.result.p99_latency = r.result.avg_latency * 3;
       r.result.accepted_load = spec.loads[l];
       r.result.delivered = 1000 + static_cast<std::int64_t>(s * 100 + l);
+      r.result.cycles = 500 + static_cast<std::int64_t>(s * 10 + l);
       r.result.saturated = false;
       results.push_back(r);
     }
@@ -54,6 +56,7 @@ TEST(TrajectoryJson, WriteParseRoundTrip) {
   for (std::size_t i = 0; i < parsed.points.size(); ++i) {
     EXPECT_EQ(parsed.points[i].key(), direct.points[i].key());
     EXPECT_EQ(parsed.points[i].seed, direct.points[i].seed);
+    EXPECT_EQ(parsed.points[i].cycles, direct.points[i].cycles);
     EXPECT_EQ(parsed.points[i].latency, direct.points[i].latency);
     EXPECT_EQ(parsed.points[i].accepted, direct.points[i].accepted);
     EXPECT_EQ(parsed.points[i].delivered, direct.points[i].delivered);
@@ -74,36 +77,42 @@ TEST(TrajectoryDiff, IdenticalTrajectoriesPass) {
   EXPECT_EQ(report.regressions, 0u);
 }
 
-TEST(TrajectoryDiff, PerturbationFailsAndToleranceForgives) {
+// The one failing metric of a single-point perturbation, by name.
+std::string differing_metric(const exp::DiffReport& report) {
+  std::string name;
+  for (const auto& point : report.points) {
+    for (const auto& metric : point.metrics) {
+      if (metric.differs) name += metric.name;
+    }
+  }
+  return name;
+}
+
+TEST(TrajectoryDiff, OneUlpOfLatencyFails) {
   auto spec = fake_spec();
   auto a = exp::trajectory_of(spec, fake_results(spec));
   auto b = a;
-  b.points[1].latency += 0.5;  // ~4% of 11
+  b.points[1].latency = std::nextafter(b.points[1].latency, 1e9);
 
-  exp::DiffReport exact = exp::diff_trajectories(a, b);
-  EXPECT_FALSE(exact.passed);
-  EXPECT_EQ(exact.regressions, 1u);
-  // The failing metric is named.
-  bool found = false;
-  for (const auto& point : exact.points) {
-    for (const auto& metric : point.metrics) {
-      if (metric.out_of_tolerance) {
-        EXPECT_STREQ(metric.name, "latency");
-        found = true;
-      }
-    }
-  }
-  EXPECT_TRUE(found);
-
-  exp::DiffOptions loose;
-  loose.rel_tol = 0.10;
-  EXPECT_TRUE(exp::diff_trajectories(a, b, loose).passed);
-  exp::DiffOptions absolute;
-  absolute.abs_tol = 1.0;
-  EXPECT_TRUE(exp::diff_trajectories(a, b, absolute).passed);
+  exp::DiffReport report = exp::diff_trajectories(a, b);
+  EXPECT_FALSE(report.passed);
+  EXPECT_EQ(report.regressions, 1u);
+  EXPECT_EQ(differing_metric(report), "latency");
 }
 
-TEST(TrajectoryDiff, MissingPointsFailUnlessAllowed) {
+TEST(TrajectoryDiff, CyclesAreAlwaysCompared) {
+  auto spec = fake_spec();
+  auto a = exp::trajectory_of(spec, fake_results(spec));
+  auto b = a;
+  b.points[2].cycles += 1;
+
+  exp::DiffReport report = exp::diff_trajectories(a, b);
+  EXPECT_FALSE(report.passed);
+  EXPECT_EQ(report.regressions, 1u);
+  EXPECT_EQ(differing_metric(report), "cycles");
+}
+
+TEST(TrajectoryDiff, MissingPointsFail) {
   auto spec = fake_spec();
   auto a = exp::trajectory_of(spec, fake_results(spec));
   auto b = a;
@@ -113,28 +122,22 @@ TEST(TrajectoryDiff, MissingPointsFailUnlessAllowed) {
   EXPECT_FALSE(report.passed);
   ASSERT_EQ(report.only_in_a.size(), 1u);
   EXPECT_EQ(report.only_in_a[0], a.points.back().key());
-
-  exp::DiffOptions allow;
-  allow.allow_missing = true;
-  EXPECT_TRUE(exp::diff_trajectories(a, b, allow).passed);
-  // ... but two disjoint trajectories never pass (nothing compared).
-  exp::Trajectory empty;
-  EXPECT_FALSE(exp::diff_trajectories(a, empty, allow).passed);
+  EXPECT_FALSE(exp::diff_trajectories(b, a).passed);
+  // Two empty trajectories never pass either (nothing compared).
+  EXPECT_FALSE(exp::diff_trajectories({}, {}).passed);
 }
 
-TEST(TrajectoryDiff, SeedAndSaturationChangesAreNeverTolerated) {
+TEST(TrajectoryDiff, SeedAndSaturationChangesFail) {
   auto spec = fake_spec();
   auto a = exp::trajectory_of(spec, fake_results(spec));
-  exp::DiffOptions loose;
-  loose.rel_tol = 1e9;
 
   auto b = a;
   b.points[0].seed ^= 1;
-  EXPECT_FALSE(exp::diff_trajectories(a, b, loose).passed);
+  EXPECT_FALSE(exp::diff_trajectories(a, b).passed);
 
   auto c = a;
   c.points[2].saturated = true;
-  exp::DiffReport report = exp::diff_trajectories(a, c, loose);
+  exp::DiffReport report = exp::diff_trajectories(a, c);
   EXPECT_FALSE(report.passed);
   EXPECT_TRUE(report.points[2].saturated_flip);
 }
@@ -158,24 +161,46 @@ TEST(TrajectoryJson, DuplicateRunPointIdentityRejected) {
   EXPECT_THROW(exp::parse_bench_json(os.str()), std::invalid_argument);
 }
 
+// A one-point BENCH document carrying every required point field except
+// `field`: the parse must fail with an error naming the file, the point
+// (JSON path and run-point identity) and the missing field.
+void expect_missing_field_error(const std::string& field) {
+  std::string point;
+  for (const char* f : {"\"load\": 0.1", "\"seed\": 7", "\"cycles\": 300",
+                        "\"latency\": 1", "\"network_latency\": 1",
+                        "\"p99_latency\": 1", "\"accepted\": 0.1",
+                        "\"delivered\": 10", "\"saturated\": false"}) {
+    if (std::string(f).rfind("\"" + field + "\"", 0) == 0) continue;
+    point += (point.empty() ? "" : ", ") + std::string(f);
+  }
+  try {
+    exp::parse_bench_json(
+        "{\"series\": [{\"label\": \"x\", \"points\": [{" + point + "}]}]}",
+        "F.json");
+    FAIL() << "expected invalid_argument for missing " << field;
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("F.json.series[0].points[0]"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("x @ 0.1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("missing \"" + field + "\""), std::string::npos) << msg;
+  }
+}
+
 TEST(TrajectoryJson, MalformedDocumentsAreNamedErrors) {
   EXPECT_THROW(exp::parse_bench_json("{}"), std::invalid_argument);
   EXPECT_THROW(exp::parse_bench_json("[]"), std::invalid_argument);
   EXPECT_THROW(exp::parse_bench_json("{\"series\": [{\"points\": "
                                      "[{\"load\": 0.1}]}]}"),
                std::invalid_argument);
-  try {
-    exp::parse_bench_json("{\"series\": [{\"label\": \"x\", \"points\": "
-                          "[{\"load\": 0.1, \"latency\": 1, "
-                          "\"network_latency\": 1, \"p99_latency\": 1, "
-                          "\"accepted\": 0.1, \"delivered\": 10}]}]}",
-                          "F.json");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("F.json"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("saturated"), std::string::npos) << msg;
-  }
+  expect_missing_field_error("saturated");
+}
+
+TEST(TrajectoryJson, MissingSeedIsNamedError) {
+  expect_missing_field_error("seed");
+}
+
+TEST(TrajectoryJson, MissingCyclesIsNamedError) {
+  expect_missing_field_error("cycles");
 }
 
 TEST(TrajectoryDiff, PrintReportsSummaryAndVerdict) {

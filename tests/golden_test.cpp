@@ -1,7 +1,8 @@
 // Golden-trajectory regression harness: the pinned examples/suites/
-// golden_mini.json suite is run here and its full stats output compared
-// *exactly* against tests/golden/golden_mini.trajectory. Bit-identical
-// determinism (PR 1/2) makes exact comparison valid; the thread matrix
+// golden_mini.json suite is run here and every result field of every
+// point diffed *exactly* against tests/golden/BENCH_golden_mini.json —
+// the `sweep diff` comparison (exp::diff_trajectories). Bit-identical
+// determinism makes exact comparison valid; the thread x oracle matrix
 // re-checks it under the worker budgets the CI regression matrix uses
 // (1, 4 and 32 threads: sequential, across-point, and teams of 2). The
 // sibling examples/suites/golden_stepping.json — active-set stepping stress
@@ -10,11 +11,11 @@
 //
 // Regenerating after an intentional simulator change:
 //   SF_UPDATE_GOLDEN=1 ./build/golden_test
-// rewrites BOTH golden files (the .trajectory and the BENCH json). The
-// BENCH regeneration preserves the prior file's wall_seconds per matching
-// point (exp::preserve_wall_seconds), so its git diff shows only
-// result-bearing changes — wall time never churns. Say so in the PR — a
-// golden change is a results change.
+// rewrites the two golden_mini files (the BENCH json and the .metrics
+// block). The BENCH regeneration preserves the prior file's wall_seconds
+// per matching point (exp::preserve_wall_seconds), so its git diff shows
+// only result-bearing changes — wall time never churns. Say so in the PR —
+// a golden change is a results change.
 
 #include <gtest/gtest.h>
 
@@ -51,81 +52,6 @@ exp::ExperimentSpec golden_spec() {
       exp::load_suite_file(source_path("examples/suites/golden_mini.json")));
 }
 
-const std::string kTrajectoryPath = "tests/golden/golden_mini.trajectory";
-
-TEST(GoldenTrajectory, MatchesCheckedInTrajectoryExactly) {
-  exp::ExperimentSpec spec = golden_spec();
-  exp::ExperimentEngine engine(1);
-  std::vector<exp::RunResult> results = engine.run(spec);
-  const std::string got = exp::golden_trajectory(spec, results);
-  if (std::getenv("SF_UPDATE_GOLDEN")) {
-    std::ofstream os(source_path(kTrajectoryPath));
-    ASSERT_TRUE(os.good());
-    os << got;
-    std::cout << "updated " << kTrajectoryPath << "\n";
-    // Also regenerate the BENCH golden, preserving the prior file's wall
-    // times per matching point so the diff shows only result-bearing
-    // changes (wall-derived throughput follows the preserved wall).
-    std::size_t preserved = 0;
-    try {
-      exp::Trajectory prior = exp::load_bench_file(
-          source_path("tests/golden/BENCH_golden_mini.json"));
-      preserved = exp::preserve_wall_seconds(prior, spec, results);
-    } catch (const std::exception&) {
-      // First generation: no prior file to preserve from.
-    }
-    const std::string path =
-        exp::write_json_file(spec, results, 1, source_path("tests/golden"));
-    ASSERT_FALSE(path.empty());
-    std::cout << "updated " << path << " (" << preserved
-              << " wall times preserved)\n";
-    return;
-  }
-  const std::string want = read_file(source_path(kTrajectoryPath));
-  EXPECT_EQ(want, got)
-      << "golden trajectory drifted; if the simulator change is intentional, "
-         "regenerate with SF_UPDATE_GOLDEN=1 (see tests/golden/README.md)";
-}
-
-TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndOracleMatrix) {
-  exp::ExperimentSpec spec = golden_spec();
-  const std::string want = read_file(source_path(kTrajectoryPath));
-  // SF_THREADS x forced distance oracle matrix, constructed directly so the
-  // test is hermetic against the environment. The 16 points run
-  // sequentially at 1 thread, one per worker at 4, and as 16 teams of 2 at
-  // 32, so both parallel levels are engaged. The program normally picks
-  // the oracle itself; forcing each one here keeps both backends certified
-  // on every series (the family cells run DLN-UGAL-L on the compressed-BFS
-  // fallback). Every cell reproduces the same pinned trajectory.
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
-    for (sim::OracleMode oracle :
-         {sim::OracleMode::Table, sim::OracleMode::Family}) {
-      exp::ExperimentSpec run = spec;
-      run.config.oracle = oracle;
-      exp::ExperimentEngine engine(threads);
-      const std::string got = exp::golden_trajectory(run, engine.run(run));
-      EXPECT_EQ(want, got) << "SF_THREADS=" << threads
-                           << " oracle=" << sim::to_string(oracle);
-    }
-  }
-}
-
-TEST(GoldenTrajectory, ThreadAxisIsByteIdentical) {
-  exp::ExperimentSpec spec = golden_spec();
-  const std::string want = read_file(source_path(kTrajectoryPath));
-  // The point scheduler is execution-only: whichever runner claims a
-  // point, the point's seed comes from exp::point_seed and its stepping
-  // team only changes how many workers cover the fixed shard set between
-  // the same barriers. Every cell must reproduce the pinned trajectory
-  // byte-for-byte — including teams that grow mid-point as runners drain
-  // (16 points on 20 threads start as teams of one with 4 spare workers).
-  for (std::size_t threads : {std::size_t{2}, std::size_t{20}}) {
-    exp::ExperimentEngine engine(threads);
-    const std::string got = exp::golden_trajectory(spec, engine.run(spec));
-    EXPECT_EQ(want, got) << "SF_THREADS=" << threads;
-  }
-}
-
 // Runs `spec` on `threads` workers and diffs its fresh BENCH output against
 // the checked-in file at `bench_rel` — the `sweep --config` + `sweep diff`
 // path, exact on every result field. Returns the fresh BENCH text.
@@ -141,25 +67,84 @@ std::string expect_matches_bench(const exp::ExperimentSpec& spec,
   exp::DiffReport report = exp::diff_trajectories(golden, now);
   std::ostringstream os;
   exp::print_diff(os, report, false);
-  EXPECT_TRUE(report.passed) << what << ": sweep-diff regression against "
-                             << bench_rel << ":\n"
-                             << os.str();
+  EXPECT_TRUE(report.passed)
+      << what << ": sweep-diff regression against " << bench_rel
+      << " (tests/golden/README.md: regenerating after an intentional "
+         "change):\n"
+      << os.str();
   // Every pinned point compared: no truncation, nothing missing.
   EXPECT_EQ(report.compared, golden.points.size()) << what;
   return fresh.str();
 }
 
+const std::string kBenchPath = "tests/golden/BENCH_golden_mini.json";
+
 TEST(GoldenTrajectory, DiffAgainstCheckedInBenchPasses) {
+  exp::ExperimentSpec spec = golden_spec();
+  if (std::getenv("SF_UPDATE_GOLDEN")) {
+    // Regenerate the BENCH golden, preserving the prior file's wall times
+    // per matching point so the diff shows only result-bearing changes
+    // (wall-derived throughput follows the preserved wall). Declared first
+    // so the matrix tests below compare against the fresh file.
+    exp::ExperimentEngine engine(1);
+    std::vector<exp::RunResult> results = engine.run(spec);
+    std::size_t preserved = 0;
+    try {
+      preserved = exp::preserve_wall_seconds(
+          exp::load_bench_file(source_path(kBenchPath)), spec, results);
+    } catch (const std::exception&) {
+      // First generation: no prior file to preserve from.
+    }
+    const std::string path =
+        exp::write_json_file(spec, results, 1, source_path("tests/golden"));
+    ASSERT_FALSE(path.empty());
+    std::cout << "updated " << path << " (" << preserved
+              << " wall times preserved)\n";
+    return;
+  }
   // A freshly written BENCH file (its header carries no "engine" field)
   // against the checked-in one, whose header still records the "engine":
   // "cycle" of the run that pinned it. Header config is never compared, so
   // the two must diff clean.
-  const std::string fresh = expect_matches_bench(
-      golden_spec(), 2, "tests/golden/BENCH_golden_mini.json", "golden_mini");
+  const std::string fresh =
+      expect_matches_bench(spec, 2, kBenchPath, "golden_mini");
   EXPECT_EQ(fresh.find("\"engine\""), std::string::npos);
-  EXPECT_NE(read_file(source_path("tests/golden/BENCH_golden_mini.json"))
-                .find("\"engine\": \"cycle\""),
+  EXPECT_NE(read_file(source_path(kBenchPath)).find("\"engine\": \"cycle\""),
             std::string::npos);
+}
+
+TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndOracleMatrix) {
+  exp::ExperimentSpec spec = golden_spec();
+  // SF_THREADS x forced distance oracle matrix, constructed directly so the
+  // test is hermetic against the environment. The 16 points run
+  // sequentially at 1 thread, one per worker at 4, and as 16 teams of 2 at
+  // 32, so both parallel levels are engaged. The program normally picks
+  // the oracle itself; forcing each one here keeps both backends certified
+  // on every series (the family cells run DLN-UGAL-L on the compressed-BFS
+  // fallback). Every cell reproduces the same pinned trajectory.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
+    for (sim::OracleMode oracle :
+         {sim::OracleMode::Table, sim::OracleMode::Family}) {
+      exp::ExperimentSpec run = spec;
+      run.config.oracle = oracle;
+      expect_matches_bench(run, threads, kBenchPath,
+                           "SF_THREADS=" + std::to_string(threads) +
+                               " oracle=" + sim::to_string(oracle));
+    }
+  }
+}
+
+TEST(GoldenTrajectory, ThreadAxisIsByteIdentical) {
+  // The point scheduler is execution-only: whichever runner claims a
+  // point, the point's seed comes from exp::point_seed and its stepping
+  // team only changes how many workers cover the fixed shard set between
+  // the same barriers. Every cell must reproduce the pinned trajectory
+  // exactly — including teams that grow mid-point as runners drain (16
+  // points on 20 threads start as teams of one with 4 spare workers).
+  for (std::size_t threads : {std::size_t{2}, std::size_t{20}}) {
+    expect_matches_bench(golden_spec(), threads, kBenchPath,
+                         "SF_THREADS=" + std::to_string(threads));
+  }
 }
 
 TEST(GoldenStepping, MatchesCheckedInBenchAcrossThreadMatrix) {
@@ -237,8 +222,7 @@ TEST(GoldenMetrics, AnalysisAndCostMatchCheckedInGolden) {
 }
 
 TEST(GoldenTrajectory, PerturbedTrajectoryIsCaught) {
-  exp::Trajectory golden =
-      exp::load_bench_file(source_path("tests/golden/BENCH_golden_mini.json"));
+  exp::Trajectory golden = exp::load_bench_file(source_path(kBenchPath));
   exp::Trajectory perturbed = golden;
   perturbed.points.at(3).latency += 1e-9;  // even an ULP-scale drift fails
   EXPECT_FALSE(exp::diff_trajectories(golden, perturbed).passed);

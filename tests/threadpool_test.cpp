@@ -30,19 +30,19 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for_checked(pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, ZeroIterations) {
   ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL(); });
+  parallel_for_checked(pool, 0, [](std::size_t) { FAIL(); });
 }
 
 TEST(ParallelFor, SingleWorkerFallsBackSequential) {
   ThreadPool pool(1);
   std::vector<int> order;
-  parallel_for(pool, 10, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  parallel_for_checked(pool, 10, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
   std::vector<int> expected(10);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
@@ -61,7 +61,7 @@ TEST(ParallelForChecked, RethrowsFirstExceptionAfterRunningAll) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);  // the throw poisons only i=13
 }
 
-TEST(ParallelForChecked, NoThrowBehavesLikeParallelFor) {
+TEST(ParallelForChecked, NoThrowRunsEveryIndex) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   parallel_for_checked(pool, 100, [&](std::size_t) { counter.fetch_add(1); });

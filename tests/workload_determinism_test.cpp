@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -103,17 +104,22 @@ void expect_matrix_identical(const std::string& traffic_spec) {
   spec.truncate_at_saturation = false;
   spec.series.push_back({"slimfly:q=5", "UGAL-L", traffic_spec, "", {}});
   exp::ExperimentEngine reference(1);
-  const std::string want = exp::golden_trajectory(spec, reference.run(spec));
-  EXPECT_NE(want.find(traffic_spec), std::string::npos);
+  const exp::Trajectory want = exp::trajectory_of(spec, reference.run(spec));
+  ASSERT_EQ(want.points.size(), 1u);
+  EXPECT_EQ(want.points[0].traffic, traffic_spec);
   // One point, so the engine gives it the whole budget: teams of 1, 2, 4.
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     for (OracleMode oracle : {OracleMode::Auto, OracleMode::Family}) {
       exp::ExperimentSpec run = spec;
       run.config.oracle = oracle;
       exp::ExperimentEngine engine(threads);
-      EXPECT_EQ(want, exp::golden_trajectory(run, engine.run(run)))
-          << traffic_spec << " threads=" << threads
-          << " oracle=" << to_string(oracle);
+      const exp::Trajectory got = exp::trajectory_of(run, engine.run(run));
+      const exp::DiffReport report = exp::diff_trajectories(want, got);
+      std::ostringstream os;
+      exp::print_diff(os, report, false);
+      EXPECT_TRUE(report.passed) << traffic_spec << " threads=" << threads
+                                 << " oracle=" << to_string(oracle) << "\n"
+                                 << os.str();
     }
   }
 }
