@@ -70,7 +70,6 @@ class SlimFlyBDF : public Topology {
 
   int u() const { return u_; }
   int k_net() const { return 3 * (u_ + 1) / 2; }
-  static constexpr int kDiameter = 3;
 
  private:
   static Graph build(int u);

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "gf/gf.hpp"
+
 namespace slimfly::sf {
 
 SlimFlyMMS::Built SlimFlyMMS::build(int q) {
@@ -39,7 +41,7 @@ SlimFlyMMS::Built SlimFlyMMS::build(int q) {
     }
   }
   graph.finalize();
-  return Built{std::move(graph), std::move(field), std::move(gens)};
+  return Built{std::move(graph), std::move(gens)};
 }
 
 int SlimFlyMMS::balanced_concentration(int q) {
@@ -53,7 +55,6 @@ SlimFlyMMS::SlimFlyMMS(Built built, int q, int concentration)
                2 * q * q),
       q_(q),
       delta_(delta_of_q(q)),
-      field_(std::move(built.field)),
       generators_(std::move(built.gens)) {}
 
 SlimFlyMMS::SlimFlyMMS(int q, int concentration)

@@ -15,7 +15,6 @@
 
 #include <memory>
 
-#include "gf/gf.hpp"
 #include "sf/generators.hpp"
 #include "topo/topology.hpp"
 
@@ -36,8 +35,6 @@ class SlimFlyMMS : public Topology {
   /// Balanced concentration ceil(k'/2) for this q.
   static int balanced_concentration(int q);
 
-  static constexpr int kDiameter = 2;
-
   /// Router id for (subgraph, x, y); subgraph in {0, 1}.
   int router_id(int subgraph, int x, int y) const {
     return subgraph * q_ * q_ + x * q_ + y;
@@ -47,7 +44,6 @@ class SlimFlyMMS : public Topology {
   int y_of(int r) const { return r % q_; }
 
   const GeneratorSets& generators() const { return generators_; }
-  const gf::Field& field() const { return field_; }
 
   // Physical packaging (Section VI-A): rack x pairs subgroup (0,x,*) with
   // subgroup (1,x,*) — q racks of 2q routers, 2q cables between any two
@@ -58,7 +54,6 @@ class SlimFlyMMS : public Topology {
  private:
   struct Built {
     Graph graph;
-    gf::Field field;
     GeneratorSets gens;
   };
   static Built build(int q);
@@ -66,7 +61,6 @@ class SlimFlyMMS : public Topology {
 
   int q_;
   int delta_;
-  gf::Field field_;
   GeneratorSets generators_;
 };
 

@@ -30,10 +30,11 @@ inline const char* to_string(StepEngine) { return "active"; }
 ///            routers, where O(N^2) bytes are cheap and queries fastest;
 ///            the per-family oracle beyond, where the table would not fit.
 ///   Table  — always the dense O(N^2) reference table.
-///   Family — always the per-family oracle (algebraic for slimfly,
-///            coordinate arithmetic for torus/hypercube/flatbutterfly,
-///            level rules for fattree/dragonfly, compressed BFS fallback
-///            for the random families) — see sim/routing/oracle.hpp.
+///   Family — always the per-family oracle (adjacency for diameter-2
+///            slimfly/augmented graphs, coordinate arithmetic for
+///            torus/hypercube/flatbutterfly, level rules for
+///            fattree/dragonfly, compressed BFS fallback for the random
+///            families) — see sim/routing/oracle.hpp.
 enum class OracleMode : std::uint8_t { Auto = 0, Table = 1, Family = 2 };
 
 inline const char* to_string(OracleMode mode) {

@@ -3,50 +3,15 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sf/mms.hpp"
-#include "topo/augmented.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
 #include "topo/flatbutterfly.hpp"
 #include "topo/hypercube.hpp"
+#include "topo/registry.hpp"
 #include "topo/topology.hpp"
 #include "topo/torus.hpp"
 
 namespace slimfly::sim {
-
-// ---- slimfly: MMS connection equations (paper Section II-B) ---------------
-
-SlimFlyOracle::SlimFlyOracle(const sf::SlimFlyMMS& topo)
-    : field_(topo.field()),
-      q_(topo.q()),
-      in_x_(static_cast<std::size_t>(q_), 0),
-      in_xprime_(static_cast<std::size_t>(q_), 0) {
-  for (int e : topo.generators().x) in_x_[static_cast<std::size_t>(e)] = 1;
-  for (int e : topo.generators().xprime) in_xprime_[static_cast<std::size_t>(e)] = 1;
-}
-
-/* SF_HOT */ int SlimFlyOracle::dist(int u, int v) const {
-  if (u == v) return 0;
-  const int qq = q_ * q_;
-  const int s1 = u / qq, s2 = v / qq;
-  const int a1 = (u % qq) / q_, b1 = u % q_;
-  const int a2 = (v % qq) / q_, b2 = v % q_;
-  if (s1 == s2) {
-    // Eq. (1)/(2): intra-subgraph edges exist only inside one column (same
-    // x resp. m) when the y-difference lies in the generator set; any other
-    // same-subgraph pair has a common neighbour (conditions A1/A2), so 2.
-    if (a1 != a2) return 2;
-    const int diff = field_.sub(b1, b2);
-    const auto& mask = s1 == 0 ? in_x_ : in_xprime_;
-    return mask[static_cast<std::size_t>(diff)] ? 1 : 2;
-  }
-  // Eq. (3): (0, x, y) ~ (1, m, c)  iff  y = m*x + c; non-adjacent cross
-  // pairs are at distance exactly 2 (condition B / unique line-point
-  // incidence), the paper's diameter-2 property.
-  const int x = s1 == 0 ? a1 : a2, y = s1 == 0 ? b1 : b2;
-  const int m = s1 == 0 ? a2 : a1, c = s1 == 0 ? b2 : b1;
-  return y == field_.add(field_.mul(m, x), c) ? 1 : 2;
-}
 
 // ---- torus ----------------------------------------------------------------
 
@@ -186,7 +151,7 @@ bool DragonflyOracle::two_path_exists(int u, int v) const {
   return two_path_exists(u, v) ? 2 : 3;
 }
 
-// ---- diameter-2 adjacency oracle (augmented) ------------------------------
+// ---- diameter-2 adjacency oracle -----------------------------------------
 
 Diameter2Oracle::Diameter2Oracle(const Graph& g, int diameter)
     : g_(&g), diameter_(diameter) {}
@@ -231,6 +196,22 @@ std::unique_ptr<Diameter2Oracle> Diameter2Oracle::try_build(const Graph& g) {
 /* SF_HOT */ int Diameter2Oracle::dist(int u, int v) const {
   if (u == v) return 0;
   return g_->has_edge(u, v) ? 1 : 2;
+}
+
+/* SF_HOT */ void Diameter2Oracle::sample_minimal_path(const Graph& g, int u, int v, Rng& rng,
+                                          InlinePath& out) const {
+  // A router x not adjacent to v is 2 hops out, so its neighbours one hop
+  // closer are exactly v's neighbours. Only u can be that far, so at most
+  // one scan runs; x's neighbours arrive in ascending order, so one cursor
+  // over v's sorted adjacency list answers every closer() call of it.
+  const std::vector<int>& nv = g.neighbors(v);
+  std::size_t at = 0;
+  walk_minimal_path(
+      g, u, v, rng, out, [&g, v](int x) { return g.has_edge(x, v); },
+      [&nv, &at](int w) {
+        while (at < nv.size() && nv[at] < w) ++at;
+        return at < nv.size() && nv[at] == w;
+      });
 }
 
 // ---- compressed BFS fallback ----------------------------------------------
@@ -293,9 +274,6 @@ CompressedBfsOracle::CompressedBfsOracle(const Graph& g)
 // ---- selection ------------------------------------------------------------
 
 std::shared_ptr<const DistanceOracle> make_family_oracle(const Topology& topo) {
-  if (auto* sf = dynamic_cast<const sf::SlimFlyMMS*>(&topo)) {
-    return std::make_shared<SlimFlyOracle>(*sf);
-  }
   if (auto* t = dynamic_cast<const Torus*>(&topo)) {
     return std::make_shared<TorusOracle>(*t);
   }
@@ -311,10 +289,12 @@ std::shared_ptr<const DistanceOracle> make_family_oracle(const Topology& topo) {
   if (auto* df = dynamic_cast<const Dragonfly*>(&topo)) {
     return std::make_shared<DragonflyOracle>(*df);
   }
-  if (dynamic_cast<const AugmentedTopology*>(&topo) != nullptr) {
-    // Random augmentation usually lands at diameter 2 (that is its point),
-    // but nothing guarantees it and the base may be anything: verify, and
-    // fall through to the compressed BFS fallback when it is not.
+  // The diameter-2 families answer from adjacency: Slim Fly by
+  // construction (paper Section II-B), random augmentation usually — but
+  // nothing guarantees that and the base may be anything, so the build
+  // verifies it and refuses otherwise, leaving the compressed BFS fallback.
+  const std::string family = topo::family_of(topo);
+  if (family == "slimfly" || family == "augmented") {
     if (auto d2 = Diameter2Oracle::try_build(topo.graph())) {
       return std::shared_ptr<const DistanceOracle>(std::move(d2));
     }

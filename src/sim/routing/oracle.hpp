@@ -11,17 +11,16 @@
 //
 //   family          | oracle               | state held
 //   ----------------+----------------------+---------------------------------
-//   slimfly         | SlimFlyOracle        | GF(q) tables + generator masks,
-//                   |                      | O(q^2) ~ O(N) bytes
 //   torus           | TorusOracle          | the dims vector
 //   hypercube       | HypercubeOracle      | n
 //   flatbutterfly   | FlatButterflyOracle  | (n_dims, extent)
 //   fattree         | FatTreeOracle        | (p, pods)
 //   dragonfly       | DragonflyOracle      | per-router global-neighbor
 //                   |                      | lists, O(N*h)
-//   augmented       | Diameter2Oracle      | adjacency queries on the graph
-//                   | (falls back below    | (verified diameter <= 2 at
-//                   |  when diameter > 2)  | build)
+//   slimfly,        | Diameter2Oracle      | adjacency queries on the graph
+//   augmented       | (falls back below    | (diameter <= 2 verified at
+//                   |  when diameter > 2)  | build by a transient N^2/8-byte
+//                   |                      | bitset sweep)
 //   dln/longhop/... | CompressedBfsOracle  | 2-bit dist-mod-3 matrix, N^2/4
 //                   |                      | bytes (vs N^2 for the table)
 //
@@ -38,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "gf/gf.hpp"
 #include "sim/config.hpp"
 #include "sim/routing/routing.hpp"
 
@@ -51,35 +49,12 @@ class FatTree3;
 class Dragonfly;
 }  // namespace slimfly
 
-namespace slimfly::sf {
-class SlimFlyMMS;
-}
-
 namespace slimfly::sim {
 
 /// Auto mode keeps the dense DistanceTable up to this many routers
 /// (N^2 = 16 MB of table — negligible); beyond it the per-family oracle
 /// takes over. Exposed for tests.
 inline constexpr int kDenseOracleRouterLimit = 4096;
-
-/// MMS algebra (paper Section II-B): distance is decidable from the
-/// connection equations (1)-(3) — adjacency is generator-set membership or
-/// the line-point incidence y = mx + c, and every non-adjacent pair is at
-/// distance exactly 2 (the paper's diameter-2 property). Self-contained:
-/// copies the field tables and membership masks (O(q^2) bytes).
-class SlimFlyOracle : public DistanceOracle {
- public:
-  explicit SlimFlyOracle(const sf::SlimFlyMMS& topo);
-
-  int dist(int u, int v) const override;
-  int diameter() const override { return 2; }
-
- private:
-  gf::Field field_;
-  int q_;
-  std::vector<std::uint8_t> in_x_;       // X membership, indexed by element
-  std::vector<std::uint8_t> in_xprime_;  // X' membership
-};
 
 /// Per-dimension ring distance: sum of min(|a-b|, k-|a-b|).
 class TorusOracle : public DistanceOracle {
@@ -160,9 +135,12 @@ class DragonflyOracle : public DistanceOracle {
 /// Exact distances on any graph of diameter <= 2 straight from adjacency
 /// (O(log degree) per query, no per-pair state): 0 / 1 / 2. Built via
 /// try_build(), which VERIFIES the diameter-2 property with a transient
-/// bitset sweep and returns nullptr when some pair is uncovered — the
-/// augmented family's oracle (random augmentation usually lands at
-/// diameter 2, but nothing guarantees it, and the base may be anything).
+/// bitset sweep and returns nullptr when some pair is uncovered. Slim Fly's
+/// MMS graphs are diameter 2 by construction (paper Section II-B); random
+/// augmentation usually lands there, but nothing guarantees it. A router
+/// not adjacent to v is exactly 2 hops out, so its neighbours one hop
+/// closer are v's neighbours: sample_minimal_path runs the shared walk on
+/// that intersection test.
 class Diameter2Oracle : public DistanceOracle {
  public:
   /// nullptr when the graph's diameter exceeds 2 (caller falls back to
@@ -172,6 +150,9 @@ class Diameter2Oracle : public DistanceOracle {
   int dist(int u, int v) const override;
   int diameter() const override { return diameter_; }
 
+  void sample_minimal_path(const Graph& g, int u, int v, Rng& rng,
+                           InlinePath& out) const override;
+
  private:
   Diameter2Oracle(const Graph& g, int diameter);
 
@@ -179,9 +160,10 @@ class Diameter2Oracle : public DistanceOracle {
   int diameter_;
 };
 
-/// BFS fallback for the random families (dln, longhop, unknown): stores
-/// dist mod 3 in 2 bits per pair (N^2/4 bytes, 4x smaller than the dense
-/// table) plus the exact diameter recorded during the build sweep.
+/// BFS fallback for the random families (dln, longhop, augmentations that
+/// miss diameter 2, unknown): stores dist mod 3 in 2 bits per pair (N^2/4
+/// bytes, 4x smaller than the dense table) plus the exact diameter recorded
+/// during the build sweep.
 /// Neighbors of u sit at distance d-1, d, or d+1 from v — distinct mod 3 —
 /// so the exact distance is recovered by walking greedily toward v, and
 /// minimal next-hop candidates are exactly the neighbors whose residue is
@@ -213,9 +195,10 @@ class CompressedBfsOracle : public DistanceOracle {
   std::vector<std::uint8_t> packed_;
 };
 
-/// Builds the per-family oracle for `topo` (algebraic / coordinate / level
-/// rules per the table above; Diameter2-else-CompressedBfs for augmented;
-/// CompressedBfs for everything unrecognized).
+/// Builds the per-family oracle for `topo`: coordinate / level rules per the
+/// table above; slimfly and augmented get Diameter2Oracle when the graph
+/// verifies as diameter <= 2, else CompressedBfsOracle (both exact, so which
+/// one runs never changes results); CompressedBfs for everything else.
 std::shared_ptr<const DistanceOracle> make_family_oracle(const Topology& topo);
 
 /// Oracle selection (the point ExperimentEngine and make_routing funnel

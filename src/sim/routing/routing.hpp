@@ -29,7 +29,7 @@ class Network;
 /// step, and simulate() sizes the VC set from diameter(), so an off-by-one
 /// here silently changes results. The dense DistanceTable below is the BFS
 /// reference implementation; the per-family oracles
-/// (sim/routing/oracle.hpp) answer the same queries from algebra,
+/// (sim/routing/oracle.hpp) answer the same queries from adjacency,
 /// coordinates, or level rules without the O(N^2) table.
 ///
 /// RNG contract: every sample_minimal_path is an instantiation of the one

@@ -33,8 +33,6 @@ class Dragonfly : public Topology {
   int groups() const { return g_; }
   int group_of(int r) const { return r / a_; }
 
-  static constexpr int kDiameter = 3;  // local-global-local
-
  private:
   static Graph build(int a, int h, int g);
   int a_, h_, g_;

@@ -150,6 +150,31 @@ TEST(TrajectoryDiff, WallTimeIsNeverGated) {
   EXPECT_TRUE(exp::diff_trajectories(a, b).passed);
 }
 
+TEST(TrajectoryDiff, HeaderConfigIsNeverCompared) {
+  // A BENCH file pinned by an older writer keeps header fields the current
+  // writer no longer emits (an "engine" in the config, a different worker
+  // count); only points are compared, so it must diff clean against a fresh
+  // write of the same points.
+  auto spec = fake_spec();
+  auto results = fake_results(spec);
+  std::ostringstream os;
+  exp::write_json(os, spec, results, 1);
+  const std::string fresh = os.str();
+  ASSERT_EQ(fresh.find("\"engine\""), std::string::npos);
+  std::string pinned = fresh;
+  const std::string config = "\"config\": {";
+  const std::size_t at = pinned.find(config);
+  ASSERT_NE(at, std::string::npos);
+  pinned.insert(at + config.size(), "\"engine\": \"cycle\", ");
+  const std::string threads = "\"threads\": 1";
+  ASSERT_NE(pinned.find(threads), std::string::npos);
+  pinned.replace(pinned.find(threads), threads.size(), "\"threads\": 8");
+  exp::DiffReport report = exp::diff_trajectories(
+      exp::parse_bench_json(pinned, "pinned"), exp::parse_bench_json(fresh, "fresh"));
+  EXPECT_TRUE(report.passed);
+  EXPECT_EQ(report.compared, 4u);
+}
+
 TEST(TrajectoryJson, DuplicateRunPointIdentityRejected) {
   // Two unlabeled series with identical axes collapse to one join key —
   // ambiguous, so the parser refuses instead of silently shadowing.

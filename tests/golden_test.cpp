@@ -54,11 +54,9 @@ exp::ExperimentSpec golden_spec() {
 
 // Runs `spec` on `threads` workers and diffs its fresh BENCH output against
 // the checked-in file at `bench_rel` — the `sweep --config` + `sweep diff`
-// path, exact on every result field. Returns the fresh BENCH text.
-std::string expect_matches_bench(const exp::ExperimentSpec& spec,
-                                 std::size_t threads,
-                                 const std::string& bench_rel,
-                                 const std::string& what) {
+// path, exact on every result field.
+void expect_matches_bench(const exp::ExperimentSpec& spec, std::size_t threads,
+                          const std::string& bench_rel, const std::string& what) {
   exp::ExperimentEngine engine(threads);
   std::ostringstream fresh;
   exp::write_json(fresh, spec, engine.run(spec), engine.threads());
@@ -74,7 +72,6 @@ std::string expect_matches_bench(const exp::ExperimentSpec& spec,
       << os.str();
   // Every pinned point compared: no truncation, nothing missing.
   EXPECT_EQ(report.compared, golden.points.size()) << what;
-  return fresh.str();
 }
 
 const std::string kBenchPath = "tests/golden/BENCH_golden_mini.json";
@@ -102,15 +99,7 @@ TEST(GoldenTrajectory, DiffAgainstCheckedInBenchPasses) {
               << " wall times preserved)\n";
     return;
   }
-  // A freshly written BENCH file (its header carries no "engine" field)
-  // against the checked-in one, whose header still records the "engine":
-  // "cycle" of the run that pinned it. Header config is never compared, so
-  // the two must diff clean.
-  const std::string fresh =
-      expect_matches_bench(spec, 2, kBenchPath, "golden_mini");
-  EXPECT_EQ(fresh.find("\"engine\""), std::string::npos);
-  EXPECT_NE(read_file(source_path(kBenchPath)).find("\"engine\": \"cycle\""),
-            std::string::npos);
+  expect_matches_bench(spec, 2, kBenchPath, "golden_mini");
 }
 
 TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndOracleMatrix) {

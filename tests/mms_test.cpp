@@ -1,10 +1,16 @@
-// The Slim Fly MMS topology itself: order, regularity, diameter 2, the
-// Hoffman-Singleton special case, unique-common-neighbour structure, and
-// the balanced concentration rule.
+// The Slim Fly MMS topology itself: adjacency exactly per connection
+// equations (1)-(3), order, regularity, diameter 2, the Hoffman-Singleton
+// special case, unique-common-neighbour structure, and the balanced
+// concentration rule.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "analysis/metrics.hpp"
+#include "gf/gf.hpp"
 #include "sf/mms.hpp"
 
 namespace slimfly::sf {
@@ -43,6 +49,43 @@ TEST_P(MmsInvariants, BalancedConcentration) {
 
 INSTANTIATE_TEST_SUITE_P(SupportedQ, MmsInvariants,
                          ::testing::Values(3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19));
+
+TEST(Mms, AdjacencyFollowsEquations) {
+  // Every router pair is adjacent exactly when Eq. (1), (2) or (3) of
+  // Section II-B holds, evaluated on a field of our own. q = 5 and 9 have
+  // delta = +1, 7 has delta = -1, 8 has delta = 0; 8 = 2^3 and 9 = 3^2
+  // exercise extension-field arithmetic.
+  for (int q : {5, 7, 8, 9}) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    SlimFlyMMS topo(q);
+    const gf::Field field(q);
+    const auto in = [](const std::vector<int>& set, int e) {
+      return std::find(set.begin(), set.end(), e) != set.end();
+    };
+    const auto equations_hold = [&](int u, int v) {
+      const int s1 = topo.subgraph_of(u), s2 = topo.subgraph_of(v);
+      const int a1 = topo.x_of(u), b1 = topo.y_of(u);
+      const int a2 = topo.x_of(v), b2 = topo.y_of(v);
+      if (s1 == 0 && s2 == 0) {  // Eq. (1): y - y' in X
+        return a1 == a2 && in(topo.generators().x, field.sub(b1, b2));
+      }
+      if (s1 == 1 && s2 == 1) {  // Eq. (2): c - c' in X'
+        return a1 == a2 && in(topo.generators().xprime, field.sub(b1, b2));
+      }
+      // Eq. (3): (0, x, y) ~ (1, m, c) iff y = m x + c.
+      const int x = s1 == 0 ? a1 : a2, y = s1 == 0 ? b1 : b2;
+      const int m = s1 == 0 ? a2 : a1, c = s1 == 0 ? b2 : b1;
+      return y == field.add(field.mul(m, x), c);
+    };
+    const Graph& g = topo.graph();
+    for (int u = 0; u < topo.num_routers(); ++u) {
+      for (int v = 0; v < topo.num_routers(); ++v) {
+        if (u == v) continue;
+        ASSERT_EQ(g.has_edge(u, v), equations_hold(u, v)) << u << "," << v;
+      }
+    }
+  }
+}
 
 TEST(Mms, HoffmanSingletonForQ5) {
   // q = 5 yields the Hoffman-Singleton graph: 50 vertices, 7-regular,

@@ -110,8 +110,12 @@ TEST(FamilyOracle, SampleMinimalPathBitIdenticalToDenseTable) {
   // The sharp edge of the whole refactor: identical paths AND identical RNG
   // consumption, otherwise swapping oracles would shift every subsequent
   // draw in a simulation. Run table and oracle from equal-seeded streams,
-  // compare paths, then compare the streams' next outputs.
-  for (const std::string& spec : certification_specs()) {
+  // compare paths, then compare the streams' next outputs. slimfly:q=19
+  // (722 routers, degree 29) gives Diameter2Oracle's intersection cursor
+  // long adjacency lists to scan.
+  std::vector<std::string> specs = certification_specs();
+  specs.push_back("slimfly:q=19");
+  for (const std::string& spec : specs) {
     SCOPED_TRACE(spec);
     auto topo = topo::make(spec);
     const Graph& g = topo->graph();
@@ -188,7 +192,7 @@ TEST(OracleFactory, ModeAndAutoThresholdSelection) {
   auto table = make_distance_oracle(small, OracleMode::Table);
   EXPECT_NE(dynamic_cast<const DistanceTable*>(table.get()), nullptr);
   auto family = make_distance_oracle(small, OracleMode::Family);
-  EXPECT_NE(dynamic_cast<const SlimFlyOracle*>(family.get()), nullptr);
+  EXPECT_NE(dynamic_cast<const Diameter2Oracle*>(family.get()), nullptr);
   auto auto_small = make_distance_oracle(small, OracleMode::Auto);
   EXPECT_NE(dynamic_cast<const DistanceTable*>(auto_small.get()), nullptr);
 
@@ -203,7 +207,9 @@ TEST(OracleFactory, ModeAndAutoThresholdSelection) {
 
 TEST(OracleFactory, FamilySelectionPerTopology) {
   const std::vector<std::pair<std::string, std::string>> cases = {
-      {"slimfly:q=5", "SlimFlyOracle"},
+      {"slimfly:q=5", "Diameter2Oracle"},
+      {"augmented:q=5,extra=2", "Diameter2Oracle"},
+      {"augmented:base=torus:dims=4x4x3,extra=1,seed=9", "CompressedBfsOracle"},
       {"torus:dims=4x4x4", "TorusOracle"},
       {"hypercube:n=6", "HypercubeOracle"},
       {"flatbutterfly:n=2,extent=4", "FlatButterflyOracle"},
@@ -215,7 +221,9 @@ TEST(OracleFactory, FamilySelectionPerTopology) {
     auto topo = topo::make(spec);
     auto oracle = make_family_oracle(*topo);
     std::string got;
-    if (dynamic_cast<const SlimFlyOracle*>(oracle.get())) got = "SlimFlyOracle";
+    if (dynamic_cast<const Diameter2Oracle*>(oracle.get())) got = "Diameter2Oracle";
+    else if (dynamic_cast<const CompressedBfsOracle*>(oracle.get()))
+      got = "CompressedBfsOracle";
     else if (dynamic_cast<const TorusOracle*>(oracle.get())) got = "TorusOracle";
     else if (dynamic_cast<const HypercubeOracle*>(oracle.get()))
       got = "HypercubeOracle";
