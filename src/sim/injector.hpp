@@ -74,6 +74,9 @@ class Injector {
   /* SF_HOT */ int& credits(int e) {
     return credits_[static_cast<std::size_t>(e)];
   }
+  /* SF_HOT */ std::int64_t next_arrival(int e) const {
+    return next_arrival_[static_cast<std::size_t>(e)];
+  }
 
  private:
   std::vector<LazyRing<Packet>> source_queue_;

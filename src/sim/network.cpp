@@ -186,7 +186,8 @@ void Network::wire() {
     // spans instead of num_vcs worst-case buffers.
     total_vcs += deg * nvc + eps;
     total_cache += ports * nvc;
-    total_words += occupied_words(ports) + (ports + 63) / 64;  // + staging_nonempty
+    // + staging_nonempty + endpoint_ready
+    total_words += occupied_words(ports) + (ports + 63) / 64 + (eps + 63) / 64;
     total_ready += 2 * deg;  // incoming_ready + credit_ready
   }
   input_arena_.clear();
@@ -223,6 +224,10 @@ void Network::wire() {
     router.staging_nonempty =
         Span<std::uint64_t>(mask_arena_.data() + word_base, (ports + 63) / 64);
     word_base += (ports + 63) / 64;
+    const std::size_t ready_words = (static_cast<std::size_t>(eps) + 63) / 64;
+    router.endpoint_ready =
+        Span<std::uint64_t>(mask_arena_.data() + word_base, ready_words);
+    word_base += ready_words;
     router.route_cache =
         Span<RouteDecision>(route_arena_.data() + cache_base, ports * nvc);
     cache_base += ports * nvc;
@@ -436,77 +441,106 @@ void Network::wire() {
   }
 }
 
+/* SF_HOT */ void Network::mark_due_arrivals(int r) {
+  RouterState& router = routers_[static_cast<std::size_t>(r)];
+  const int first = topo_.first_endpoint(r);
+  std::int64_t earliest = kNeverArrives;
+  for (int j = 0; j < topo_.endpoints_at(r); ++j) {
+    const std::int64_t at = injector_.next_arrival(first + j);
+    if (at == cycle_) {
+      mark_ready(router, j);
+    } else if (at > cycle_) {
+      earliest = std::min(earliest, at);
+    }
+  }
+  router.earliest_arrival = earliest;
+}
+
 /* SF_HOT */ void Network::injection_router(std::size_t shard, int r, bool in_measurement) {
   RouterState& router = routers_[static_cast<std::size_t>(r)];
-  // Recorded for router_is_busy: after this pass, only the serial
-  // completion pass can add endpoint work (and it sets the byte itself).
-  bool work = false;
-  for (int j = 0; j < topo_.endpoints_at(r); ++j) {
-    int e = topo_.first_endpoint(r) + j;
-    auto ep = injector_.endpoint(e);  // reference bundle over the SoA columns
-    bool popped = false;
-    if (traffic_self_clocked_) {
-      // Self-clocked replay: the pattern decides when the next message is
-      // eligible (FIFO order plus `after:` dependency delivery); no load
-      // coin is consumed — the workload itself is the clock, so nothing is
-      // planned: pending_eligible keeps this router busy and
-      // apply_completions wakes it when a dependency delivers.
-      std::int64_t dep_stall = 0;
-      int dst = traffic_.next_send(e, cycle_, &dep_stall);
-      popped = dst >= 0;
-      if (popped) generate_packet(shard, e, dst, in_measurement, dep_stall);
-    } else {
-      bool hit = false;
-      if (ep.next_arrival == kUnplannedArrival) {
-        // Live draw from the endpoint's own stream, at cycle 0 and while
-        // the source queue is backlogged. A hard-OFF cycle (multiplier 0)
-        // consumes no draw, so the stream position depends only on ON-cycle
-        // count — the invariant plan_arrival_from's batched draws rely on.
-        if (!traffic_modulated_) {
-          hit = ep.rng.bernoulli(load_);
-        } else if (const double m = traffic_.rate_multiplier(e, cycle_); m > 0.0) {
-          hit = rate_hit(m, ep.rng);
+  // Planned arrivals coming due join the ready mask; the plans are read
+  // only on a cycle at or past the router's earliest one.
+  if (router.earliest_arrival <= cycle_) mark_due_arrivals(r);
+  // Only endpoints with work are visited, in ascending order. A skipped
+  // endpoint's visit would draw nothing and change nothing, and every draw
+  // comes from the visited endpoint's own stream, so the results are those
+  // of visiting every endpoint.
+  const int first = topo_.first_endpoint(r);
+  for (std::size_t w = 0; w < router.endpoint_ready.size(); ++w) {
+    std::uint64_t mask = router.endpoint_ready[w];
+    while (mask) {
+      const int j = static_cast<int>(w) * 64 + ctz64(mask);
+      mask &= mask - 1;
+      const int e = first + j;
+      auto ep = injector_.endpoint(e);  // reference bundle over the SoA columns
+      bool popped = false;
+      if (traffic_self_clocked_) {
+        // Self-clocked replay: the pattern decides when the next message is
+        // eligible (FIFO order plus `after:` dependency delivery); no load
+        // coin is consumed — the workload itself is the clock, so nothing
+        // is planned: the ready bit keeps this router busy and
+        // apply_completions sets it when a dependency delivers.
+        std::int64_t dep_stall = 0;
+        const int dst = traffic_.next_send(e, cycle_, &dep_stall);
+        popped = dst >= 0;
+        if (popped) generate_packet(shard, e, dst, in_measurement, dep_stall);
+      } else {
+        bool hit = false;
+        if (ep.next_arrival == kUnplannedArrival) {
+          // Live draw from the endpoint's own stream, at cycle 0 and while
+          // the source queue is backlogged. A hard-OFF cycle (multiplier 0)
+          // consumes no draw, so the stream position depends only on
+          // ON-cycle count — the invariant plan_arrival_from's batched
+          // draws rely on.
+          if (!traffic_modulated_) {
+            hit = ep.rng.bernoulli(load_);
+          } else if (const double m = traffic_.rate_multiplier(e, cycle_); m > 0.0) {
+            hit = rate_hit(m, ep.rng);
+          }
+        } else if (cycle_ == ep.next_arrival) {
+          // A planned arrival materializes. Its Bernoulli draws were
+          // consumed at plan time; the destination (and any routing) draws
+          // happen now, on the same cycle and in the same order as a live
+          // hit's.
+          hit = true;
+          ep.next_arrival = kUnplannedArrival;
         }
-      } else if (cycle_ == ep.next_arrival) {
-        // A planned arrival materializes. Its Bernoulli draws were consumed
-        // at plan time; the destination (and any routing) draws happen now,
-        // on the same cycle and in the same order as a live hit's.
-        hit = true;
-        ep.next_arrival = kUnplannedArrival;
+        if (hit) {
+          const int dst = traffic_.destination(e, ep.rng);
+          if (dst >= 0) generate_packet(shard, e, dst, in_measurement, 0);
+        }
       }
-      if (hit) {
-        int dst = traffic_.destination(e, ep.rng);
-        if (dst >= 0) generate_packet(shard, e, dst, in_measurement, 0);
+      // Uplink: move the head of the source queue into the router's
+      // injection buffer (VC 0) when a credit is available. Routing happens
+      // here so UGAL sees the queue state at the moment of injection; that
+      // state is frozen for the whole phase, so the endpoint order cannot
+      // influence the decision.
+      if (!ep.source_queue.empty() && ep.credits > 0) {
+        Packet pkt = ep.source_queue.pop_front();
+        --ep.credits;
+        pkt.t_injected = static_cast<std::int32_t>(cycle_);
+        routing_.route_at_injection(*this, pkt, ep.rng);
+        const int port = router.network_ports + j;
+        LazyRing<Packet>& uplink = router.inputs[static_cast<std::size_t>(port)].vcs[0];
+        uplink.push_back(pkt);
+        set_occupied(router, port, 0);
+      }
+      // An empty queue stays planned (or never-arriving), so a sleeping
+      // endpoint's next arrival is a wake event, not a poll.
+      if (!traffic_self_clocked_ && ep.source_queue.empty() &&
+          ep.next_arrival == kUnplannedArrival) {
+        plan_arrival_from(shard, r, e, cycle_ + 1);
+      }
+      // The bit stays set while the endpoint has work next cycle: a backlog
+      // (live draws go on), or an eligible head left after a pop (the FIFO
+      // gate allows one pop per endpoint per cycle). A send that next_send
+      // refused was not eligible, so only a pop can leave one behind.
+      if (ep.source_queue.empty() &&
+          !(popped && traffic_.pending_eligible(e))) {
+        router.endpoint_ready[w] &= ~(std::uint64_t{1} << (j % 64));
       }
     }
-    // Uplink: move the head of the source queue into the router's
-    // injection buffer (VC 0) when a credit is available. Routing happens
-    // here so UGAL sees the queue state at the moment of injection; that
-    // state is frozen for the whole phase, so the endpoint order cannot
-    // influence the decision.
-    if (!ep.source_queue.empty() && ep.credits > 0) {
-      Packet pkt = ep.source_queue.pop_front();
-      --ep.credits;
-      pkt.t_injected = static_cast<std::int32_t>(cycle_);
-      routing_.route_at_injection(*this, pkt, ep.rng);
-      int port = router.network_ports + j;
-      LazyRing<Packet>& uplink = router.inputs[static_cast<std::size_t>(port)].vcs[0];
-      uplink.push_back(pkt);
-      set_occupied(router, port, 0);
-    }
-    // An empty queue stays planned (or never-arriving), so a sleeping
-    // endpoint's next arrival is a wake event, not a poll.
-    if (!traffic_self_clocked_ && ep.source_queue.empty() &&
-        ep.next_arrival == kUnplannedArrival) {
-      plan_arrival_from(shard, r, e, cycle_ + 1);
-    }
-    // A send that next_send refused was not eligible, so only a pop can
-    // leave an eligible head behind (the FIFO gate allows one pop per
-    // endpoint per cycle, so eligibility can outlive the queues).
-    work = work || !ep.source_queue.empty() ||
-           (popped && traffic_.pending_eligible(e));
   }
-  router.endpoint_work = work ? 1 : 0;
 }
 
 /* SF_HOT */ void Network::phase_injection(std::size_t shard) {
@@ -766,9 +800,10 @@ void Network::wire() {
       for (int e : unlocked_scratch_) {
         // Called serially, so pass the owner shard: the wake goes straight
         // to its wheel, never through an outbox. The unlocked head is
-        // eligible now, which keeps the router's endpoint_work byte exact.
+        // eligible now, which keeps the router's ready mask exact.
         const int r = topo_.endpoint_router(e);
-        routers_[static_cast<std::size_t>(r)].endpoint_work = 1;
+        mark_ready(routers_[static_cast<std::size_t>(r)],
+                   e - topo_.first_endpoint(r));
         schedule_wake(shard_of_router_[static_cast<std::size_t>(r)], r,
                       cycle_ + 1);
       }
@@ -891,8 +926,11 @@ void Network::init_active() {
     for (std::size_t local = 0; local < owned; ++local) {
       busy_[s][local / 64] |= std::uint64_t{1} << (local % 64);
       const int r = lo + static_cast<int>(local);
-      routers_[static_cast<std::size_t>(r)].endpoint_work =
-          endpoint_work_of(r) ? 1 : 0;
+      for (int j = 0; j < topo_.endpoints_at(r); ++j) {
+        if (endpoint_ready_of(topo_.first_endpoint(r) + j)) {
+          mark_ready(routers_[static_cast<std::size_t>(r)], j);
+        }
+      }
     }
     wheels_[s].words = words;
     wheels_[s].rows.assign(static_cast<std::size_t>(kWheelSlots) * words, 0);
@@ -1021,7 +1059,9 @@ void Network::init_active() {
 
 /* SF_HOT */ bool Network::router_is_busy(int r) const {
   const RouterState& router = routers_[static_cast<std::size_t>(r)];
-  if (router.endpoint_work) return true;
+  for (std::uint64_t w : router.endpoint_ready) {
+    if (w) return true;
+  }
   for (std::uint64_t w : router.staging_nonempty) {
     if (w) return true;
   }
@@ -1031,13 +1071,11 @@ void Network::init_active() {
   return false;
 }
 
-bool Network::endpoint_work_of(int r) const {
-  for (int j = 0; j < topo_.endpoints_at(r); ++j) {
-    const int e = topo_.first_endpoint(r) + j;
-    if (!injector_.source_queue(e).empty()) return true;
-    if (traffic_self_clocked_ && traffic_.pending_eligible(e)) return true;
-  }
-  return false;
+bool Network::endpoint_ready_of(int e) const {
+  if (!injector_.source_queue(e).empty()) return true;
+  return traffic_self_clocked_
+             ? traffic_.pending_eligible(e)
+             : injector_.next_arrival(e) == kUnplannedArrival;
 }
 
 void Network::audit_summaries() const {
@@ -1086,8 +1124,24 @@ void Network::audit_summaries() const {
     if (router.ep_credits_ready != router.ep_credits.head_ready()) {
       fail(r, "ep_credits_ready differs from the ep_credits line's head", deg);
     }
-    if ((router.endpoint_work != 0) != endpoint_work_of(r)) {
-      fail(r, "endpoint_work differs from its endpoints", deg);
+    // Endpoint summaries are reported at the endpoint's injection port.
+    const std::size_t eps = router.inputs.size() - deg;
+    for (std::size_t j = 0; j < router.endpoint_ready.size() * 64; ++j) {
+      const int e = topo_.first_endpoint(r) + static_cast<int>(j);
+      const bool bit = (router.endpoint_ready[j / 64] >> (j % 64)) & 1;
+      const bool ready = j < eps && endpoint_ready_of(e);
+      if (bit != ready) {
+        fail(r, ready ? "ready bit clear on an endpoint with work"
+                      : "ready bit set on an endpoint without work",
+             deg + j);
+      }
+      if (j >= eps) continue;
+      const std::int64_t at = injector_.next_arrival(e);
+      if (at == kUnplannedArrival || at == kNeverArrives) continue;
+      if (at < cycle_) fail(r, "planned arrival already past", deg + j);
+      if (at < router.earliest_arrival) {
+        fail(r, "planned arrival before earliest_arrival", deg + j);
+      }
     }
   }
 }
@@ -1144,6 +1198,8 @@ void Network::audit_summaries() const {
     return;
   }
   ep.next_arrival = t;
+  RouterState& router = routers_[static_cast<std::size_t>(r)];
+  router.earliest_arrival = std::min(router.earliest_arrival, t);
   schedule_wake(shard, r, t);
 }
 

@@ -39,9 +39,13 @@
 //                    arbitrary routers — legal because no output queue or
 //                    credit count mutates during this phase, so any
 //                    endpoint order sees identical snapshots.
-//                      writes: ep state, r's injection-port buffers and
-//                              endpoint_work byte, packet ids/seq, shard
-//                              measured_generated.
+//                    Only r's ready endpoints are visited (the set bits of
+//                    its endpoint-ready mask, ascending, plus the planned
+//                    arrivals that come due, found from r's
+//                    earliest_arrival slot).
+//                      writes: ep state, r's injection-port buffers,
+//                              endpoint-ready mask and earliest_arrival,
+//                              packet ids/seq, shard measured_generated.
 //                      reads:  any router's outputs (frozen), cycle_.
 //   3. allocation    Both alloc_iterations for router r back-to-back: pops
 //                    r's input buffers, spends r's output credits and
@@ -78,7 +82,7 @@
 // shard during arrivals are fed back into the traffic pattern's dependency
 // state here, even when shards_ == 1, so a message delivered at cycle T
 // unlocks its dependents for injection at T+1 regardless of shard count
-// (it also sets the unlocked endpoints' routers' endpoint_work bytes).
+// (it also sets the unlocked endpoints' bits in their routers' ready masks).
 // Anything not listed as writable in a phase must not be
 // written there; widening a phase's write set requires re-auditing every
 // cross-shard read above.
@@ -96,8 +100,8 @@
 //   * self-clocked replay (trace:/allreduce:) — injection pops eligible
 //     sends from the pattern instead of drawing coins; deliveries flow back
 //     through per-shard completion outboxes (drained serially, above); an
-//     endpoint with an eligible head counts as busy, and a delivery wakes
-//     the routers of the endpoints it unlocks.
+//     endpoint with an eligible head keeps its ready bit, and a delivery
+//     sets the bits and wakes the routers of the endpoints it unlocks.
 //   * windowed stats (SimConfig::stats_window) — per-shard WindowStats rows
 //     (preallocated; merged by elementwise sums) giving the time-resolved
 //     generated/delivered/latency/dependency-stall view.
@@ -109,8 +113,8 @@
 // bitmask over its routers — busy iff any input VC is occupied, any staging
 // counter is nonzero, or an attached endpoint has work left (a nonempty
 // source queue or an eligible self-clocked head; read from the router's
-// occupancy and staging masks and its endpoint_work byte, never by walking
-// ports or endpoints) —
+// occupancy, staging and endpoint-ready masks, never by walking ports or
+// endpoints) —
 // and (b) its future wakes, fed by every event with a known maturity cycle:
 // granted flits (downstream incoming-line ready), returning credits
 // (upstream credit_return ready — keeps UGAL's remote queue_estimate reads
@@ -203,7 +207,8 @@ class Network {
   /// Test hook: throws std::logic_error naming the router, port and cycle
   /// when a stepping summary disagrees with the state it summarizes — a
   /// readiness slot with its line's head, an occupancy or staging bit with
-  /// its buffer or stage, or an endpoint-work byte with a recomputation.
+  /// its buffer or stage, an endpoint-ready bit with its endpoint, or a
+  /// planned arrival with the earliest_arrival slot.
   /// Walks every router; call it between steps.
   void audit_summaries() const;
 
@@ -249,6 +254,13 @@ class Network {
   void arrivals_router(std::size_t shard, int r);
   void transmission_router(std::size_t shard, int r);
   void injection_router(std::size_t shard, int r, bool in_measurement);
+  /// Sets the ready bit of every endpoint of r whose planned arrival is
+  /// this cycle, and recomputes r's earliest_arrival over the plans ahead.
+  void mark_due_arrivals(int r);
+  /* SF_HOT */ static void mark_ready(RouterState& router, int j) {
+    router.endpoint_ready[static_cast<std::size_t>(j) / 64] |=
+        std::uint64_t{1} << (j % 64);
+  }
   /// Index of input `ip`'s VC `vc` in RouterState::occupied.
   /* SF_HOT */ std::size_t occupancy_bit(int ip, int vc) const {
     return (static_cast<std::size_t>(ip) << vc_shift_) +
@@ -310,12 +322,15 @@ class Network {
   /// Recomputes busy bits for the routers this shard just stepped.
   void update_busy(std::size_t shard);
   bool router_is_busy(int r) const;
-  /// Recomputes RouterState::endpoint_work from the endpoints themselves
-  /// (construction and audit_summaries only; stepping keeps the byte).
-  bool endpoint_work_of(int r) const;
+  /// Recomputes endpoint e's ready bit from the endpoint itself: a
+  /// non-empty source queue, an eligible self-clocked head, or an
+  /// unplanned live draw (construction and audit_summaries only; stepping
+  /// keeps the mask).
+  bool endpoint_ready_of(int e) const;
   /// Batches the endpoint's Bernoulli draws for cycles >= `from` until the
   /// first hit, records it in EndpointState::next_arrival, and schedules
-  /// the wake. Draws past the run's absolute end are capped (unobservable).
+  /// the wake and r's earliest_arrival. Draws past the run's absolute end
+  /// are capped (unobservable).
   void plan_arrival_from(std::size_t shard, int r, int e, std::int64_t from);
   /// The first cycle at or after cycle_ that is not idle: cycle_ itself
   /// when any router is busy, else the earliest pending wake — a far-heap

@@ -27,9 +27,10 @@
 // producer, see sim/channel.hpp) and those of its two per-router lines in
 // two int32 fields (ejection_ready, ep_credits_ready), so every line's
 // head slot lives in its router; its non-empty input VCs sit in one bitmask,
-// its non-empty staging stages in another, and its endpoints' pending work
-// in one byte. Network::audit_summaries() checks every summary against the
-// state it summarizes.
+// its non-empty staging stages in another, and its endpoints with work this
+// cycle in a third (with the earliest planned arrival beside it).
+// Network::audit_summaries() checks every summary against the state it
+// summarizes.
 //
 // Layout (docs/ARCHITECTURE.md, "hot-path memory layout"): the variable-
 // length families — input ports, output ports, per-VC buffers, per-VC
@@ -151,12 +152,19 @@ struct RouterState {
   /// OutputPort every cycle. Set on grant (allocation), cleared when the
   /// staging stage drains (transmission) — both phases of the owning router.
   Span<std::uint64_t> staging_nonempty;
-  /// 1 <=> an attached endpoint has work left: a non-empty source queue,
-  /// or (self-clocked replay) an eligible head message. Written by this
-  /// router's injection pass and by the serial completion pass, which
-  /// wakes the router when a delivery makes a head eligible — the only
-  /// other way eligibility changes.
-  std::uint8_t endpoint_work = 0;
+  /// endpoint_ready[j / 64] bit (j % 64) set <=> attached endpoint j has
+  /// work in the next injection pass: a non-empty source queue, an
+  /// unplanned live draw (cycle 0), a planned arrival coming due, or
+  /// (self-clocked replay) an eligible head message. Injection walks only
+  /// the set bits, in ascending order, and rewrites each one it visits;
+  /// due arrivals are marked from `earliest_arrival`, and the serial
+  /// completion pass sets the bit of every endpoint a delivery unlocks —
+  /// the only other way eligibility changes. Padding bits stay clear.
+  Span<std::uint64_t> endpoint_ready;
+  /// A lower bound on the planned next_arrival of every attached endpoint
+  /// (INT64_MAX when none is planned): injection scans the endpoints'
+  /// plans only on a cycle at or past it.
+  std::int64_t earliest_arrival = INT64_MAX;
 
   /// Flits in flight to this router's endpoints, aggregated across its
   /// ejection ports (transmission pushes in port order; arrivals drains

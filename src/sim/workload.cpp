@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "exp/json.hpp"
 
@@ -37,13 +38,12 @@ std::string msg_id(int endpoint, std::int64_t index) {
 /// Vector index of a flat message or endpoint number.
 std::size_t ix(std::int64_t i) { return static_cast<std::size_t>(i); }
 
-/// Reverse `after:` index in CSR form: the listed endpoints (slots into
-/// WorkloadTrace::endpoints) whose messages wait on message m are
-/// slot[first[m] .. first[m+1]), in trace order.
+/// Reverse `after:` index in CSR form, for the cycle check: the listed
+/// endpoints (slots into WorkloadTrace::endpoints) whose messages wait on
+/// message m are slot[first[m] .. first[m+1]), in trace order.
 struct Dependents {
   std::vector<std::int32_t> first;
   std::vector<std::int32_t> slot;
-  std::size_t fanout = 0;  ///< longest list
 };
 
 Dependents dependents_of(const WorkloadTrace& trace) {
@@ -52,7 +52,6 @@ Dependents dependents_of(const WorkloadTrace& trace) {
   for (const TraceMessage& m : trace.messages) {
     if (m.after >= 0) ++d.first[ix(m.after)];
   }
-  d.fanout = ix(*std::max_element(d.first.begin(), d.first.end()));
   // Counts become list ends; filling backwards leaves first[m] at the start
   // of m's list and each list in trace order.
   std::partial_sum(d.first.begin(), d.first.end(), d.first.begin());
@@ -123,16 +122,27 @@ void check_acyclic(const std::string& where, const WorkloadTrace& trace) {
 /// between-cycles completion pass (Network::apply_completions), so the
 /// replay schedule is identical for every shard count and stepping engine.
 /// The replay owns the trace's flat table and adds a cursor per endpoint, a
-/// delivered byte per message and the dependents CSR — all built at
-/// construction, so the hot path never allocates.
+/// delivered bit per message and a reverse index over the foreign edges
+/// only — all built at construction, so the hot path never allocates.
+///
+/// A delivery unlocks by receiver: the message's destination is the usual
+/// waiter (every generated collective and a request/reply trace wait on
+/// what they received), so on_delivered first checks that endpoint's head.
+/// An `after:` edge whose waiter is not the awaited message's receiver is
+/// foreign; only the messages such edges await are indexed, so the index
+/// is empty for those traces and costs nothing per message.
 class DependencyReplay final : public TrafficPattern {
  public:
   DependencyReplay(int num_endpoints, WorkloadTrace trace,
                    std::string display_name)
       : name_(std::move(display_name)),
         trace_(std::move(trace)),
-        cursor_(ix(num_endpoints)) {
+        cursor_(ix(num_endpoints)),
+        delivered_((trace_.messages.size() + 63) / 64, 0) {
     const std::string where = "traffic \"" + name_ + "\"";
+    // Messages some endpoint other than their receiver waits on.
+    std::vector<std::int32_t> awaited;
+    bool any_edge = false;
     for (std::size_t s = 0; s < trace_.endpoints.size(); ++s) {
       const TraceEndpoint& ep = trace_.endpoints[s];
       if (ep.id < 0 || ep.id >= num_endpoints) {
@@ -142,18 +152,45 @@ class DependencyReplay final : public TrafficPattern {
       }
       const std::int32_t end = trace_.end_of(s);
       for (std::int32_t m = ep.first; m < end; ++m) {
-        const int dst = trace_.messages[ix(m)].dst;
-        if (dst < 0 || dst >= num_endpoints) {
+        const TraceMessage& msg = trace_.messages[ix(m)];
+        if (msg.dst < 0 || msg.dst >= num_endpoints) {
           fail(where, "message " + msg_id(ep.id, m - ep.first) +
-                          " destination " + std::to_string(dst) +
+                          " destination " + std::to_string(msg.dst) +
                           " out of range (topology has " +
                           std::to_string(num_endpoints) + " endpoints)");
         }
+        if (msg.after < 0) continue;
+        any_edge = true;
+        if (trace_.messages[ix(msg.after)].dst != ep.id) {
+          awaited.push_back(msg.after);
+        }
       }
-      cursor_[ix(ep.id)] = {ep.first, ep.first, end, 0};
+      cursor_[ix(ep.id)] = {ep.first, ep.first, end, after_of(ep.first, end), 0};
     }
-    deps_ = dependents_of(trace_);
-    delivered_.assign(trace_.messages.size(), 0);
+    fanout_ = any_edge ? 1 : 0;  // a receiver waits on each message once
+    if (awaited.empty()) return;
+    std::sort(awaited.begin(), awaited.end());
+    awaited.erase(std::unique(awaited.begin(), awaited.end()), awaited.end());
+    // Every waiter of those messages once, the receiver included so that
+    // completion_fanout() counts it.
+    for (std::size_t s = 0; s < trace_.endpoints.size(); ++s) {
+      for (std::int32_t m = trace_.endpoints[s].first; m < trace_.end_of(s);
+           ++m) {
+        const std::int32_t a = trace_.messages[ix(m)].after;
+        if (a >= 0 && std::binary_search(awaited.begin(), awaited.end(), a)) {
+          foreign_.emplace_back(a, trace_.endpoints[s].id);
+        }
+      }
+    }
+    std::sort(foreign_.begin(), foreign_.end());
+    foreign_.erase(std::unique(foreign_.begin(), foreign_.end()),
+                   foreign_.end());
+    for (auto first = foreign_.begin(); first != foreign_.end();) {
+      auto last = first;
+      while (last != foreign_.end() && last->first == first->first) ++last;
+      fanout_ = std::max(fanout_, static_cast<std::size_t>(last - first));
+      first = last;
+    }
   }
 
   std::string name() const override { return name_; }
@@ -173,25 +210,27 @@ class DependencyReplay final : public TrafficPattern {
 
   bool pending_eligible(int src) const override {
     const Cursor& c = cursor_[ix(src)];
-    return c.next < c.end && dep_satisfied(trace_.messages[ix(c.next)]);
+    return c.next < c.end && dep_satisfied(c.head_after);
   }
 
   /* SF_HOT */ int next_send(int src, std::int64_t cycle,
                 std::int64_t* dep_stall) override {
     Cursor& c = cursor_[ix(src)];
     if (c.next >= c.end) return -1;
-    const TraceMessage& m = trace_.messages[ix(c.next)];
-    if (!dep_satisfied(m)) return -1;
+    if (!dep_satisfied(c.head_after)) return -1;
     if (dep_stall) {
       // The engine pops an eligible head at the first injection phase after
       // max(FIFO-ready, dependency-delivered), so cycle − head_ready is
       // exactly the dependency-induced wait (0 for dependency-free sends).
-      *dep_stall =
-          m.after >= 0 ? std::max<std::int64_t>(0, cycle - c.head_ready) : 0;
+      *dep_stall = c.head_after >= 0
+                       ? std::max<std::int64_t>(0, cycle - c.head_ready)
+                       : 0;
     }
+    const int dst = trace_.messages[ix(c.next)].dst;
     ++c.next;
+    c.head_after = after_of(c.next, c.end);
     c.head_ready = cycle + 1;
-    return m.dst;
+    return dst;
   }
 
   /* SF_HOT */ void on_delivered(int src, std::int64_t seq,
@@ -199,18 +238,18 @@ class DependencyReplay final : public TrafficPattern {
     if (ix(src) >= cursor_.size()) return;
     const Cursor& c = cursor_[ix(src)];
     if (seq < 0 || seq >= c.end - c.first) return;
-    const std::int64_t m = c.first + seq;
-    delivered_[ix(m)] = 1;
-    for (std::int32_t k = deps_.first[ix(m)]; k < deps_.first[ix(m) + 1]; ++k) {
-      const int dep = trace_.endpoints[ix(deps_.slot[ix(k)])].id;
-      const Cursor& head = cursor_[ix(dep)];
-      if (head.next < head.end && trace_.messages[ix(head.next)].after == m) {
-        unlocked.push_back(dep);  // head was blocked on exactly this message  // sf-lint: allow(hot-alloc) caller's scratch, reserved to completion_fanout() in wire()
-      }
+    const auto m = static_cast<std::int32_t>(c.first + seq);
+    delivered_[ix(m) / 64] |= std::uint64_t{1} << (m % 64);
+    const int receiver = trace_.messages[ix(m)].dst;
+    unlock_if_waiting(receiver, m, unlocked);
+    for (auto it = std::lower_bound(foreign_.begin(), foreign_.end(),
+                                    Edge{m, INT32_MIN});
+         it != foreign_.end() && it->first == m; ++it) {
+      if (it->second != receiver) unlock_if_waiting(it->second, m, unlocked);
     }
   }
 
-  std::size_t completion_fanout() const override { return deps_.fanout; }
+  std::size_t completion_fanout() const override { return fanout_; }
 
  private:
   /// Endpoint e sends messages [first, end) in order; `next` is its head.
@@ -218,18 +257,38 @@ class DependencyReplay final : public TrafficPattern {
     std::int32_t first = 0;
     std::int32_t next = 0;
     std::int32_t end = 0;
+    /// The head's `after:` (−1 for none or past the end), kept here so an
+    /// unlock check reads the cursor alone.
+    std::int32_t head_after = -1;
     std::int64_t head_ready = 0;  ///< cycle the head became FIFO-ready
   };
+  /// (awaited message, waiting endpoint id).
+  using Edge = std::pair<std::int32_t, std::int32_t>;
 
-  bool dep_satisfied(const TraceMessage& m) const {
-    return m.after < 0 || delivered_[ix(m.after)] != 0;
+  bool dep_satisfied(std::int32_t after) const {
+    return after < 0 || ((delivered_[ix(after) / 64] >> (after % 64)) & 1) != 0;
+  }
+  /// `after:` of message `next`, or −1 when next == end (list exhausted).
+  std::int32_t after_of(std::int32_t next, std::int32_t end) const {
+    return next < end ? trace_.messages[ix(next)].after : -1;
+  }
+
+  /// Lists `endpoint` when its head was blocked on exactly message m.
+  /* SF_HOT */ void unlock_if_waiting(int endpoint, std::int32_t m,
+                                      std::vector<int>& unlocked) const {
+    if (cursor_[ix(endpoint)].head_after == m) {
+      unlocked.push_back(endpoint);  // sf-lint: allow(hot-alloc) caller's scratch, reserved to completion_fanout() in wire()
+    }
   }
 
   std::string name_;
   WorkloadTrace trace_;
   std::vector<Cursor> cursor_;
-  std::vector<char> delivered_;  ///< per message: ejected yet
-  Dependents deps_;
+  std::vector<std::uint64_t> delivered_;  ///< bit per message: ejected yet
+  /// Every waiter of each message that some endpoint other than its
+  /// receiver waits on, sorted, each (message, waiter) once.
+  std::vector<Edge> foreign_;
+  std::size_t fanout_ = 0;  ///< distinct waiters of one message, at most
 };
 
 /// Trailing zero bits of v > 0 (log2 of a power of two).

@@ -28,7 +28,12 @@
 // in `messages`, each entry 8 bytes (destination plus the flat index of the
 // message it waits on), and one (endpoint, first message) row per listed
 // endpoint. The parser, the collective generator, the cycle check and the
-// replay all index that table; the replay takes it over by move.
+// replay all index that table; the replay takes it over by move and adds
+// one delivered bit per message. A delivery unlocks by receiver: the replay
+// checks the head of the delivered message's destination, and only the
+// messages that some other endpoint waits on (through a foreign edge) get
+// a reverse index. The generated collectives have no foreign edge, so
+// their replay costs 8 bytes and one bit per message.
 
 #include <cstdint>
 #include <memory>

@@ -321,14 +321,15 @@ TEST(Engine, VcStrideLayoutsMatchPinnedResults) {
 
 TEST(Engine, SummariesMatchTheirStateAfterEveryStep) {
   // Stepping polls summaries instead of state: the head-ready slots of the
-  // per-port lines, the occupancy and staging bitmasks, and the
-  // endpoint-work byte (sim/router.hpp). audit_summaries() recomputes each
-  // from the state it summarizes and throws, naming router, port and cycle,
-  // on a slot a producer forgot to write or a bit a pop forgot to clear.
+  // per-port lines, the occupancy, staging and endpoint-ready bitmasks, and
+  // the earliest planned arrival (sim/router.hpp). audit_summaries()
+  // recomputes each from the state it summarizes and throws, naming router,
+  // port and cycle, on a slot a producer forgot to write or a bit a pop
+  // forgot to clear.
   // The configs move the writers off the default path: credit_delay = 0
   // (credits due the next cycle), a 70-cycle wire (long lines), UGAL-G
   // (remote queue reads), bursts (long idle stretches), and ring and tree
-  // allreduce (endpoint work set by the serial completion pass).
+  // allreduce (ready bits set by the serial completion pass).
   sf::SlimFlyMMS sf(5);
   SimConfig far = quick_config();
   far.channel_latency = 70;
@@ -365,6 +366,79 @@ TEST(Engine, SummariesMatchTheirStateAfterEveryStep) {
       }
       EXPECT_GT(net.flit_hops(), 0) << what;
     }
+  }
+}
+
+/// Forwards every self-clocked hook to a replay and counts next_send
+/// calls: sends, and refusals split by whether the endpoint had a message
+/// in flight. With none in flight its source queue is empty, so only an
+/// eligible head could have marked it ready — and a refusal says it was not.
+class CountingReplay final : public TrafficPattern {
+ public:
+  CountingReplay(std::unique_ptr<TrafficPattern> inner, int endpoints)
+      : inner_(std::move(inner)),
+        in_flight_(static_cast<std::size_t>(endpoints), 0) {}
+  std::string name() const override { return inner_->name(); }
+  int destination(int src, Rng& rng) override {
+    return inner_->destination(src, rng);
+  }
+  bool is_active(int src) const override { return inner_->is_active(src); }
+  bool self_clocked() const override { return true; }
+  bool pending_eligible(int src) const override {
+    return inner_->pending_eligible(src);
+  }
+  int next_send(int src, std::int64_t cycle, std::int64_t* stall) override {
+    ++calls;
+    const int dst = inner_->next_send(src, cycle, stall);
+    std::int64_t& flying = in_flight_[static_cast<std::size_t>(src)];
+    if (dst >= 0) {
+      ++sends;
+      ++flying;
+    } else if (flying > 0) {
+      ++refused_in_flight;
+    } else {
+      ++refused_idle;
+    }
+    return dst;
+  }
+  void on_delivered(int src, std::int64_t seq,
+                    std::vector<int>& unlocked) override {
+    --in_flight_[static_cast<std::size_t>(src)];
+    inner_->on_delivered(src, seq, unlocked);
+  }
+  std::size_t completion_fanout() const override {
+    return inner_->completion_fanout();
+  }
+
+  std::int64_t calls = 0, sends = 0, refused_in_flight = 0, refused_idle = 0;
+
+ private:
+  std::unique_ptr<TrafficPattern> inner_;
+  std::vector<std::int64_t> in_flight_;
+};
+
+TEST(Engine, ReplayAsksOnlyMarkedEndpointsForASend) {
+  // Injection visits only endpoints whose ready bit is set, so next_send is
+  // asked for a send almost only when one is eligible. A refusal can come
+  // only from an endpoint marked for its backlog, which needs a message in
+  // flight; an endpoint with none is never asked in vain. Visiting every
+  // endpoint of a stepped router made about 3.9 calls per send.
+  sf::SlimFlyMMS sf(5);
+  for (const std::string spec :
+       {"allreduce:ranks=64,algo=ring", "allreduce:ranks=64,algo=tree"}) {
+    auto bundle = make_routing(RoutingKind::Minimal, sf);
+    CountingReplay counting(make_traffic(spec, sf), sf.num_endpoints());
+    const SimResult got =
+        simulate(sf, *bundle.algorithm, counting, quick_config(), 0.1);
+    auto plain_bundle = make_routing(RoutingKind::Minimal, sf);
+    auto plain = make_traffic(spec, sf);
+    expect_same_result(
+        got, simulate(sf, *plain_bundle.algorithm, *plain, quick_config(), 0.1),
+        spec);
+    EXPECT_GT(counting.sends, 0) << spec;
+    EXPECT_EQ(counting.refused_idle, 0) << spec;
+    EXPECT_LE(counting.calls, counting.sends + counting.refused_in_flight)
+        << spec;
   }
 }
 

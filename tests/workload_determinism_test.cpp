@@ -346,6 +346,40 @@ TEST(WorkloadWindows, OneDeliveryUnlocksThreeEndpoints) {
   std::remove(path.c_str());
 }
 
+TEST(WorkloadWindows, ReceiverAndForeignWaitersUnlockOncePerEndpoint) {
+  // Message 0.0 is awaited by its receiver (10) and by two foreign
+  // endpoints (20 and 30), and 20 lists two messages that wait on it. The
+  // replay checks the receiver's head first and indexes only the foreign
+  // edges, so one delivery lists each of the three waiters once:
+  // completion_fanout() counts distinct waiters (3), not edges (4). 20's
+  // second message finds its dependency delivered when it becomes head, so
+  // it sends without a dependency stall.
+  const std::string path = write_temp_trace("receiver", R"({"endpoints": {
+      "0": [{"dst": 10}],
+      "10": [{"dst": 41, "after": "0.0"}],
+      "20": [{"dst": 42, "after": "0.0"}, {"dst": 43, "after": "0.0"}],
+      "30": [{"dst": 44}, {"dst": 45, "after": "0.0"}]}})");
+  expect_matrix_identical("trace:file=" + path);
+
+  sf::SlimFlyMMS topo(5);
+  auto routing = make_routing(RoutingKind::Minimal, topo);
+  auto traffic = make_traffic("trace:file=" + path, topo);
+  EXPECT_EQ(traffic->completion_fanout(), 3u);
+  SimConfig cfg = quick_config();
+  cfg.stats_window = 50;
+  auto r = simulate(topo, *routing.algorithm, *traffic, cfg, 0.2);
+  std::int64_t generated = 0, delivered = 0, stalled = 0;
+  for (const auto& w : r.windows) {
+    generated += w.generated;
+    delivered += w.delivered;
+    stalled += w.dep_stalled_sends;
+  }
+  EXPECT_EQ(generated, 6);
+  EXPECT_EQ(delivered, 6);
+  EXPECT_EQ(stalled, 3) << "10.0, 20.0 and 30.1 wait for 0.0; 20.1 does not";
+  std::remove(path.c_str());
+}
+
 // ---- 5. parser and grammar negatives ---------------------------------------
 
 TEST(TraceParser, RejectsExplicitDependencyCycle) {
